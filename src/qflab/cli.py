@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -28,20 +27,9 @@ def _add_common_flags(p: argparse.ArgumentParser):
         help=f"output root (default: spec value, then ${experiments.OUT_DIR_ENV}, then ./qflab-runs)",
     )
     p.add_argument(
-        "--threads", type=int, default=None,
-        help="cap numeric library threads (best effort via environment)",
-    )
-    p.add_argument(
         "--tolerance-scale", type=float, default=None,
         help="multiply all pipeline tolerances by this factor",
     )
-
-
-def _apply_threads(n):
-    if n is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
 
 
 def _load_spec(path: str) -> experiments.ExperimentSpec:
@@ -111,7 +99,6 @@ def main(argv=None) -> int:
     p_rep.add_argument("manifest", help="path to a manifest.json")
 
     args = parser.parse_args(argv)
-    _apply_threads(getattr(args, "threads", None))
 
     if args.command == "run":
         try:
@@ -156,7 +143,9 @@ def main(argv=None) -> int:
             print(f"{flag} {name}")
         print(f"spec hash {manifest.get('spec_hash')}")
         print(f"tool version {manifest.get('tool_version')}")
-        print(f"wall clock {manifest.get('wall_clock_seconds'):.3f} s")
+        wall = manifest.get("wall_clock_seconds")
+        if isinstance(wall, (int, float)):
+            print(f"wall clock {wall:.3f} s")
         for name in manifest.get("artifacts", []):
             print(f"artifact {name}")
         return EXIT_PASS if manifest.get("passed") else EXIT_FAILURE

@@ -985,23 +985,24 @@ def _tv_between_samples(a: np.ndarray, b: np.ndarray, edges) -> float:
 def compare_bohm_rdmp(
     frames: WaveFrames,
     sample_times,
-    ensemble_size: int,
-    seed: int,
+    bohm: Ensemble,
+    rdmp: Ensemble,
     tv_factor: float = 3.0,
 ) -> DivergenceReport:
-    """Run both dynamics over the same frames and compare their marginals.
+    """Compare a pilot-wave and a random-jump ensemble over the same frames.
 
     Total-variation distance between the binned single-particle marginals
     is reported per sample time against a sampling-noise threshold
     tv_factor * sqrt(n_bins / n); both ensembles are Born-distributed, so
     the distance is pure noise when equivariance holds.  The mean per-step
-    displacement separates continuous from jump motion.
+    displacement separates continuous from jump motion.  Both ensembles
+    need a snapshot at every sample time.
     """
+    if bohm.size != rdmp.size:
+        raise ValueError(f"ensemble sizes differ: {bohm.size} vs {rdmp.size}")
+    ensemble_size = bohm.size
     ts = np.asarray(sample_times, dtype=float)
     w0 = frames.wavefunction(0)
-    q0 = born_sample_many(w0, ensemble_size, derive_seed(seed, 1))
-    bohm = run_bohm_ensemble(frames, q0, seed=derive_seed(seed, 1))
-    rdmp = rdmp_ensemble(frames, ts, ensemble_size, derive_seed(seed, 2))
     ndim = len(frames.axes)
     per_axis = max(2, int(round(np.sqrt(ensemble_size) ** (1.0 / ndim))))
     edges = _grid_bin_edges(w0, [per_axis] * ndim)

@@ -41,7 +41,6 @@ __all__ = [
     "preset_names",
     "validate",
     "run",
-    "compare_bohm_rdmp",
 ]
 
 
@@ -296,6 +295,14 @@ def _interior_zero_risk(w: GridWaveFunction) -> bool:
 
 def validate(spec: ExperimentSpec) -> list:
     """Structural and sanity findings; errors make the spec unrunnable."""
+    return _check(spec)[0]
+
+
+def _check(spec: ExperimentSpec):
+    """(findings, w0): validate's findings plus the initial state it built.
+
+    w0 is None for finite-model kinds and for specs with errors.
+    """
     findings = []
 
     def error(field, message):
@@ -306,17 +313,25 @@ def validate(spec: ExperimentSpec) -> list:
 
     if spec.kind not in KINDS:
         error("kind", f"unknown kind {spec.kind!r}; known: {', '.join(KINDS)}")
-        return findings
+        return findings, None
     if spec.dynamics not in DYNAMICS:
         error("dynamics", f"unknown dynamics {spec.dynamics!r}")
-        return findings
+        return findings, None
 
     if spec.kind in ("pbr", "ontic-model-check"):
         if spec.dynamics != "none":
             error("dynamics", f"{spec.kind} experiments have no particle dynamics")
         if spec.grid is not None or spec.time is not None:
             warning("grid", f"{spec.kind} experiments ignore grid and time fields")
-        return findings
+        if spec.kind == "pbr":
+            overlap = spec.params.get("overlap", 0.25)
+            try:
+                in_range = 0 < float(overlap) <= 0.5
+            except (TypeError, ValueError):
+                in_range = False
+            if not in_range:
+                error("params.overlap", f"overlap must lie in (0, 0.5], got {overlap!r}")
+        return findings, None
 
     # wave kinds from here on
     if spec.grid is None:
@@ -376,7 +391,7 @@ def validate(spec: ExperimentSpec) -> list:
             )
 
     if any(f.severity == "error" for f in findings):
-        return findings
+        return findings, None
 
     # heuristics that need the grid built
     axes = _build_axes(spec.grid)
@@ -390,11 +405,17 @@ def validate(spec: ExperimentSpec) -> list:
                 "fast momentum components will be under-resolved in time",
             )
         )
+    level = spec.initial_state.get("level", 0)
+    if spec.initial_state["kind"] == "stationary" and not (
+        isinstance(level, (int, np.integer)) and 0 <= level < axes[0].size
+    ):
+        error("initial_state", f"level must be an integer in [0, {axes[0].size}), got {level!r}")
+        return findings, None
     try:
         w0 = _build_initial(spec, axes, _build_potential(spec))
     except (KeyError, ValueError) as exc:
         findings.append(Finding("error", "initial_state", str(exc)))
-        return findings
+        return findings, None
     if _interior_zero_risk(w0):
         findings.append(
             Finding(
@@ -403,7 +424,7 @@ def validate(spec: ExperimentSpec) -> list:
                 "initial density has interior near-zeros; trajectories may hit nodes",
             )
         )
-    return findings
+    return findings, w0
 
 
 # ---------------------------------------------------------------------------
@@ -416,24 +437,10 @@ def _out_dir_for(spec: ExperimentSpec) -> Path:
     return Path(root) / spec.name
 
 
-def compare_bohm_rdmp(spec: ExperimentSpec) -> dyn.DivergenceReport:
-    """Run both dynamics for a spec requesting them and compare marginals."""
-    if spec.dynamics != "both":
-        raise ValueError("spec must request dynamics 'both'")
-    axes = _build_axes(spec.grid)
+def _wave_pipeline(
+    spec: ExperimentSpec, w0: GridWaveFunction, out: Path, tests: dict, files: list
+):
     potential = _build_potential(spec)
-    w0 = _build_initial(spec, axes, potential)
-    dt = float(spec.time["dt"])
-    n_steps = int(round(spec.time["t_end"] / dt))
-    frames = dyn.evolve_frames(w0, potential, dt, n_steps)
-    snapped = [float(np.round(t / dt) * dt) for t in spec.time["sample_times"]]
-    return dyn.compare_bohm_rdmp(frames, snapped, spec.ensemble_size, spec.seed)
-
-
-def _wave_pipeline(spec: ExperimentSpec, out: Path, tests: dict, files: list):
-    axes = _build_axes(spec.grid)
-    potential = _build_potential(spec)
-    w0 = _build_initial(spec, axes, potential)
     dt = float(spec.time["dt"])
     t_end = float(spec.time["t_end"])
     n_steps = int(round(t_end / dt))
@@ -513,7 +520,7 @@ def _wave_pipeline(spec: ExperimentSpec, out: Path, tests: dict, files: list):
         tests["rdmp-marginals"] = all(g["passed"] for g in gofs)
 
     if spec.dynamics == "both":
-        duel = dyn.compare_bohm_rdmp(frames, snapped, spec.ensemble_size, spec.seed)
+        duel = dyn.compare_bohm_rdmp(frames, snapped, ensemble, rensemble)
         files.append(art.write_json(out / "bohm_vs_rdmp.json", duel.to_json()))
         tests["tv-agreement"] = duel.tv_passed
 
@@ -596,7 +603,7 @@ def _ontic_check_pipeline(spec: ExperimentSpec, out: Path, tests: dict, files: l
 
 def run(spec: ExperimentSpec) -> RunManifest:
     """Validate, execute the pipeline, write artifacts plus manifest."""
-    findings = validate(spec)
+    findings, w0 = _check(spec)
     errors = [f for f in findings if f.severity == "error"]
     if errors:
         raise SpecValidationError(errors)
@@ -614,7 +621,7 @@ def run(spec: ExperimentSpec) -> RunManifest:
         )
 
     if spec.kind in WAVE_KINDS:
-        _wave_pipeline(spec, out, tests, files)
+        _wave_pipeline(spec, w0, out, tests, files)
     elif spec.kind == "pbr":
         _pbr_pipeline(spec, out, tests, files)
     elif spec.kind == "ontic-model-check":

@@ -93,3 +93,36 @@ def test_report_subcommand(tmp_path, capsys):
 
 def test_unknown_preset_exit_code(capsys):
     assert main(["preset", "not-a-preset"]) == EXIT_INVALID
+
+
+def test_out_of_range_specs_exit_invalid(tmp_path, capsys):
+    pbr = tmp_path / "pbr-06.json"
+    pbr.write_text(json.dumps(
+        {"name": "pbr-06", "kind": "pbr", "seed": 3,
+         "params": {"overlap": 0.6, "n_shared": 4, "n_exclusive": 6}}
+    ))
+    deep = write_spec(
+        tmp_path, name="deep-level", kind="box", dynamics="none",
+        grid={"lo": [-2.0], "hi": [2.0], "points": [64]},
+        potential={"kind": "box", "inner_lo": [-1.0], "inner_hi": [1.0], "height": 1e4},
+        initial_state={"kind": "stationary", "level": 1000},
+        time={"dt": 0.001, "t_end": 0.01}, params={},
+    )
+    for path, field in ((pbr, "params.overlap"), (deep, "initial_state")):
+        assert main(["validate", str(path)]) == EXIT_INVALID
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == EXIT_INVALID
+        assert capsys.readouterr().out.count(f"ERROR   {field}:") == 2
+
+
+def test_report_partial_manifest(tmp_path, capsys):
+    main(["preset", "pbr", "--out-dir", str(tmp_path)])
+    path = tmp_path / "pbr" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["wall_clock_seconds"]
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = main(["report", str(path)])
+    out = capsys.readouterr().out
+    assert code == EXIT_PASS
+    assert "PASS structure" in out and "spec hash" in out
+    assert "wall clock" not in out

@@ -393,7 +393,10 @@ def test_compare_bohm_rdmp_tv_within_threshold():
     w0 = qf.gaussian_packet((ax,), [0.0], [1.0])
     frames = qf.evolve_frames(w0, Potential.free(), 0.002, 500, store_every=10)
     times = np.round(np.linspace(0.2, 1.0, 5), 3)
-    rep = compare_bohm_rdmp(frames, times, 400, seed=11)
+    q0 = qf.born_sample_many(w0, 400, derive_seed(11, 1))
+    bohm = qf.run_bohm_ensemble(frames, q0, seed=derive_seed(11, 1))
+    rdmp = qf.rdmp_ensemble(frames, times, 400, derive_seed(11, 2))
+    rep = compare_bohm_rdmp(frames, times, bohm, rdmp)
     assert rep.tv_passed
     assert np.all(rep.tv_distance <= rep.tv_threshold)
     assert rep.rdmp_mean_step > 5 * rep.bohm_mean_step

@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qflab as qf
+import qflab.dynamics as dyn
 from qflab.artifacts import read_json
 from qflab.experiments import SpecValidationError
 
@@ -23,6 +25,22 @@ def tiny_wave_spec(name="tiny", **overrides):
         "params": {},
         "tolerances": {},
         "out_dir": None,
+    }
+    body.update(overrides)
+    return qf.ExperimentSpec.from_json(body)
+
+
+def tiny_box_spec(**overrides):
+    body = {
+        "name": "tiny-box",
+        "kind": "box",
+        "seed": 4,
+        "dynamics": "both",
+        "ensemble_size": 100,
+        "grid": {"lo": [-2.0], "hi": [2.0], "points": [64]},
+        "potential": {"kind": "box", "inner_lo": [-1.0], "inner_hi": [1.0], "height": 1e2},
+        "initial_state": {"kind": "stationary", "level": 0},
+        "time": {"dt": 0.001, "t_end": 0.01, "sample_times": [0.005, 0.01]},
     }
     body.update(overrides)
     return qf.ExperimentSpec.from_json(body)
@@ -84,6 +102,19 @@ class TestValidate:
         )
         findings = qf.validate(spec)
         assert any(f.severity == "warning" and "node" in f.message.lower() for f in findings)
+
+    def test_pbr_overlap_out_of_range_is_error(self):
+        spec = qf.ExperimentSpec.from_json(
+            {"name": "pbr-06", "kind": "pbr", "seed": 3,
+             "params": {"overlap": 0.6, "n_shared": 4, "n_exclusive": 6}}
+        )
+        findings = qf.validate(spec)
+        assert [(f.severity, f.field) for f in findings] == [("error", "params.overlap")]
+
+    def test_stationary_level_beyond_grid_is_error(self):
+        spec = tiny_box_spec(initial_state={"kind": "stationary", "level": 1000})
+        findings = qf.validate(spec)
+        assert [(f.severity, f.field) for f in findings] == [("error", "initial_state")]
 
     def test_run_raises_structured_error_on_invalid_spec(self, tmp_path):
         spec = tiny_wave_spec(ensemble_size=10, dynamics="bohm", out_dir=str(tmp_path))
@@ -166,8 +197,29 @@ class TestRun:
         manifest = qf.run(spec)
         assert not manifest.passed
 
-    def test_compare_entry_point(self):
-        spec = tiny_wave_spec(ensemble_size=300)
-        rep = qf.compare_bohm_rdmp(spec)
+    def test_compare_entry_point(self, tmp_path):
+        # the duel a run writes is the comparison of its own two ensembles
+        spec = tiny_wave_spec(ensemble_size=300, out_dir=str(tmp_path))
+        dt = 0.005
+        w0 = qf.gaussian_packet((qf.uniform_axis(-16.0, 16.0, 256),), [0.0], [1.0])
+        frames = qf.evolve_frames(w0, qf.Potential.free(), dt, 80)
+        times = [float(np.round(t / dt) * dt) for t in (0.2, 0.4)]
+        q0 = qf.born_sample_many(w0, 300, qf.derive_seed(9, 1))
+        bohm = qf.run_bohm_ensemble(frames, q0, seed=qf.derive_seed(9, 1))
+        rdmp = qf.rdmp_ensemble(frames, times, 300, qf.derive_seed(9, 2))
+        rep = qf.compare_bohm_rdmp(frames, times, bohm, rdmp)
         assert rep.tv_passed
         assert rep.rdmp_mean_step > rep.bohm_mean_step
+        qf.run(spec)
+        assert read_json(tmp_path / "tiny" / "bohm_vs_rdmp.json") == rep.to_json()
+
+    def test_run_builds_each_object_once(self, tmp_path, monkeypatch):
+        calls = Counter()
+        for name in ("stationary_state", "run_bohm_ensemble", "rdmp_ensemble"):
+            def counted(*args, _name=name, _fn=getattr(dyn, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(dyn, name, counted)
+        qf.run(tiny_box_spec(out_dir=str(tmp_path)))
+        assert calls == {"stationary_state": 1, "run_bohm_ensemble": 1, "rdmp_ensemble": 1}
