@@ -43,6 +43,10 @@ def _load_spec(path: str) -> experiments.ExperimentSpec:
         raise experiments.SpecValidationError(
             [experiments.Finding("error", "file", f"{path} is not valid JSON: {exc}")]
         )
+    if not isinstance(obj, dict):
+        raise experiments.SpecValidationError(
+            [experiments.Finding("error", "file", f"{path} holds no JSON object")]
+        )
     try:
         return experiments.ExperimentSpec.from_json(obj)
     except (TypeError, ValueError) as exc:
@@ -137,6 +141,9 @@ def main(argv=None) -> int:
             manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             print(f"ERROR   manifest: {exc}")
+            return EXIT_INVALID
+        if not (isinstance(manifest, dict) and isinstance(manifest.get("tests", {}), dict)):
+            print(f"ERROR   manifest: {args.manifest} is not a run manifest (a JSON object)")
             return EXIT_INVALID
         for name in sorted(manifest.get("tests", {})):
             flag = "PASS" if manifest["tests"][name] else "FAIL"

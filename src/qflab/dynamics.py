@@ -15,12 +15,20 @@ stored on a fixed dt grid (linear interpolation in time between frames);
 steps that touch a node (|psi| < 1e-8 max|psi|) are halved and retried,
 giving up below dt / 2**10.
 
+Frames stream: a FrameSource evolves _CHUNK stored frames at a time, the
+velocity field computes psi and its gradient for a whole chunk with one
+batched FFT and prefilters the stack in one pass per grid axis, and the
+march holds at most two chunks.  Only the frames a caller asks to keep
+(a run keeps t = 0 and its sample times) outlive their chunk.
+``evolve_frames`` drains the same source and keeps every frame.
+
 The random-jump alternative draws an independent Born sample at each
 requested time, with no continuity between successive configurations.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -35,12 +43,15 @@ MAX_HALVINGS = 10
 WALL_HEIGHT = 1e4
 CHI2_SIGNIFICANCE = 1e-3
 _MASK64 = (1 << 64) - 1
+# stored frames evolved, prefiltered and held together by the streamed pipeline
+_CHUNK = 64
 
 __all__ = [
     "Potential",
     "Trajectory",
     "Ensemble",
     "WaveFrames",
+    "FrameSource",
     "VelocityField",
     "NodeProximity",
     "MomentumResolutionWarning",
@@ -346,6 +357,13 @@ def evolve_step(w: GridWaveFunction, p: Potential, dt: float) -> GridWaveFunctio
     return w.with_amplitudes(evolver.step(w.amplitudes), normalize=False)
 
 
+def _index_at(times: np.ndarray, t: float, tol: float = 1e-9) -> int:
+    i = int(np.argmin(np.abs(times - t)))
+    if abs(float(times[i]) - t) > tol * max(1.0, abs(t)):
+        raise ValueError(f"no stored frame at t={t}")
+    return i
+
+
 @dataclass(frozen=True)
 class WaveFrames:
     """Wave function snapshots on a fixed time grid, ready for interpolation."""
@@ -366,23 +384,102 @@ class WaveFrames:
         return GridWaveFunction(self.axes, self.amplitudes[i], normalize=False)
 
     def index_at(self, t: float, tol: float = 1e-9) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(float(self.times[i]) - t) > tol * max(1.0, abs(t)):
-            raise ValueError(f"no stored frame at t={t}")
-        return i
+        return _index_at(self.times, t, tol)
 
     def bracket(self, t: float):
         """(i, blend) with times[i] <= t <= times[i+1]; clamped at the ends."""
-        times = self.times
-        if t <= times[0]:
-            return 0, 0.0
-        if t >= times[-1]:
-            return max(times.size - 2, 0), 1.0
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        return i, float((t - times[i]) / (times[i + 1] - times[i]))
+        return _bracket(self.times, t)
 
     def density(self, i: int) -> np.ndarray:
         return np.abs(self.amplitudes[i]) ** 2
+
+    def chunk(self, c: int) -> np.ndarray:
+        """Amplitudes of stored frames c*_CHUNK up to (c+1)*_CHUNK."""
+        return self.amplitudes[c * _CHUNK : (c + 1) * _CHUNK]
+
+
+def _bracket(times: np.ndarray, t: float):
+    if t <= times[0]:
+        return 0, 0.0
+    if t >= times[-1]:
+        return max(times.size - 2, 0), 1.0
+    i = int(np.searchsorted(times, t, side="right")) - 1
+    return i, float((t - times[i]) / (times[i + 1] - times[i]))
+
+
+class FrameSource:
+    """The stored frames of one split-step evolution, evolved _CHUNK at a time.
+
+    ``times`` lists every stored frame (the initial state, every
+    store_every-th step and the last step) before any is evolved.
+    ``chunk(c)`` evolves the chunks up to c, in order, and copies out the
+    frames at the ``keep`` times as they pass (every frame when keep is
+    None); ``drain()`` evolves whatever is left and returns the kept frames.
+    Memory is one chunk plus the kept frames, whatever the run's length.
+    """
+
+    def __init__(
+        self,
+        w0: GridWaveFunction,
+        p: Potential,
+        dt: float,
+        n_steps: int,
+        store_every: int = 1,
+        keep=None,
+    ):
+        if not isinstance(store_every, (int, np.integer)) or isinstance(store_every, bool) \
+                or store_every < 1:
+            raise ValueError(f"store_every must be a positive integer, got {store_every!r}")
+        _check_momentum_resolution(w0)
+        self.axes = w0.axes
+        steps = [0] + [i for i in range(1, n_steps + 1) if i % store_every == 0 or i == n_steps]
+        self.times = np.array([i * dt for i in steps])
+        self._keep = None if keep is None else sorted({_index_at(self.times, t) for t in keep})
+        self._kept = []
+        self._next = 0
+        self._frames = self._evolve(_SplitStepEvolver(w0.axes, p, dt), w0.amplitudes,
+                                    n_steps, store_every)
+
+    @property
+    def n_frames(self) -> int:
+        return self.times.size
+
+    def index_at(self, t: float, tol: float = 1e-9) -> int:
+        return _index_at(self.times, t, tol)
+
+    @staticmethod
+    def _evolve(evolver, amps, n_steps, store_every):
+        yield amps.copy()
+        for i in range(1, n_steps + 1):
+            amps = evolver.step(amps)
+            if i % store_every == 0 or i == n_steps:
+                yield amps
+
+    def chunk(self, c: int) -> np.ndarray:
+        """Amplitudes (k, *grid_shape) of chunk c, evolving up to it; no going back."""
+        if c < self._next:
+            raise ValueError(f"frame chunks stream in order: chunk {c} is gone, next is {self._next}")
+        while self._next <= c:
+            amps = self._advance()
+        return amps
+
+    def _advance(self) -> np.ndarray:
+        amps = np.array(list(itertools.islice(self._frames, _CHUNK)))
+        start = self._next * _CHUNK
+        self._next += 1
+        if self._keep is None:
+            self._kept.append(amps)
+        else:
+            here = [i - start for i in self._keep if start <= i < start + len(amps)]
+            self._kept.append(amps[here])
+        return amps
+
+    def drain(self) -> WaveFrames:
+        """Evolve the remaining chunks; the kept frames as WaveFrames."""
+        while self._next * _CHUNK < self.n_frames:
+            self._advance()
+        times = self.times if self._keep is None else self.times[self._keep]
+        return WaveFrames(self.axes, times, np.concatenate(self._kept))
 
 
 def evolve_frames(
@@ -393,17 +490,7 @@ def evolve_frames(
     store_every: int = 1,
 ) -> WaveFrames:
     """Evolve n_steps and stack every store_every-th state (plus the initial)."""
-    _check_momentum_resolution(w0)
-    evolver = _SplitStepEvolver(w0.axes, p, dt)
-    amps = w0.amplitudes.copy()
-    stored = [amps.copy()]
-    times = [0.0]
-    for i in range(1, n_steps + 1):
-        amps = evolver.step(amps)
-        if i % store_every == 0 or i == n_steps:
-            stored.append(amps.copy())
-            times.append(i * dt)
-    return WaveFrames(w0.axes, np.array(times), np.array(stored))
+    return FrameSource(w0, p, dt, n_steps, store_every).drain()
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +498,11 @@ def evolve_frames(
 # ---------------------------------------------------------------------------
 
 
-def _spectral_gradient(axes, amps):
-    grads = []
-    spectrum = np.fft.fftn(amps)
+def _psi_and_gradient(axes, amps: np.ndarray) -> np.ndarray:
+    """(k, 1+ndim, *grid) stack of psi and its spectral gradient for k frames."""
+    grid_axes = tuple(range(1, amps.ndim))
+    spectrum = np.fft.fftn(amps, axes=grid_axes)
+    stack = [amps]
     for d, a in enumerate(axes):
         k = 2 * np.pi * np.fft.fftfreq(a.size, d=a[1] - a[0])
         if a.size % 2 == 0:
@@ -422,54 +511,60 @@ def _spectral_gradient(axes, amps):
             k[a.size // 2] = 0.0
         shape = [1] * len(axes)
         shape[d] = a.size
-        grads.append(np.fft.ifftn(1j * k.reshape(shape) * spectrum))
-    return grads
+        stack.append(np.fft.ifftn(1j * k.reshape(shape) * spectrum, axes=grid_axes))
+    return np.stack(stack, axis=1)
 
 
 class VelocityField:
     """Probability-current velocity Im(grad psi / psi) over stored frames.
 
-    Spline coefficients of psi and its gradient are prefilted per frame;
-    evaluation at intermediate times blends the bracketing frames linearly
+    ``frames`` is a WaveFrames or a FrameSource.  Frames are read _CHUNK at
+    a time; psi and its gradient are computed and prefiltered as one stack
+    per chunk, and only the current and the previous chunk are held.  Any
+    time can be asked of WaveFrames; a FrameSource only moves forward.
+    Evaluation at intermediate times blends the bracketing frames linearly
     (blending commutes with spline evaluation).
     """
 
-    def __init__(self, frames: WaveFrames, node_factor: float = EPS_NODE_FACTOR):
+    def __init__(self, frames: WaveFrames | FrameSource, node_factor: float = EPS_NODE_FACTOR):
         self.frames = frames
         self.node_factor = node_factor
         self.ndim = len(frames.axes)
-        self._psi = [
-            CubicGridInterpolator(frames.axes, frames.amplitudes[i])
-            for i in range(frames.n_frames)
-        ]
-        self._grad = []
-        for i in range(frames.n_frames):
-            grads = _spectral_gradient(frames.axes, frames.amplitudes[i])
-            self._grad.append(
-                [CubicGridInterpolator(frames.axes, g) for g in grads]
-            )
-        self._max_abs = np.max(np.abs(frames.amplitudes), axis=tuple(range(1, frames.amplitudes.ndim)))
+        self._chunks = {}  # chunk index -> (per-frame interpolators, max |psi| per frame)
         self._cache_t = None
         self._cache = None
+
+    def _frame(self, i: int):
+        """Interpolator of (psi, grad psi) at stored frame i, and max |psi| there."""
+        c, j = divmod(i, _CHUNK)
+        if c not in self._chunks:
+            axes = self.frames.axes
+            amps = self.frames.chunk(c)
+            stack = CubicGridInterpolator(axes, _psi_and_gradient(axes, amps))
+            self._chunks = {k: v for k, v in self._chunks.items() if k == c - 1}
+            self._chunks[c] = (
+                [CubicGridInterpolator(axes, coefficients=k) for k in stack.coefficients],
+                np.max(np.abs(amps), axis=tuple(range(1, amps.ndim))),
+            )
+        interps, max_abs = self._chunks[c]
+        return interps[j], max_abs[j]
 
     def _interpolators_at(self, t: float):
         if self._cache_t is not None and t == self._cache_t:
             return self._cache
-        i, a = self.frames.bracket(t)
+        i, a = _bracket(self.frames.times, t)
         if a == 0.0:
-            psi, grad = self._psi[i], self._grad[i]
-            threshold = self.node_factor * self._max_abs[i]
+            interp, max_abs = self._frame(i)
+            threshold = self.node_factor * max_abs
         elif a == 1.0:
-            psi, grad = self._psi[i + 1], self._grad[i + 1]
-            threshold = self.node_factor * self._max_abs[i + 1]
+            interp, max_abs = self._frame(i + 1)
+            threshold = self.node_factor * max_abs
         else:
-            psi = self._psi[i].blend(self._psi[i + 1], a)
-            grad = [g0.blend(g1, a) for g0, g1 in zip(self._grad[i], self._grad[i + 1])]
-            threshold = self.node_factor * (
-                (1 - a) * self._max_abs[i] + a * self._max_abs[i + 1]
-            )
+            (f0, m0), (f1, m1) = self._frame(i), self._frame(i + 1)
+            interp = f0.blend(f1, a)
+            threshold = self.node_factor * ((1 - a) * m0 + a * m1)
         self._cache_t = t
-        self._cache = (psi, grad, threshold)
+        self._cache = (interp, threshold)
         return self._cache
 
     def velocity(self, points: np.ndarray, t: float):
@@ -479,13 +574,11 @@ class VelocityField:
         node is fatal (strict single-point path) or retried (batch path).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        psi_i, grad_i, threshold = self._interpolators_at(t)
-        psi = psi_i(pts)
-        mask = np.abs(psi) < threshold
-        safe = np.where(mask, 1.0, psi)
-        vel = np.empty((pts.shape[0], self.ndim))
-        for d in range(self.ndim):
-            vel[:, d] = np.imag(grad_i[d](pts) / safe)
+        interp, threshold = self._interpolators_at(t)
+        values = interp(pts)
+        mask = np.abs(values[0]) < threshold
+        safe = np.where(mask, 1.0, values[0])
+        vel = np.imag(values[1:] / safe).T
         vel[mask] = 0.0
         return vel, mask
 
@@ -611,7 +704,7 @@ def integrate_trajectory(
     note.
     """
     n_steps = int(round(t_end / dt))
-    frames = evolve_frames(w0, p, dt, n_steps, store_every)
+    frames = FrameSource(w0, p, dt, n_steps, store_every, keep=())
     field = VelocityField(frames)
     x = np.atleast_1d(np.asarray(q0, dtype=float))
     _require_inside(x, w0)
@@ -639,14 +732,16 @@ def _require_inside(q, w: GridWaveFunction):
 
 
 def run_bohm_ensemble(
-    frames: WaveFrames,
+    frames: WaveFrames | FrameSource,
     positions0: np.ndarray,
     seed: int = 0,
     spec_ref: str | None = None,
 ) -> Ensemble:
     """Integrate a batch of trajectories over shared frames.
 
-    All members advance together; only members whose RK4 stages touch a
+    ``frames`` is stored (WaveFrames) or streamed (FrameSource); the march
+    reads a stream once, forward, and its kept frames are then drained from
+    it.  All members advance together; only members whose RK4 stages touch a
     node fall back to the per-member adaptive path for that step.  Members
     whose adaptive step underflows are frozen in place (keeping the shared
     time grid) and flagged in their notes.
@@ -743,18 +838,12 @@ def rdmp_trajectory(
     the wave-evolution step grid.
     """
     steps, snapped = _snap_sample_times(sample_times, dt)
-    _check_momentum_resolution(w0)
-    evolver = _SplitStepEvolver(w0.axes, p, dt)
+    frames = FrameSource(w0, p, dt, int(steps.max(initial=0)), keep=snapped).drain()
     rng = np.random.default_rng(seed)
-    amps = w0.amplitudes.copy()
-    current = 0
-    configs = []
-    for s in steps:
-        while current < s:
-            amps = evolver.step(amps)
-            current += 1
-        snapshot = GridWaveFunction(w0.axes, amps, normalize=False)
-        configs.append(_BornSampler(snapshot).draw(rng, 1)[0])
+    configs = [
+        _BornSampler(frames.wavefunction(frames.index_at(t))).draw(rng, 1)[0]
+        for t in snapped
+    ]
     return Trajectory(snapped, np.array(configs), seed=seed)
 
 

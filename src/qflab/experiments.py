@@ -31,6 +31,13 @@ KINDS = ("double-slit", "box", "free-gaussian", "pbr", "ontic-model-check", "cus
 WAVE_KINDS = ("double-slit", "box", "free-gaussian", "custom")
 DYNAMICS = ("bohm", "rdmp", "both", "none")
 _INITIAL_KINDS = ("gaussian", "two-lobe", "stationary", "plane-wave")
+# the parameters each potential kind reads, all required
+_POTENTIAL_PARAMS = {
+    "free": (),
+    "box": ("inner_lo", "inner_hi", "height"),
+    "slit-barrier": ("wall_lo", "wall_hi", "slit_centers", "slit_width", "height"),
+    "table": ("values",),
+}
 
 __all__ = [
     "ExperimentSpec",
@@ -293,6 +300,18 @@ def _interior_zero_risk(w: GridWaveFunction) -> bool:
     return False
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return (
+        isinstance(value, (int, float, np.integer, np.floating))
+        and not isinstance(value, bool)
+        and bool(np.isfinite(value))
+    )
+
+
 def validate(spec: ExperimentSpec) -> list:
     """Structural and sanity findings; errors make the spec unrunnable."""
     return _check(spec)[0]
@@ -318,6 +337,15 @@ def _check(spec: ExperimentSpec):
         error("dynamics", f"unknown dynamics {spec.dynamics!r}")
         return findings, None
 
+    if not (_is_int(spec.seed) and spec.seed >= 0):
+        error("seed", f"must be a non-negative integer, got {spec.seed!r}")
+    if not isinstance(spec.tolerances, dict):
+        error("tolerances", "must be a JSON object")
+    else:
+        for key, value in spec.tolerances.items():
+            if not _is_number(value):
+                error(f"tolerances.{key}", f"must be a finite number, got {value!r}")
+
     if spec.kind in ("pbr", "ontic-model-check"):
         if spec.dynamics != "none":
             error("dynamics", f"{spec.kind} experiments have no particle dynamics")
@@ -334,6 +362,11 @@ def _check(spec: ExperimentSpec):
         return findings, None
 
     # wave kinds from here on
+    for name in ("grid", "time", "initial_state", "potential"):
+        if getattr(spec, name) is not None and not isinstance(getattr(spec, name), dict):
+            error(name, "must be a JSON object")
+    if findings:
+        return findings, None
     if spec.grid is None:
         error("grid", "wave experiments need a grid")
     else:
@@ -343,29 +376,50 @@ def _check(spec: ExperimentSpec):
             error("grid", "grid needs equal-length lo/hi/points lists")
         else:
             for d, (a, b, n) in enumerate(zip(lo, hi, pts)):
-                if not a < b:
+                if not (_is_number(a) and _is_number(b)):
+                    error("grid", f"axis {d}: lo and hi must be finite numbers")
+                elif not a < b:
                     error("grid", f"axis {d}: lo must be below hi")
-                if int(n) < 8:
-                    error("grid", f"axis {d}: needs at least 8 points")
+                if not (_is_int(n) and n >= 8):
+                    error("grid.points", f"axis {d}: needs an integer of at least 8 points, got {n!r}")
 
     if spec.time is None:
         error("time", "wave experiments need t_end and dt")
     else:
         t_end = spec.time.get("t_end", 0.0)
         dt = spec.time.get("dt", 0.0)
-        if not t_end > 0:
-            error("time", "t_end must be positive")
-        if not dt > 0:
-            error("time", "dt must be positive")
-        elif dt > t_end:
+        t_end_ok = _is_number(t_end) and t_end > 0
+        dt_ok = _is_number(dt) and dt > 0
+        if not t_end_ok:
+            error("time", "t_end must be a positive number")
+        if not dt_ok:
+            error("time", "dt must be a positive number")
+        elif t_end_ok and dt > t_end:
             error("time", "dt exceeds t_end")
-        sample_times = spec.time.get("sample_times", [])
-        if sample_times:
+        times_ok = t_end_ok and dt_ok and dt <= t_end
+        store_every = spec.time.get("store_every", 1)
+        store_ok = _is_int(store_every) and store_every >= 1
+        if not store_ok:
+            error("time.store_every", f"store_every must be an integer of at least 1, got {store_every!r}")
+        sample_times = spec.time.get("sample_times") or []
+        if not (isinstance(sample_times, list) and all(_is_number(t) for t in sample_times)):
+            error("time.sample_times", "sample_times must be a list of finite numbers")
+        elif sample_times and times_ok:
             st = np.asarray(sample_times, dtype=float)
+            n_steps = int(round(t_end / dt))
+            steps = np.round(st / dt).astype(int)
             if np.any(np.diff(st) <= 0):
-                error("time", "sample_times must be strictly increasing")
-            elif t_end > 0 and (st[0] < 0 or st[-1] > t_end + 1e-12):
-                error("time", "sample_times must lie within [0, t_end]")
+                error("time.sample_times", "sample_times must be strictly increasing")
+            elif st[0] < 0 or st[-1] > t_end + 1e-12:
+                error("time.sample_times", "sample_times must lie within [0, t_end]")
+            elif store_ok:
+                unstored = [t for t, k in zip(sample_times, steps) if k % store_every and k != n_steps]
+                if unstored:
+                    error(
+                        "time.sample_times",
+                        f"{unstored} fall between stored frames: frames are stored every "
+                        f"store_every * dt = {store_every} * {dt} and at t_end",
+                    )
 
     if spec.initial_state is None:
         error("initial_state", "wave experiments need an initial state")
@@ -375,12 +429,18 @@ def _check(spec: ExperimentSpec):
             f"unknown kind {spec.initial_state.get('kind')!r}; known: {', '.join(_INITIAL_KINDS)}",
         )
 
-    if spec.potential is not None and spec.potential.get("kind") not in (
-        "free", "box", "slit-barrier", "table",
-    ):
-        error("potential", f"unknown potential kind {spec.potential.get('kind')!r}")
+    if spec.potential is not None:
+        kind = spec.potential.get("kind")
+        if kind not in _POTENTIAL_PARAMS:
+            error("potential", f"unknown potential kind {kind!r}")
+        else:
+            for name in _POTENTIAL_PARAMS[kind]:
+                if name not in spec.potential:
+                    error(f"potential.{name}", f"a {kind} potential needs {name}")
 
-    if spec.dynamics != "none":
+    if not (_is_int(spec.ensemble_size) and spec.ensemble_size >= 0):
+        error("ensemble_size", f"must be a non-negative integer, got {spec.ensemble_size!r}")
+    elif spec.dynamics != "none":
         if spec.ensemble_size < 1:
             error("ensemble_size", "dynamics requested but ensemble is empty")
         elif spec.dynamics in ("bohm", "both") and spec.ensemble_size < 100:
@@ -405,15 +465,24 @@ def _check(spec: ExperimentSpec):
                 "fast momentum components will be under-resolved in time",
             )
         )
+    potential = _build_potential(spec)
+    try:
+        finite = bool(np.all(np.isfinite(potential.on_grid(axes))))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        error("potential", f"cannot be built on the grid: {exc}")
+        return findings, None
+    if not finite:
+        error("potential", "must be finite at every grid point")
+        return findings, None
     level = spec.initial_state.get("level", 0)
     if spec.initial_state["kind"] == "stationary" and not (
-        isinstance(level, (int, np.integer)) and 0 <= level < axes[0].size
+        _is_int(level) and 0 <= level < axes[0].size
     ):
         error("initial_state", f"level must be an integer in [0, {axes[0].size}), got {level!r}")
         return findings, None
     try:
-        w0 = _build_initial(spec, axes, _build_potential(spec))
-    except (KeyError, ValueError) as exc:
+        w0 = _build_initial(spec, axes, potential)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         findings.append(Finding("error", "initial_state", str(exc)))
         return findings, None
     if _interior_zero_risk(w0):
@@ -444,11 +513,21 @@ def _wave_pipeline(
     dt = float(spec.time["dt"])
     t_end = float(spec.time["t_end"])
     n_steps = int(round(t_end / dt))
-    frames = dyn.evolve_frames(
-        w0, potential, dt, n_steps, store_every=int(spec.time.get("store_every", 1))
-    )
     sample_times = spec.time.get("sample_times") or [t_end]
     snapped = [float(np.round(t / dt) * dt) for t in sample_times]
+    # one pass of the evolution: the Bohm march reads every frame as it is
+    # evolved; only t = 0 and the sample frames are kept
+    source = dyn.FrameSource(
+        w0, potential, dt, n_steps, store_every=spec.time.get("store_every", 1),
+        keep=[0.0] + snapped,
+    )
+    bohm = spec.dynamics in ("bohm", "both")
+    if bohm:
+        q0 = dyn.born_sample_many(w0, spec.ensemble_size, dyn.derive_seed(spec.seed, 1))
+        ensemble = dyn.run_bohm_ensemble(
+            source, q0, seed=dyn.derive_seed(spec.seed, 1), spec_ref=spec.name
+        )
+    frames = source.drain()
     sample_ids = [frames.index_at(t) for t in snapped]
 
     subset = dyn.WaveFrames(
@@ -464,17 +543,14 @@ def _wave_pipeline(
         )
         tests["stationary-density"] = drift <= spec.tolerance("stationary_density", 1e-6)
 
-    if spec.dynamics in ("bohm", "both"):
-        q0 = dyn.born_sample_many(w0, spec.ensemble_size, dyn.derive_seed(spec.seed, 1))
-        ensemble = dyn.run_bohm_ensemble(
-            frames, q0, seed=dyn.derive_seed(spec.seed, 1), spec_ref=spec.name
-        )
+    if bohm:
+        step_ids = [source.index_at(t) for t in snapped]
         head = dyn.Ensemble(ensemble.trajectories[: min(10, ensemble.size)], spec.name)
         files.append(art.write_ensemble_csv(out / "bohm_trajectories_head.csv", head))
         positions = dyn.Ensemble(
             tuple(
                 dyn.Trajectory(
-                    traj.times[sample_ids], traj.configurations[sample_ids], traj.seed
+                    traj.times[step_ids], traj.configurations[step_ids], traj.seed
                 )
                 for traj in ensemble.trajectories
             ),

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import qflab as qf
 from qflab.artifacts import canonical_json
 from qflab.cli import EXIT_FAILURE, EXIT_INVALID, EXIT_PASS, main
@@ -126,3 +128,78 @@ def test_report_partial_manifest(tmp_path, capsys):
     assert code == EXIT_PASS
     assert "PASS structure" in out and "spec hash" in out
     assert "wall clock" not in out
+
+
+def wave_spec(tmp_path, name, **changes):
+    body = {
+        "name": name, "kind": "free-gaussian", "seed": 1, "dynamics": "bohm",
+        "ensemble_size": 100,
+        "grid": {"lo": [-16.0], "hi": [16.0], "points": [128]},
+        "potential": {"kind": "free"},
+        "initial_state": {"kind": "gaussian", "centers": [0.0], "sigmas": [1.0]},
+        "time": {"dt": 0.001, "t_end": 0.02, "sample_times": [0.01, 0.02]},
+    }
+    for key, value in changes.items():
+        section, _, item = key.partition(".")
+        if item:
+            body[section] = dict(body[section], **{item: value})
+        else:
+            body[section] = value
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(body))
+    return path
+
+
+# Specs that once passed `validate` or ended in a traceback; each must exit 3
+# from both commands with a finding on the named field.
+PROBES = {
+    "store-every-zero": ({"time.store_every": 0}, "time.store_every"),
+    "store-every-fraction": ({"time.store_every": 2.5}, "time.store_every"),
+    "sample-time-between-stored-frames": (
+        {"time.store_every": 3, "time.sample_times": [0.01]}, "time.sample_times",
+    ),
+    "ensemble-size-string": ({"ensemble_size": "100"}, "ensemble_size"),
+    "fractional-grid-points": ({"grid.points": [64.5]}, "grid.points"),
+    "seed-string": ({"seed": "7"}, "seed"),
+    "tolerance-string": ({"tolerances": {"significance": "x"}}, "tolerances.significance"),
+    "box-without-height": (
+        {"potential": {"kind": "box", "inner_lo": [-1.0], "inner_hi": [1.0]}},
+        "potential.height",
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_probe_spec_exits_invalid(probe, tmp_path, capsys):
+    changes, field = PROBES[probe]
+    path = wave_spec(tmp_path, probe, **changes)
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == EXIT_INVALID
+    assert capsys.readouterr().out.count(f"ERROR   {field}:") == 2
+    assert not (tmp_path / "runs").exists()
+
+
+def test_store_every_with_stored_sample_times_runs(tmp_path, capsys):
+    # t_end is always stored, even off the store_every grid (21 steps here)
+    path = wave_spec(
+        tmp_path, "store-every-two",
+        time={"dt": 0.001, "t_end": 0.021, "store_every": 2, "sample_times": [0.01, 0.021]},
+    )
+    assert main(["validate", str(path)]) == EXIT_PASS
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == EXIT_PASS
+
+
+def test_spec_file_holding_no_object_exits_invalid(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    assert main(["run", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().out.count("ERROR   file:") == 2
+
+
+def test_report_on_json_that_is_no_manifest_exits_invalid(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    for text in ("[]", '{"tests": [1]}'):
+        path.write_text(text)
+        assert main(["report", str(path)]) == EXIT_INVALID
+        assert "ERROR   manifest:" in capsys.readouterr().out

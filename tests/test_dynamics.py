@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.integrate import solve_ivp
 
 import qflab as qf
@@ -414,3 +415,124 @@ def test_gof_calibration_on_iid_draws():
     assert arr.min() > 1e-3
     assert np.median(arr[:, 0]) > 0.05
     assert np.median(arr[:, 1]) > 0.05
+
+
+# ---------------------------------------------------------------------------
+# streamed frames: chunked evolution, stacked spline field
+# ---------------------------------------------------------------------------
+
+
+def reference_velocity(frames, points, t):
+    """The field evaluated frame by frame: one FFT gradient, one spline_filter
+    and one map_coordinates call per frame and component, no stacking."""
+    spline = {"order": 3, "mode": "grid-wrap"}
+
+    def coefficients(v):
+        return ndimage.spline_filter(v.real, **spline) + 1j * ndimage.spline_filter(v.imag, **spline)
+
+    def evaluate(c, idx):
+        def mc(part):
+            return ndimage.map_coordinates(part, idx, prefilter=False, **spline)
+
+        return mc(c.real) + 1j * mc(c.imag)
+
+    def frame(i):
+        amps = frames.amplitudes[i]
+        spectrum = np.fft.fftn(amps)
+        stack = [coefficients(amps)]
+        for d, a in enumerate(frames.axes):
+            k = 2 * np.pi * np.fft.fftfreq(a.size, d=a[1] - a[0])
+            k[a.size // 2] = 0.0
+            shape = [1] * len(frames.axes)
+            shape[d] = a.size
+            stack.append(coefficients(np.fft.ifftn(1j * k.reshape(shape) * spectrum)))
+        return stack, np.max(np.abs(amps))
+
+    i, a = frames.bracket(t)
+    if a in (0.0, 1.0):
+        stack, peak = frame(i + int(a))
+        threshold = qf.dynamics.EPS_NODE_FACTOR * peak
+    else:
+        (s0, m0), (s1, m1) = frame(i), frame(i + 1)
+        stack = [(1.0 - a) * c0 + a * c1 for c0, c1 in zip(s0, s1)]
+        threshold = qf.dynamics.EPS_NODE_FACTOR * ((1 - a) * m0 + a * m1)
+    origins = np.array([ax[0] for ax in frames.axes])
+    steps = np.array([ax[1] - ax[0] for ax in frames.axes])
+    lengths = np.array([ax.size for ax in frames.axes], dtype=float)
+    idx = np.mod((points - origins) / steps, lengths).T
+    psi = evaluate(stack[0], idx)
+    mask = np.abs(psi) < threshold
+    safe = np.where(mask, 1.0, psi)
+    vel = np.stack([np.imag(evaluate(c, idx) / safe) for c in stack[1:]], axis=1)
+    vel[mask] = 0.0
+    return vel, mask
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_stacked_field_matches_frame_by_frame_field(ndim):
+    ax = qf.uniform_axis(-8, 8, 64)
+    w0 = qf.gaussian_packet((ax,) * ndim, [0.5] * ndim, [1.0] * ndim, [1.0] * ndim)
+    dt = 0.002
+    frames = qf.evolve_frames(w0, Potential.free(), dt, 140)
+    assert frames.n_frames > qf.dynamics._CHUNK
+    field = qf.VelocityField(frames)
+    rng = np.random.default_rng(4)
+    points = rng.uniform(-8, 8, (50, ndim))
+    # frame times, blends inside and across chunk boundaries, the clamped end
+    for t in (0.0, 0.0031, 63 * dt, 63.5 * dt, 64 * dt, 100 * dt, 0.27, 140 * dt, 0.5):
+        vel, mask = field.velocity(points, t)
+        ref_vel, ref_mask = reference_velocity(frames, points, t)
+        assert np.array_equal(mask, ref_mask)
+        assert np.array_equal(
+            np.ascontiguousarray(vel).view(np.uint64), ref_vel.view(np.uint64)
+        ), t
+
+
+def odd_state(ax):
+    g = np.exp(-((ax - 3.0) ** 2) / 4) - np.exp(-((ax + 3.0) ** 2) / 4)
+    return qf.GridWaveFunction((ax,), g.astype(complex))
+
+
+@pytest.mark.parametrize("initial", ["two-lobe", "odd"])
+def test_streamed_march_matches_stored_frames(initial):
+    ax = qf.uniform_axis(-16, 16, 256)
+    w0 = qf.two_lobe_packet(ax, 7.0, 0.7) if initial == "two-lobe" else odd_state(ax)
+    dt, n_steps, store_every = 0.002, 450, 3
+    frames = qf.evolve_frames(w0, Potential.free(), dt, n_steps, store_every)
+    assert frames.n_frames > qf.dynamics._CHUNK
+    q0 = np.concatenate([[[0.0]], qf.born_sample_many(w0, 30, 3)])
+    stored = qf.run_bohm_ensemble(frames, q0, seed=2)
+    keep = [0.0, 0.3, 0.9]
+    source = qf.FrameSource(w0, Potential.free(), dt, n_steps, store_every, keep=keep)
+    streamed = qf.run_bohm_ensemble(source, q0, seed=2)
+    for a, b in zip(stored.trajectories, streamed.trajectories):
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.configurations, b.configurations)
+        assert a.notes == b.notes and a.seed == b.seed
+    if initial == "odd":
+        assert streamed.trajectories[0].notes  # the member on the node froze
+    kept = source.drain()
+    ids = [frames.index_at(t) for t in keep]
+    assert np.array_equal(kept.times, frames.times[ids])
+    assert np.array_equal(kept.amplitudes, frames.amplitudes[ids])
+
+
+def test_frame_source_streams_forward_only():
+    ax = qf.uniform_axis(-8, 8, 64)
+    w0 = qf.gaussian_packet((ax,), [0.0], [1.0])
+    source = qf.FrameSource(w0, Potential.free(), 0.01, 200, keep=())
+    field = qf.VelocityField(source)
+    # frame 150, in the third chunk: the first two are evolved on the way
+    vel, _ = field.velocity(np.array([[0.1]]), 1.5)
+    frames = qf.evolve_frames(w0, Potential.free(), 0.01, 200)
+    assert np.array_equal(vel, qf.VelocityField(frames).velocity(np.array([[0.1]]), 1.5)[0])
+    with pytest.raises(ValueError, match="in order"):
+        field.velocity(np.array([[0.1]]), 0.1)
+
+
+@pytest.mark.parametrize("store_every", [0, -2, 1.5, True])
+def test_frame_source_rejects_bad_store_every(store_every):
+    ax = qf.uniform_axis(-8, 8, 64)
+    w0 = qf.gaussian_packet((ax,), [0.0], [1.0])
+    with pytest.raises(ValueError, match="store_every"):
+        qf.evolve_frames(w0, Potential.free(), 0.01, 10, store_every=store_every)

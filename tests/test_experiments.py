@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -223,3 +224,31 @@ class TestRun:
             monkeypatch.setattr(dyn, name, counted)
         qf.run(tiny_box_spec(out_dir=str(tmp_path)))
         assert calls == {"stationary_state": 1, "run_bohm_ensemble": 1, "rdmp_ensemble": 1}
+
+
+def test_wave_run_does_not_hold_every_frame(tmp_path, monkeypatch):
+    # the frames stream through chunks; with 8-frame chunks the run's traced
+    # peak (about 2.2 MB) is under half of one copy of its 601 stored frames
+    # (9.4 MB); holding them all took over three copies
+    monkeypatch.setattr(dyn, "_CHUNK", 8)
+    spec = qf.ExperimentSpec.from_json({
+        "name": "slit-stream",
+        "kind": "double-slit",
+        "seed": 3,
+        "dynamics": "bohm",
+        "ensemble_size": 100,
+        "grid": {"lo": [-16.0], "hi": [16.0], "points": [1024]},
+        "potential": {"kind": "free"},
+        "initial_state": {"kind": "two-lobe", "separation": 7.0, "sigma": 0.7},
+        "time": {"dt": 0.001, "t_end": 0.6, "sample_times": [0.3, 0.6]},
+        "out_dir": str(tmp_path),
+    })
+    frames_bytes = 601 * 1024 * 16
+    tracemalloc.start()
+    try:
+        manifest = qf.run(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert manifest.passed
+    assert peak < frames_bytes / 2, f"traced peak {peak / 2**20:.1f} MB"

@@ -1,4 +1,7 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 import qflab as qf
 from qflab.interpolation import CubicGridInterpolator
@@ -48,3 +51,81 @@ def test_two_dimensional_separable():
     pts = np.array([[1.0, 2.0], [0.4, 5.5], [3.1, 0.05]])
     expect = np.sin(pts[:, 0]) * np.cos(pts[:, 1])
     assert np.max(np.abs(interp(pts) - expect)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit agreement with scipy's per-array spline filter and evaluator
+# ---------------------------------------------------------------------------
+
+_SCIPY = {"order": 3, "mode": "grid-wrap"}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _scipy_coefficients(values):
+    """Per-array spline_filter, real and imaginary parts apart."""
+    if np.iscomplexobj(values):
+        return ndimage.spline_filter(values.real, **_SCIPY) + 1j * ndimage.spline_filter(
+            values.imag, **_SCIPY
+        )
+    return ndimage.spline_filter(values, **_SCIPY)
+
+
+def _scipy_evaluate(coefficients, idx):
+    def mc(c):
+        return ndimage.map_coordinates(c, idx, prefilter=False, **_SCIPY)
+
+    if np.iscomplexobj(coefficients):
+        return mc(coefficients.real) + 1j * mc(coefficients.imag)
+    return mc(coefficients)
+
+
+@st.composite
+def stacked_grids(draw):
+    ndim = draw(st.integers(1, 2))
+    shape = tuple(draw(st.lists(st.integers(8, 33), min_size=ndim, max_size=ndim)))
+    stack = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    lo = draw(st.floats(-10, 10))
+    axes = tuple(
+        qf.uniform_axis(lo, lo + draw(st.floats(0.5, 20)), n) for n in shape
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=stack + shape)
+    if draw(st.booleans()):
+        values = values + 1j * rng.normal(size=stack + shape)
+    # off-grid points over three periods, grid nodes, and the periodic seam
+    span = np.array([(a[0], a[-1] + (a[1] - a[0])) for a in axes])
+    width = span[:, 1] - span[:, 0]
+    points = [rng.uniform(span[:, 0] - width, span[:, 1] + width, (40, ndim))]
+    points.append(np.stack([a[rng.integers(0, a.size, 10)] for a in axes], axis=1))
+    for edge in (span[:, 0], span[:, 1], np.nextafter(span[:, 0], -np.inf),
+                 np.nextafter(span[:, 1], -np.inf), span[:, 0] - 1e-17):
+        points.append(edge[None, :])
+    return axes, values, np.concatenate(points)
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacked_grids())
+def test_stacked_prefilter_matches_per_array_spline_filter(case):
+    axes, values, _ = case
+    interp = CubicGridInterpolator(axes, values)
+    grid = values.shape[values.ndim - len(axes):]
+    per_array = np.array([_scipy_coefficients(v) for v in values.reshape((-1,) + grid)])
+    assert np.array_equal(_bits(interp.coefficients.reshape(per_array.shape)), _bits(per_array))
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacked_grids())
+def test_kernel_matches_map_coordinates(case):
+    axes, values, points = case
+    interp = CubicGridInterpolator(axes, values)
+    got = interp(points)
+    grid = values.shape[values.ndim - len(axes):]
+    idx = interp._fractional_indices(points)
+    expect = np.array([
+        _scipy_evaluate(c, idx) for c in interp.coefficients.reshape((-1,) + grid)
+    ]).reshape(values.shape[: values.ndim - len(axes)] + (len(points),))
+    assert got.shape == expect.shape
+    assert np.array_equal(_bits(got), _bits(expect))
