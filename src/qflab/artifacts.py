@@ -10,6 +10,7 @@ followed by raw little-endian complex128 bytes in C order.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import struct
 from pathlib import Path
@@ -80,42 +81,44 @@ def read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def _write_lines(path, header, lines) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    text = "\n".join([",".join(str(h) for h in header), *lines]) + "\n"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def _table_lines(table: np.ndarray, prefix: str = ""):
+    """CSV lines of a 2-D float table, each cell its repr, each line after prefix.
+
+    zip reuses its row tuple, so no container is allocated per row.
+    """
+    cells = map(repr, table.ravel().tolist())
+    return map(prefix.__add__, map(",".join, zip(*[cells] * table.shape[1])))
 
 
 def write_csv(path, header, rows) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(str(h) for h in header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-    return path
+    """Rows of Python ints and floats, such as ``ndarray.tolist()`` gives, each cell its repr."""
+    return _write_lines(path, header, (",".join(map(repr, row)) for row in rows))
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> Path:
     ndim = traj.configurations.shape[1]
     header = ["t"] + [f"x{d + 1}" for d in range(ndim)]
-    rows = (
-        [t] + list(q) for t, q in zip(traj.times, traj.configurations)
+    return _write_lines(
+        path, header, _table_lines(np.column_stack((traj.times, traj.configurations)))
     )
-    return write_csv(path, header, rows)
 
 
 def write_ensemble_csv(path, e: Ensemble) -> Path:
     ndim = e.trajectories[0].configurations.shape[1]
     header = ["trajectory_id", "t"] + [f"x{d + 1}" for d in range(ndim)]
-
-    def rows():
-        for m, traj in enumerate(e.trajectories):
-            for t, q in zip(traj.times, traj.configurations):
-                yield [m, t] + list(q)
-
-    return write_csv(path, header, rows())
+    lines = itertools.chain.from_iterable(
+        _table_lines(np.column_stack((traj.times, traj.configurations)), f"{m},")
+        for m, traj in enumerate(e.trajectories)
+    )
+    return _write_lines(path, header, lines)
 
 
 def write_frames(path, frames: WaveFrames) -> Path:

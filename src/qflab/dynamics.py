@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import linalg, stats
 
 from .interpolation import CubicGridInterpolator
 from .states import GridWaveFunction, born_density, grid_norm
@@ -45,6 +45,10 @@ CHI2_SIGNIFICANCE = 1e-3
 _MASK64 = (1 << 64) - 1
 # stored frames evolved, prefiltered and held together by the streamed pipeline
 _CHUNK = 64
+# Rayleigh-quotient iteration of stationary_state: the residual that certifies
+# a propagator eigenvector, and the most linear solves it may take
+_RQI_TOL = 1e-13
+_RQI_MAX_STEPS = 12
 
 __all__ = [
     "Potential",
@@ -252,19 +256,20 @@ def plane_wave(axis, mode: int) -> GridWaveFunction:
 
 
 def spectral_hamiltonian(axis, potential: Potential) -> np.ndarray:
-    """Dense 1-D Hamiltonian with the evolver's spectral kinetic operator.
+    """Dense real symmetric 1-D Hamiltonian with the evolver's spectral kinetic operator.
 
-    Eigenvectors of this matrix are the stationary states of the discrete
-    dynamics (up to split-step Trotter error), which makes it the natural
-    source of box eigenstates.
+    The kinetic part is the circulant matrix whose first column is
+    ifft(k^2 / 2), made exactly symmetric; the potential sits on the
+    diagonal.  Eigenvectors of this matrix are the stationary states of the
+    discrete dynamics (up to split-step Trotter error), which makes it the
+    natural source of box eigenstates.
     """
     a = np.asarray(axis, dtype=float)
-    n = a.size
-    dx = a[1] - a[0]
-    k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
-    kinetic = np.fft.ifft(np.fft.fft(np.eye(n), axis=0) * (0.5 * k**2)[:, None], axis=0)
-    h = kinetic + np.diag(potential.on_grid((a,)))
-    return (h + h.conj().T) / 2
+    k = 2 * np.pi * np.fft.fftfreq(a.size, d=a[1] - a[0])
+    column = np.fft.ifft(0.5 * k**2).real
+    h = linalg.circulant(0.5 * (column + np.roll(column[::-1], 1)))
+    h.flat[:: a.size + 1] += potential.on_grid((a,))
+    return h
 
 
 def stationary_state(
@@ -272,30 +277,63 @@ def stationary_state(
 ) -> GridWaveFunction:
     """level-th eigenstate of the discrete 1-D Hamiltonian, phase-fixed real.
 
-    With dt given, the Hamiltonian eigenvector is replaced by the nearest
-    eigenvector of the one-step split propagator for that dt.  That state is
-    stationary under the time-stepped dynamics itself, not just up to Trotter
-    error, so densities and Bohmian trajectories built on it hold still to
-    roundoff.  Time-reversal symmetry of the propagator makes the eigenvector
-    real up to a global phase, which is fixed the same way as the dt=None
-    branch.
+    Only the one eigenpair is computed.  With dt given, the Hamiltonian
+    eigenvector v_H is replaced by the eigenvector of the one-step split
+    propagator U for that dt that it overlaps most.  That state is
+    stationary under the time-stepped dynamics itself, not just up to
+    Trotter error, so densities and Bohmian trajectories built on it hold
+    still to roundoff.  It is found by Rayleigh-quotient iteration on U
+    started from v_H, and accepted only with a certificate: the residual
+    |U v - mu v| is at most 1e-13 and |<v_H|v>|^2 exceeds 1/2.  U is
+    unitary, so at most one of its orthonormal eigenvectors can overlap
+    v_H that much, and an accepted v is that one.  A level whose v_H is a
+    mixture of propagator eigenvectors (high levels, whose phases alias
+    around the unit circle, or energies above a box wall) has no such
+    vector and raises ValueError; a spec asking for it exits as invalid.
+    Time-reversal symmetry of the propagator makes the eigenvector real up
+    to a global phase, which is fixed the same way as the dt=None branch.
     """
     a = np.asarray(axis, dtype=float)
-    h = spectral_hamiltonian(a, potential)
-    _, vecs = np.linalg.eigh(h)
-    vec = vecs[:, level].astype(complex)
+    _, v_h = linalg.eigh(
+        spectral_hamiltonian(a, potential), subset_by_index=[level, level], overwrite_a=True
+    )
+    vec = v_h[:, 0].astype(complex)
     if dt is not None:
-        evolver = _SplitStepEvolver((a,), potential, dt)
-        half = evolver.half_potential[:, None]
-        kin = evolver.kinetic[:, None]
-        u = half * np.fft.ifft(kin * np.fft.fft(half * np.eye(a.size), axis=0), axis=0)
-        _, uvecs = np.linalg.eig(u)
-        vec = uvecs[:, np.argmax(np.abs(vec.conj() @ uvecs))]
+        vec = _propagator_eigenvector(a, potential, dt, vec, level)
     pivot = vec[np.argmax(np.abs(vec))]
     vec = vec * (abs(pivot) / pivot)
     if np.max(np.abs(vec.imag)) < 1e-9 * np.max(np.abs(vec.real)):
         vec = vec.real.astype(complex)
     return GridWaveFunction((a,), vec)
+
+
+def _propagator_eigenvector(a, potential, dt, v_h, level) -> np.ndarray:
+    """Certified eigenvector of the one-step split propagator nearest v_h."""
+    evolver = _SplitStepEvolver((a,), potential, dt)
+    # U = diag(h) circulant(ifft(kinetic)) diag(h), h the half-step potential phase
+    u = linalg.circulant(np.fft.ifft(evolver.kinetic))
+    u *= evolver.half_potential[:, None]
+    u *= evolver.half_potential
+    shifted = np.empty_like(u)
+    v = v_h
+    for step in range(_RQI_MAX_STEPS + 1):
+        uv = u @ v
+        mu = np.vdot(v, uv)
+        residual = np.linalg.norm(uv - mu * v)
+        if residual <= _RQI_TOL or step == _RQI_MAX_STEPS:
+            break
+        np.copyto(shifted, u)
+        shifted.flat[:: a.size + 1] -= mu
+        w = linalg.lu_solve(linalg.lu_factor(shifted, overwrite_a=True), v)
+        v = w / np.linalg.norm(w)
+    overlap = abs(np.vdot(v_h, v)) ** 2
+    if not (residual <= _RQI_TOL and overlap > 0.5):
+        raise ValueError(
+            f"level {level} has no eigenvector of the dt={dt} step propagator that "
+            f"matches its Hamiltonian eigenstate (residual {residual:.1e} after {step} "
+            f"Rayleigh-quotient steps, overlap^2 {overlap:.3f}); choose another level"
+        )
+    return v
 
 
 # ---------------------------------------------------------------------------

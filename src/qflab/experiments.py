@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,16 +90,12 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentSpec":
-        known = {f: obj.get(f) for f in (
-            "name", "kind", "seed", "dynamics", "ensemble_size", "grid",
-            "potential", "initial_state", "time", "params", "tolerances", "out_dir",
-        ) if obj.get(f) is not None}
-        unknown = set(obj) - set(known) - {
-            "grid", "potential", "initial_state", "time", "out_dir",
-        }
+        """Spec from its JSON object; a known field set to null counts as absent."""
+        names = [f.name for f in fields(cls)]
+        unknown = set(obj) - set(names)
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
-        return cls(**known)
+        return cls(**{n: obj[n] for n in names if obj.get(n) is not None})
 
     @property
     def spec_hash(self) -> str:
@@ -351,7 +347,9 @@ def _check(spec: ExperimentSpec):
             error("dynamics", f"{spec.kind} experiments have no particle dynamics")
         if spec.grid is not None or spec.time is not None:
             warning("grid", f"{spec.kind} experiments ignore grid and time fields")
-        if spec.kind == "pbr":
+        if not isinstance(spec.params, dict):
+            error("params", "must be a JSON object")
+        elif spec.kind == "pbr":
             overlap = spec.params.get("overlap", 0.25)
             try:
                 in_range = 0 < float(overlap) <= 0.5
@@ -359,6 +357,24 @@ def _check(spec: ExperimentSpec):
                 in_range = False
             if not in_range:
                 error("params.overlap", f"overlap must lie in (0, 0.5], got {overlap!r}")
+            for name in ("n_shared", "n_exclusive"):
+                value = spec.params.get(name)
+                if name in spec.params and not (_is_int(value) and value >= 1):
+                    error(f"params.{name}", f"must be a positive integer, got {value!r}")
+        else:
+            n_cells = spec.params.get("n_cells", 64)
+            if not (_is_int(n_cells) and n_cells >= 2):
+                error("params.n_cells", f"must be an integer of at least 2, got {n_cells!r}")
+            levels = spec.params.get("levels", [1, 2])
+            if not (
+                isinstance(levels, list) and levels
+                and all(_is_int(n) and n >= 1 for n in levels)
+                and len(set(levels)) == len(levels)
+            ):
+                error(
+                    "params.levels",
+                    f"must be a non-empty list of distinct positive integers, got {levels!r}",
+                )
         return findings, None
 
     # wave kinds from here on
@@ -453,8 +469,25 @@ def _check(spec: ExperimentSpec):
     if any(f.severity == "error" for f in findings):
         return findings, None
 
-    # heuristics that need the grid built
+    # checks and heuristics that need the grid built
     axes = _build_axes(spec.grid)
+    if spec.initial_state["kind"] == "gaussian":
+        for name in ("centers", "sigmas", "momenta"):
+            value = spec.initial_state.get(name)
+            if name == "momenta" and value is None:
+                continue
+            if not (
+                isinstance(value, list) and len(value) == len(axes)
+                and all(_is_number(x) for x in value)
+            ):
+                error(
+                    f"initial_state.{name}",
+                    f"needs one finite number per grid axis ({len(axes)}), got {value!r}",
+                )
+            elif name == "sigmas" and min(value) <= 0:
+                error("initial_state.sigmas", f"sigmas must be positive, got {value!r}")
+        if any(f.severity == "error" for f in findings):
+            return findings, None
     dx_min = min(float(a[1] - a[0]) for a in axes)
     if spec.time["dt"] > dx_min:
         findings.append(

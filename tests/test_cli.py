@@ -150,6 +150,12 @@ def wave_spec(tmp_path, name, **changes):
     return path
 
 
+# turns the wave spec into a finite-model one
+FINITE = {
+    "dynamics": "none", "ensemble_size": 0, "grid": None, "potential": None,
+    "initial_state": None, "time": None,
+}
+
 # Specs that once passed `validate` or ended in a traceback; each must exit 3
 # from both commands with a finding on the named field.
 PROBES = {
@@ -166,6 +172,27 @@ PROBES = {
         {"potential": {"kind": "box", "inner_lo": [-1.0], "inner_hi": [1.0]}},
         "potential.height",
     ),
+    "gaussian-zero-sigma": ({"initial_state.sigmas": [0.0]}, "initial_state.sigmas"),
+    "gaussian-two-centers-on-1d-grid": (
+        {"initial_state.centers": [0.0, 1.0]}, "initial_state.centers",
+    ),
+    "pbr-n-shared-string": (
+        {**FINITE, "kind": "pbr", "params": {"n_shared": "x"}}, "params.n_shared",
+    ),
+    "pbr-n-exclusive-zero": (
+        {**FINITE, "kind": "pbr", "params": {"n_exclusive": 0}}, "params.n_exclusive",
+    ),
+    "ontic-n-cells-string": (
+        {**FINITE, "kind": "ontic-model-check", "params": {"n_cells": "x"}}, "params.n_cells",
+    ),
+    "ontic-levels-string": (
+        {**FINITE, "kind": "ontic-model-check", "params": {"levels": [1, "a"]}},
+        "params.levels",
+    ),
+    "ontic-levels-repeated": (
+        {**FINITE, "kind": "ontic-model-check", "params": {"levels": [2, 2]}},
+        "params.levels",
+    ),
 }
 
 
@@ -176,6 +203,22 @@ def test_probe_spec_exits_invalid(probe, tmp_path, capsys):
     assert main(["validate", str(path)]) == EXIT_INVALID
     assert main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == EXIT_INVALID
     assert capsys.readouterr().out.count(f"ERROR   {field}:") == 2
+    assert not (tmp_path / "runs").exists()
+
+
+def test_ambiguous_stationary_level_exits_invalid(tmp_path, capsys):
+    # on the duel grid no propagator eigenvector overlaps level 84's
+    # Hamiltonian eigenvector by more than 1/2, so no state is certified
+    path = wave_spec(
+        tmp_path, "level-84", kind="box", dynamics="none", ensemble_size=0,
+        grid={"lo": [-2.0], "hi": [2.0], "points": [512]},
+        potential={"kind": "box", "inner_lo": [-1.0], "inner_hi": [1.0], "height": 1e4},
+        initial_state={"kind": "stationary", "level": 84},
+        time={"dt": 0.0002, "t_end": 0.001},
+    )
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == EXIT_INVALID
+    assert capsys.readouterr().out.count("ERROR   initial_state: level 84 ") == 2
     assert not (tmp_path / "runs").exists()
 
 

@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import ndimage
 from scipy.integrate import solve_ivp
 
 import qflab as qf
 from qflab.dynamics import (
     Potential,
+    _SplitStepEvolver,
     chi_square_gof,
     compare_bohm_rdmp,
     derive_seed,
@@ -126,6 +130,53 @@ def test_split_propagator_eigenstate_is_stationary_at_run_dt():
     frames = qf.evolve_frames(w, box, dt, 1000, store_every=200)
     drift = np.max(np.abs(frames.density(-1) - frames.density(0)))
     assert drift < 1e-10
+
+
+def dense_eig_pick(ax, potential, level, dt):
+    """The propagator eigenvector a dense eig finds nearest the level-th Hamiltonian one."""
+    v_h = np.linalg.eigh(qf.spectral_hamiltonian(ax, potential))[1][:, level]
+    ev = _SplitStepEvolver((ax,), potential, dt)
+    half, kin = ev.half_potential[:, None], ev.kinetic[:, None]
+    u = half * np.fft.ifft(kin * np.fft.fft(half * np.eye(ax.size), axis=0), axis=0)
+    uvecs = np.linalg.eig(u)[1]
+    return uvecs[:, np.argmax(np.abs(v_h @ uvecs))]
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("points, height, dt", [(64, 1e2, 1e-3), (128, 1e4, 2e-4)])
+def test_stationary_state_is_the_dense_eig_pick_at_every_level(points, height, dt):
+    ax = qf.uniform_axis(-2, 2, points)
+    box = Potential.box([-1.0], [1.0], height)
+    for level in range(points):
+        got = unit(qf.stationary_state(ax, box, level, dt=dt).amplitudes)
+        want = unit(dense_eig_pick(ax, box, level, dt))
+        assert 1 - abs(np.vdot(want, got)) <= 1e-10, f"level {level}"
+
+
+def test_stationary_state_meets_its_certificate_without_eig(monkeypatch):
+    def no_eig(*args, **kwargs):
+        raise AssertionError("stationary_state must not call a dense eig")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    monkeypatch.setattr(scipy.linalg, "eig", no_eig)
+    ax = qf.uniform_axis(-2, 2, 512)
+    box = Potential.box([-1.0], [1.0], 1e4)
+    dt = 2e-4
+    step = _SplitStepEvolver((ax,), box, dt).step
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for level in range(8):
+            v = unit(qf.stationary_state(ax, box, level, dt=dt).amplitudes)
+            v_h = unit(qf.stationary_state(ax, box, level).amplitudes)
+            uv = step(v)
+            assert np.linalg.norm(uv - np.vdot(v, uv) * v) <= 1e-13, f"level {level}"
+            assert abs(np.vdot(v_h, v)) ** 2 > 0.5, f"level {level}"
+        with pytest.raises(ValueError, match="level 84 "):
+            qf.stationary_state(ax, box, 84, dt=dt)
+    assert not [w for w in caught if issubclass(w.category, scipy.linalg.LinAlgWarning)]
 
 
 def test_momentum_resolution_warning_for_fast_packet():

@@ -67,6 +67,13 @@ class TestSpec:
         with pytest.raises(ValueError):
             qf.ExperimentSpec.from_json({"name": "x", "kind": "pbr", "bogus": 1})
 
+    def test_null_fields_count_as_absent(self):
+        spec = qf.ExperimentSpec.from_json(
+            {"name": "sn", "kind": "pbr", "seed": None, "params": None, "tolerances": None}
+        )
+        assert spec == qf.ExperimentSpec(name="sn", kind="pbr")
+        assert qf.validate(spec) == []
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             qf.preset("nope")

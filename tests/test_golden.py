@@ -2,9 +2,13 @@
 
 The determinism tests elsewhere compare two runs of the same code, so they
 cannot see a change in the bytes a run writes from one version to the
-next.  These digests were recorded with qflab 1.0.0 before the wave
-pipeline was streamed through frame chunks; every artifact except
-``manifest.json`` (it holds the wall-clock time) must keep them.
+next.  The golden-slit digests were recorded with qflab 1.0.0 before the
+wave pipeline was streamed through frame chunks.  The golden-box digests
+were recorded when stationary states moved from a dense ``eig`` of the
+one-step propagator to a Rayleigh-quotient solve: its eigenvector, and
+so every file built from it but ``spec.json`` and ``rdmp_positions.csv``,
+changed in the last digits.  Every artifact except ``manifest.json`` (it
+holds the wall-clock time) must keep them.
 
 FFTs, spline filters and libm may round differently in other numpy or
 scipy releases, so the test runs only with the versions the digests were
@@ -49,14 +53,14 @@ SLIT = {
 
 DIGESTS = {
     "golden-box": {
-        "bohm_positions.csv": "aac348fddbcda2a6b56723ae92f85b59aef5711fb090fac0b06793f62efc59bf",
-        "bohm_trajectories_head.csv": "f8a7e5e67d9fb186940ed53b18101eb00dadd5c1e5563e78952d9ed10cfb31b6",
-        "bohm_vs_rdmp.json": "10219b1bc6964d1f6e5ea84e02f415fe582ddc0daeadb035121b79118e46f244",
-        "equivariance.json": "a79e3577a5c82c362b538d0ab1c0b13d93bce901559a0e12f5d6283fab6e4944",
-        "rdmp_marginals.json": "9389220a224456adcade233df569db7efd711dd58bee3a90a0d08ff78ca94d81",
+        "bohm_positions.csv": "aa60cf6e45563ab12f7490d2cdff79d6bfeefef6b174ca185fb1781bda2ae8b9",
+        "bohm_trajectories_head.csv": "2dfbe9fa3b60baa848051cdad261fb9b712f59b74db7f08a69a16b0a3b575155",
+        "bohm_vs_rdmp.json": "6811d33960ab7903a595d46227648bad4439b8e0342e30f1fb325abddcf6fa0a",
+        "equivariance.json": "0799cdc48e839a70ea2f868412307797e368d148ffe36e9cfbae869554b2a3ba",
+        "rdmp_marginals.json": "afa642d9d4be1bbfc0204edb5a32faa9e5f59fd7d1e8a353ce067aabef387497",
         "rdmp_positions.csv": "9d2925beb95a788b4b05e533eb76a4a74c24f44c77b8a717151a9b9f07cf0cbe",
         "spec.json": "71e9fd2dd7431ed4ad5e75f9667b7a9533290728402c9d04d2e9c913cd473d9c",
-        "wave_frames.bin": "4b4a58cd6bb48839b2bdddda44599867db34489ec95ca8746eead3f987b7889b",
+        "wave_frames.bin": "6143b0112d6ecda0f21938dc797d765ab0dafce1d42668dbd1af52479569d804",
     },
     "golden-slit": {
         "bohm_positions.csv": "9a367f732442eebddc4a429f34ec629c3fd3868e6440b4fb7e56cd1a50090e15",
