@@ -81,7 +81,8 @@ def read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _write_lines(path, header, lines) -> Path:
+def write_csv(path, header, lines) -> Path:
+    """Header cells, then lines already formatted as comma-joined cells."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     text = "\n".join([",".join(str(h) for h in header), *lines]) + "\n"
@@ -98,15 +99,10 @@ def _table_lines(table: np.ndarray, prefix: str = ""):
     return map(prefix.__add__, map(",".join, zip(*[cells] * table.shape[1])))
 
 
-def write_csv(path, header, rows) -> Path:
-    """Rows of Python ints and floats, such as ``ndarray.tolist()`` gives, each cell its repr."""
-    return _write_lines(path, header, (",".join(map(repr, row)) for row in rows))
-
-
 def write_trajectory_csv(path, traj: Trajectory) -> Path:
     ndim = traj.configurations.shape[1]
     header = ["t"] + [f"x{d + 1}" for d in range(ndim)]
-    return _write_lines(
+    return write_csv(
         path, header, _table_lines(np.column_stack((traj.times, traj.configurations)))
     )
 
@@ -118,7 +114,7 @@ def write_ensemble_csv(path, e: Ensemble) -> Path:
         _table_lines(np.column_stack((traj.times, traj.configurations)), f"{m},")
         for m, traj in enumerate(e.trajectories)
     )
-    return _write_lines(path, header, lines)
+    return write_csv(path, header, lines)
 
 
 def write_frames(path, frames: WaveFrames) -> Path:

@@ -286,10 +286,12 @@ def stationary_state(
     started from v_H, and accepted only with a certificate: the residual
     |U v - mu v| is at most 1e-13 and |<v_H|v>|^2 exceeds 1/2.  U is
     unitary, so at most one of its orthonormal eigenvectors can overlap
-    v_H that much, and an accepted v is that one.  A level whose v_H is a
-    mixture of propagator eigenvectors (high levels, whose phases alias
-    around the unit circle, or energies above a box wall) has no such
-    vector and raises ValueError; a spec asking for it exits as invalid.
+    v_H that much, and an accepted v is that one.  A level without a
+    certified vector raises ValueError, and a spec asking for it exits as
+    invalid.  That happens at high levels, whose phases alias around the
+    unit circle, or at energies above a box wall: either v_H is a mixture
+    with no propagator eigenvector that close, or the iteration converges
+    to another eigenvector than the close one.
     Time-reversal symmetry of the propagator makes the eigenvector real up
     to a global phase, which is fixed the same way as the dt=None branch.
     """
@@ -329,9 +331,9 @@ def _propagator_eigenvector(a, potential, dt, v_h, level) -> np.ndarray:
     overlap = abs(np.vdot(v_h, v)) ** 2
     if not (residual <= _RQI_TOL and overlap > 0.5):
         raise ValueError(
-            f"level {level} has no eigenvector of the dt={dt} step propagator that "
-            f"matches its Hamiltonian eigenstate (residual {residual:.1e} after {step} "
-            f"Rayleigh-quotient steps, overlap^2 {overlap:.3f}); choose another level"
+            f"level {level} has no certified eigenvector of the dt={dt} step propagator "
+            f"(residual {residual:.1e} after {step} Rayleigh-quotient steps, overlap^2 "
+            f"{overlap:.3f} with its Hamiltonian eigenstate); choose another level"
         )
     return v
 

@@ -12,10 +12,17 @@ holds the wall-clock time) must keep them.
 
 FFTs, spline filters and libm may round differently in other numpy or
 scipy releases, so the test runs only with the versions the digests were
-recorded with.
+recorded with.  OpenBLAS rounds the LU solves behind a stationary state
+differently when it runs threaded, so each run is made in a fresh process
+with one BLAS thread, whatever the machine.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,14 +60,14 @@ SLIT = {
 
 DIGESTS = {
     "golden-box": {
-        "bohm_positions.csv": "aa60cf6e45563ab12f7490d2cdff79d6bfeefef6b174ca185fb1781bda2ae8b9",
+        "bohm_positions.csv": "d23a58c3c2a0eadac565b798995daecd50f9ce0b9f1853c6e20b929130721062",
         "bohm_trajectories_head.csv": "2dfbe9fa3b60baa848051cdad261fb9b712f59b74db7f08a69a16b0a3b575155",
-        "bohm_vs_rdmp.json": "6811d33960ab7903a595d46227648bad4439b8e0342e30f1fb325abddcf6fa0a",
-        "equivariance.json": "0799cdc48e839a70ea2f868412307797e368d148ffe36e9cfbae869554b2a3ba",
-        "rdmp_marginals.json": "afa642d9d4be1bbfc0204edb5a32faa9e5f59fd7d1e8a353ce067aabef387497",
+        "bohm_vs_rdmp.json": "87c184defd9a774a9d401d19191323d4adb42bfe97a61bf6e101858eff58c4a9",
+        "equivariance.json": "ce98f7ccbdbe82dc0fa78b5568abc68ffa209893348f6d174a76a897f574a5ec",
+        "rdmp_marginals.json": "822cb8ed35505bb5bf64a0aff6982f12f52d9a74a2f11f2ece014c164a96b0fe",
         "rdmp_positions.csv": "9d2925beb95a788b4b05e533eb76a4a74c24f44c77b8a717151a9b9f07cf0cbe",
         "spec.json": "71e9fd2dd7431ed4ad5e75f9667b7a9533290728402c9d04d2e9c913cd473d9c",
-        "wave_frames.bin": "6143b0112d6ecda0f21938dc797d765ab0dafce1d42668dbd1af52479569d804",
+        "wave_frames.bin": "b71116d226657b482da73a63e8abb28d47e542bfbdf7278d38bddbf050c73f62",
     },
     "golden-slit": {
         "bohm_positions.csv": "9a367f732442eebddc4a429f34ec629c3fd3868e6440b4fb7e56cd1a50090e15",
@@ -81,12 +88,24 @@ DIGESTS = {
     ),
 )
 @pytest.mark.parametrize("body", [BOX, SLIT], ids=lambda b: b["name"])
-def test_artifact_digests_pinned(body, tmp_path, monkeypatch):
+def test_artifact_digests_pinned(body, tmp_path):
     # out_dir stays null in spec.json; the run root comes from the environment
-    monkeypatch.setenv(qf.experiments.OUT_DIR_ENV, str(tmp_path))
-    manifest = qf.run(qf.ExperimentSpec.from_json(body))
-    assert manifest.passed
-    out = tmp_path / body["name"]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(body))
+    package_root = str(Path(qf.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+        qf.experiments.OUT_DIR_ENV: str(tmp_path / "runs"),
+    }
+    done = subprocess.run(
+        [sys.executable, "-m", "qflab", "run", str(spec)], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    out = tmp_path / "runs" / body["name"]
     digests = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in out.iterdir()
