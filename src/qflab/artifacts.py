@@ -4,7 +4,10 @@ Identical inputs must produce byte-identical files, so every writer pins
 its formatting: JSON is emitted with sorted keys, minimal separators, and
 the shortest round-tripping float repr; CSV uses repr for floats and "\n"
 line endings; wave frames serialize as a length-prefixed JSON header
-followed by raw little-endian complex128 bytes in C order.
+followed by raw little-endian complex128 bytes in C order.  The values a
+run hands to the writers repeat bit for bit only at a fixed BLAS thread
+count: OpenBLAS rounds the eigen-solve and LU steps of a stationary state
+differently when it runs threaded.
 """
 
 from __future__ import annotations

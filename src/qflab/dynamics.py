@@ -24,6 +24,13 @@ march holds at most two chunks.  Only the frames a caller asks to keep
 
 The random-jump alternative draws an independent Born sample at each
 requested time, with no continuity between successive configurations.
+
+Goodness of fit against |psi|^2 is a binned chi-square test and a
+Kolmogorov-Smirnov test per axis.  Their p-values come from
+``scipy.special.chdtrc`` and from ``_kstwo.kstwo_sf``, a trimmed copy of
+scipy's exact KS survival function; both equal what ``scipy.stats``
+returns bit for bit, and this module imports only ``scipy.linalg`` and
+``scipy.special``, so importing qflab does not load ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -33,8 +40,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg, special
 
+from ._kstwo import kstwo_sf
 from .interpolation import CubicGridInterpolator
 from .states import GridWaveFunction, born_density, grid_norm
 
@@ -1013,7 +1021,7 @@ def chi_square_gof(
     exp_kept = exp_kept * (obs_kept.sum() / exp_kept.sum())
     stat = float(np.sum((obs_kept - exp_kept) ** 2 / exp_kept))
     dof = obs_kept.size - 1
-    p = float(stats.chi2.sf(stat, dof))
+    p = float(special.chdtrc(dof, stat))
     return GoodnessOfFit("chi-square", stat, p, p >= significance)
 
 
@@ -1045,13 +1053,19 @@ def ks_gof(
 
     The reference CDF is the piecewise-linear integral of the gridded
     density, which is exactly the law the jittered Born sampler draws from.
+    D and its exact p-value are computed as ``scipy.stats.kstest`` computes
+    them, bit for bit.
     """
-    samples = np.atleast_2d(samples)
-    res = stats.kstest(samples[:, axis_d], _marginal_cdf(w, axis_d))
-    return GoodnessOfFit(
-        f"ks-axis-{axis_d}", float(res.statistic), float(res.pvalue),
-        bool(res.pvalue >= significance),
-    )
+    x = np.sort(np.asarray(np.atleast_2d(samples)[:, axis_d], dtype=float))
+    n = x.size
+    if n == 0:
+        raise ValueError("the KS test needs at least one sample")
+    cdf = _marginal_cdf(w, axis_d)(x)
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, n) / n)
+    stat = float(d_plus if d_plus > d_minus else d_minus)
+    p = kstwo_sf(n, stat)
+    return GoodnessOfFit(f"ks-axis-{axis_d}", stat, p, bool(p >= significance))
 
 
 def equivariance_test(

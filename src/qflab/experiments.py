@@ -471,9 +471,10 @@ def _check(spec: ExperimentSpec):
 
     # checks and heuristics that need the grid built
     axes = _build_axes(spec.grid)
-    if spec.initial_state["kind"] == "gaussian":
+    state = spec.initial_state
+    if state["kind"] == "gaussian":
         for name in ("centers", "sigmas", "momenta"):
-            value = spec.initial_state.get(name)
+            value = state.get(name)
             if name == "momenta" and value is None:
                 continue
             if not (
@@ -486,8 +487,22 @@ def _check(spec: ExperimentSpec):
                 )
             elif name == "sigmas" and min(value) <= 0:
                 error("initial_state.sigmas", f"sigmas must be positive, got {value!r}")
-        if any(f.severity == "error" for f in findings):
-            return findings, None
+    elif state["kind"] == "two-lobe":
+        separation, sigma = state.get("separation"), state.get("sigma")
+        momenta = state.get("momenta")
+        if not _is_number(separation):
+            error("initial_state.separation", f"must be a finite number, got {separation!r}")
+        if not (_is_number(sigma) and sigma > 0):
+            error("initial_state.sigma", f"must be a positive finite number, got {sigma!r}")
+        if momenta is not None and not (
+            isinstance(momenta, list) and len(momenta) == 2 and all(_is_number(p) for p in momenta)
+        ):
+            error("initial_state.momenta", f"needs two finite numbers, got {momenta!r}")
+    elif state["kind"] == "plane-wave" and not _is_int(state.get("mode")):
+        # a fractional mode is no periodic wave on the grid
+        error("initial_state.mode", f"must be an integer, got {state.get('mode')!r}")
+    if any(f.severity == "error" for f in findings):
+        return findings, None
     dx_min = min(float(a[1] - a[0]) for a in axes)
     if spec.time["dt"] > dx_min:
         findings.append(
@@ -507,8 +522,8 @@ def _check(spec: ExperimentSpec):
     if not finite:
         error("potential", "must be finite at every grid point")
         return findings, None
-    level = spec.initial_state.get("level", 0)
-    if spec.initial_state["kind"] == "stationary" and not (
+    level = state.get("level", 0)
+    if state["kind"] == "stationary" and not (
         _is_int(level) and 0 <= level < axes[0].size
     ):
         error("initial_state", f"level must be an integer in [0, {axes[0].size}), got {level!r}")

@@ -173,6 +173,17 @@ PROBES = {
         "potential.height",
     ),
     "gaussian-zero-sigma": ({"initial_state.sigmas": [0.0]}, "initial_state.sigmas"),
+    "two-lobe-zero-sigma": (
+        {"initial_state": {"kind": "two-lobe", "separation": 7.0, "sigma": 0}},
+        "initial_state.sigma",
+    ),
+    "two-lobe-separation-string": (
+        {"initial_state": {"kind": "two-lobe", "separation": "7", "sigma": 0.7}},
+        "initial_state.separation",
+    ),
+    "plane-wave-fractional-mode": (
+        {"initial_state": {"kind": "plane-wave", "mode": 1.5}}, "initial_state.mode",
+    ),
     "gaussian-two-centers-on-1d-grid": (
         {"initial_state.centers": [0.0, 1.0]}, "initial_state.centers",
     ),

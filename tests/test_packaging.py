@@ -1,3 +1,6 @@
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,6 +13,62 @@ import qflab as qf
 def test_pyproject_version_is_the_package_version():
     import tomllib
 
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    meta = tomllib.loads(pyproject.read_text(encoding="utf-8"))
-    assert meta["project"]["version"] == qf.__version__
+    expand = pytest.importorskip("setuptools.config.expand")
+    root = Path(__file__).resolve().parents[1]
+    meta = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    # one source: the version is read from TOOL_VERSION, never written twice
+    assert "version" not in meta["project"]
+    assert "version" in meta["project"]["dynamic"]
+    attr = meta["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    assert attr == "qflab.experiments.TOOL_VERSION"
+    assert expand.read_attr(attr, package_dir={"": "src"}, root_dir=root) == qf.__version__
+
+
+# a tiny `both` stationary box run, which computes chi-square and KS p-values
+# and the duel, and a pbr run, which takes the finite-model path
+GUARD_SPECS = {
+    "box": {
+        "name": "guard-box", "kind": "box", "seed": 3, "dynamics": "both",
+        "ensemble_size": 100,
+        "grid": {"lo": [-2.0], "hi": [2.0], "points": [64]},
+        "potential": {"kind": "box", "inner_lo": [-1.0], "inner_hi": [1.0], "height": 1e2},
+        "initial_state": {"kind": "stationary", "level": 0},
+        "time": {"dt": 0.001, "t_end": 0.02, "sample_times": [0.01, 0.02]},
+    },
+    "pbr": {"name": "guard-pbr", "kind": "pbr", "seed": 3},
+}
+
+GUARD = """
+import sys
+import qflab
+from qflab.cli import main
+
+def stats_loaded(step):
+    if "scipy.stats" in sys.modules:
+        sys.exit(f"scipy.stats loaded after {step}")
+
+stats_loaded("import qflab")
+for spec in sys.argv[2:]:
+    code = main(["run", spec, "--out-dir", sys.argv[1]])
+    if code != 0:
+        sys.exit(f"qflab run {spec} exited {code}")
+    stats_loaded(f"qflab run {spec}")
+"""
+
+
+def test_import_and_run_never_load_scipy_stats(tmp_path):
+    paths = []
+    for name, body in GUARD_SPECS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(body))
+        paths.append(str(path))
+    package_root = str(Path(qf.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", GUARD, str(tmp_path / "runs"), *paths],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
