@@ -111,11 +111,10 @@ def write_trajectory_csv(path, traj: Trajectory) -> Path:
 
 
 def write_ensemble_csv(path, e: Ensemble) -> Path:
-    ndim = e.trajectories[0].configurations.shape[1]
-    header = ["trajectory_id", "t"] + [f"x{d + 1}" for d in range(ndim)]
+    header = ["trajectory_id", "t"] + [f"x{d + 1}" for d in range(e.positions.shape[2])]
     lines = itertools.chain.from_iterable(
-        _table_lines(np.column_stack((traj.times, traj.configurations)), f"{m},")
-        for m, traj in enumerate(e.trajectories)
+        _table_lines(np.column_stack((e.times, e.positions[:, m])), f"{m},")
+        for m in range(e.size)
     )
     return write_csv(path, header, lines)
 

@@ -696,43 +696,41 @@ class Trajectory:
     seed: int = 0
     notes: tuple = ()
 
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if self.configurations.shape[0] != self.times.size:
-            raise ValueError("one configuration per time stamp required")
-
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Trajectories sharing one time grid, plus a reference to their spec."""
+    """Members on one shared time grid, one array per quantity.
 
-    trajectories: tuple
+    ``positions[i, j]`` is member j's configuration at ``times[i]``.
+    ``seeds[j]`` is member j's seed, and ``frozen_at[j]`` the stored step
+    at which its adaptive step underflowed (it holds its position from
+    there on), or -1 if it never did.
+    """
+
+    times: np.ndarray  # (T,)
+    positions: np.ndarray  # (T, N, D)
+    seeds: np.ndarray  # (N,)
+    frozen_at: np.ndarray  # (N,)
     spec_ref: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "trajectories", tuple(self.trajectories))
-        if not self.trajectories:
-            raise ValueError("ensemble needs at least one trajectory")
-        t0 = self.trajectories[0].times
-        for tr in self.trajectories[1:]:
-            if tr.times.shape != t0.shape or not np.array_equal(tr.times, t0):
-                raise ValueError("all trajectories must share identical time stamps")
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.trajectories[0].times
 
     @property
     def size(self) -> int:
-        return len(self.trajectories)
+        return self.positions.shape[1]
 
     def positions_at(self, t: float, tol: float = 1e-9) -> np.ndarray:
-        times = self.times
-        i = int(np.argmin(np.abs(times - t)))
-        if abs(float(times[i]) - t) > tol * max(1.0, abs(t)):
-            raise ValueError(f"no ensemble snapshot at t={t}")
-        return np.array([tr.configurations[i] for tr in self.trajectories])
+        """(N, D) member positions at stored time t."""
+        return self.positions[_index_at(self.times, t, tol)]
+
+    def take(self, steps=slice(None), members=slice(None)) -> "Ensemble":
+        """These stored steps of these members; frozen_at still counts steps of the full grid."""
+        return Ensemble(
+            self.times[steps], self.positions[steps, members], self.seeds[members],
+            self.frozen_at[members], self.spec_ref,
+        )
+
+
+def _member_seeds(seed: int, n: int) -> np.ndarray:
+    return np.array([derive_seed(seed, j) for j in range(n)], dtype=np.uint64)
 
 
 def integrate_trajectory(
@@ -746,31 +744,22 @@ def integrate_trajectory(
 ) -> Trajectory:
     """Integrate the guiding equation against the concurrently evolved wave.
 
-    The wave advances on the fixed dt grid; the trajectory takes one RK4
-    step per stored frame, halving near nodes.  If halving underflows the
-    trajectory is truncated at the last completed time with a diagnostic
-    note.
+    A one-member ``run_bohm_ensemble`` over a streamed FrameSource.  If the
+    member's adaptive step underflows at a node, the trajectory is
+    truncated at the last completed time with a diagnostic note.
     """
     n_steps = int(round(t_end / dt))
     frames = FrameSource(w0, p, dt, n_steps, store_every, keep=())
-    field = VelocityField(frames)
     x = np.atleast_1d(np.asarray(q0, dtype=float))
     _require_inside(x, w0)
-    times = [frames.times[0]]
-    configs = [x.copy()]
-    notes = ()
-    for i in range(frames.n_frames - 1):
-        t = float(frames.times[i])
-        h = float(frames.times[i + 1] - frames.times[i])
-        try:
-            x = _advance_adaptive(field, x, t, h)
-        except _StepUnderflow:
-            notes = (f"truncated at t={t:.6g}: node step underflow",)
-            break
-        x = _wrap_positions(x, frames.axes)
-        times.append(float(frames.times[i + 1]))
-        configs.append(x.copy())
-    return Trajectory(np.array(times), np.array(configs), seed=seed, notes=notes)
+    e = run_bohm_ensemble(frames, x[None])
+    stop = int(e.frozen_at[0])
+    if stop < 0:
+        return Trajectory(e.times, e.positions[:, 0], seed=seed)
+    return Trajectory(
+        e.times[: stop + 1], e.positions[: stop + 1, 0], seed=seed,
+        notes=(f"truncated at t={e.times[stop]:.6g}: node step underflow",),
+    )
 
 
 def _require_inside(q, w: GridWaveFunction):
@@ -792,37 +781,28 @@ def run_bohm_ensemble(
     it.  All members advance together; only members whose RK4 stages touch a
     node fall back to the per-member adaptive path for that step.  Members
     whose adaptive step underflows are frozen in place (keeping the shared
-    time grid) and flagged in their notes.
+    time grid) and their step is recorded in ``frozen_at``.
     """
     field = VelocityField(frames)
-    pos = np.atleast_2d(np.asarray(positions0, dtype=float)).copy()
+    pos = np.atleast_2d(np.asarray(positions0, dtype=float))
     n = pos.shape[0]
-    configs = np.empty((frames.n_frames, n, pos.shape[1]))
-    configs[0] = pos
-    frozen = np.zeros(n, dtype=bool)
+    positions = np.empty((frames.n_frames, n, pos.shape[1]))
+    positions[0] = pos
+    frozen_at = np.full(n, -1)
     for i in range(frames.n_frames - 1):
         t = float(frames.times[i])
         h = float(frames.times[i + 1] - frames.times[i])
         new_pos, touched = _rk4_batch(field, pos, t, h)
-        for j in np.flatnonzero(touched & ~frozen):
+        for j in np.flatnonzero(touched & (frozen_at < 0)):
             try:
                 new_pos[j] = _advance_adaptive(field, pos[j], t, h)
             except _StepUnderflow:
-                frozen[j] = True
-                new_pos[j] = pos[j]
+                frozen_at[j] = i
+        frozen = frozen_at >= 0
         new_pos[frozen] = pos[frozen]
         pos = _wrap_positions(new_pos, frames.axes)
-        configs[i + 1] = pos
-    trajectories = [
-        Trajectory(
-            frames.times.copy(),
-            configs[:, j].copy(),
-            seed=derive_seed(seed, j),
-            notes=("frozen: node step underflow",) if frozen[j] else (),
-        )
-        for j in range(n)
-    ]
-    return Ensemble(tuple(trajectories), spec_ref=spec_ref)
+        positions[i + 1] = pos
+    return Ensemble(frames.times, positions, _member_seeds(seed, n), frozen_at, spec_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -846,12 +826,14 @@ class _BornSampler:
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         u = rng.random(n)
-        flat = np.searchsorted(self.cdf, u, side="right")
-        flat = np.minimum(flat, self.cdf.size - 1)
+        return self.points(u, rng.random((n, len(self.axes))))
+
+    def points(self, u: np.ndarray, jitter: np.ndarray) -> np.ndarray:
+        """Points for uniforms u (n,), which pick the cells, and jitter (n, ndim) inside them."""
+        flat = np.minimum(np.searchsorted(self.cdf, u, side="right"), self.cdf.size - 1)
         idx = np.unravel_index(flat, self.shape)
-        jitter = (rng.random((n, len(self.axes))) - 0.5) * self.spacings
-        pts = np.stack([a[idx[d]] for d, a in enumerate(self.axes)], axis=1) + jitter
-        return _wrap_positions(pts, self.axes)
+        pts = np.stack([a[idx[d]] for d, a in enumerate(self.axes)], axis=1)
+        return _wrap_positions(pts + (jitter - 0.5) * self.spacings, self.axes)
 
 
 def born_sample(w: GridWaveFunction, seed: int) -> np.ndarray:
@@ -866,10 +848,9 @@ def born_sample_many(w: GridWaveFunction, n: int, seed: int) -> np.ndarray:
 
 
 def _snap_sample_times(sample_times, dt):
-    ts = np.asarray(sample_times, dtype=float)
-    if np.any(np.diff(ts) <= 0):
-        raise ValueError("sample times must be strictly increasing")
-    steps = np.round(ts / dt).astype(int)
+    steps = np.round(np.asarray(sample_times, dtype=float) / dt).astype(int)
+    if np.any(np.diff(steps) <= 0):
+        raise ValueError("sample times must fall on strictly increasing steps of dt")
     return steps, steps * dt
 
 
@@ -883,16 +864,13 @@ def rdmp_trajectory(
     """Independent Born draw at each sample time from the evolved density.
 
     Successive configurations carry no continuity; requested times snap to
-    the wave-evolution step grid.
+    the wave-evolution step grid.  The draws are those of a one-member
+    ensemble whose member seed is ``seed`` itself.
     """
     steps, snapped = _snap_sample_times(sample_times, dt)
     frames = FrameSource(w0, p, dt, int(steps.max(initial=0)), keep=snapped).drain()
-    rng = np.random.default_rng(seed)
-    configs = [
-        _BornSampler(frames.wavefunction(frames.index_at(t))).draw(rng, 1)[0]
-        for t in snapped
-    ]
-    return Trajectory(snapped, np.array(configs), seed=seed)
+    times, positions = _jumps(frames, snapped, [seed])
+    return Trajectory(times, positions[:, 0], seed=seed)
 
 
 def rdmp_ensemble(
@@ -903,16 +881,27 @@ def rdmp_ensemble(
     spec_ref: str | None = None,
 ) -> Ensemble:
     """n independent random-jump trajectories over shared frames."""
-    ts = np.asarray(sample_times, dtype=float)
-    indices = [frames.index_at(t) for t in ts]
-    samplers = [_BornSampler(frames.wavefunction(i)) for i in indices]
-    snapped = frames.times[indices]
-    trajectories = []
-    for j in range(n):
-        rng = np.random.default_rng(derive_seed(seed, j))
-        configs = np.concatenate([s.draw(rng, 1) for s in samplers])
-        trajectories.append(Trajectory(snapped.copy(), configs, seed=derive_seed(seed, j)))
-    return Ensemble(tuple(trajectories), spec_ref=spec_ref)
+    seeds = _member_seeds(seed, n)
+    times, positions = _jumps(frames, sample_times, seeds.tolist())
+    return Ensemble(times, positions, seeds, np.full(n, -1), spec_ref)
+
+
+def _jumps(frames: WaveFrames, sample_times, member_seeds):
+    """(times (T,), positions (T, N, D)): an independent Born draw per member and sample time.
+
+    Member j draws default_rng(member_seeds[j]).random((T, 1 + D)).  Row i
+    holds the uniform that picks its cell at sample time i, then the D
+    jitter uniforms: the order in which ``_BornSampler.draw(rng, 1)``
+    takes them, time after time.
+    """
+    indices = [frames.index_at(t) for t in np.asarray(sample_times, dtype=float)]
+    shape = (len(indices), 1 + len(frames.axes))
+    draws = np.stack([np.random.default_rng(s).random(shape) for s in member_seeds], axis=1)
+    positions = np.stack([
+        _BornSampler(frames.wavefunction(i)).points(u[:, 0], u[:, 1:])
+        for i, u in zip(indices, draws)
+    ])
+    return frames.times[indices], positions
 
 
 # ---------------------------------------------------------------------------
@@ -1093,8 +1082,17 @@ def equivariance_test(
 
 def mean_step_displacement(traj: Trajectory) -> float:
     """Mean |Q(t_{i+1}) - Q(t_i)| along one trajectory."""
-    steps = np.diff(traj.configurations, axis=0)
-    return float(np.mean(np.linalg.norm(steps, axis=1)))
+    return float(_member_mean_steps(traj.configurations[:, None])[0])
+
+
+def _member_mean_steps(positions: np.ndarray) -> np.ndarray:
+    """(N,) mean step of each member of (T, N, D) rows.
+
+    Each member's steps are averaged along a contiguous axis, so the sum
+    is the pairwise one numpy takes over a single member's path.
+    """
+    paths = np.ascontiguousarray(positions.swapaxes(0, 1))
+    return np.linalg.norm(np.diff(paths, axis=1), axis=2).mean(axis=1)
 
 
 @dataclass(frozen=True)
@@ -1157,10 +1155,9 @@ def compare_bohm_rdmp(
             for t in ts
         ]
     )
-    bohm_step = float(
-        np.mean([mean_step_displacement(_restrict(tr, ts)) for tr in bohm.trajectories])
-    )
-    rdmp_step = float(np.mean([mean_step_displacement(tr) for tr in rdmp.trajectories]))
+    rows = [_index_at(bohm.times, t) for t in ts]
+    bohm_step = float(np.mean(_member_mean_steps(bohm.positions[rows])))
+    rdmp_step = float(np.mean(_member_mean_steps(rdmp.positions)))
     return DivergenceReport(
         times=ts,
         tv_distance=tv,
@@ -1169,8 +1166,3 @@ def compare_bohm_rdmp(
         bohm_mean_step=bohm_step,
         rdmp_mean_step=rdmp_step,
     )
-
-
-def _restrict(traj: Trajectory, times) -> Trajectory:
-    idx = [int(np.argmin(np.abs(traj.times - t))) for t in times]
-    return Trajectory(traj.times[idx], traj.configurations[idx], seed=traj.seed)

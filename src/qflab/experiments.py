@@ -333,6 +333,14 @@ def _check(spec: ExperimentSpec):
         error("dynamics", f"unknown dynamics {spec.dynamics!r}")
         return findings, None
 
+    for key, value in spec.to_json().items():
+        try:
+            art.canonical_json(value)
+        except (TypeError, ValueError) as exc:
+            error(key, f"cannot be recorded in spec.json: {exc}")
+    if not (isinstance(spec.name, str) and spec.name not in ("", "..")
+            and Path(spec.name).name == spec.name):
+        error("name", f"must be usable as one directory name, got {spec.name!r}")
     if not (_is_int(spec.seed) and spec.seed >= 0):
         error("seed", f"must be a non-negative integer, got {spec.seed!r}")
     if not isinstance(spec.tolerances, dict):
@@ -428,6 +436,9 @@ def _check(spec: ExperimentSpec):
                 error("time.sample_times", "sample_times must be strictly increasing")
             elif st[0] < 0 or st[-1] > t_end + 1e-12:
                 error("time.sample_times", "sample_times must lie within [0, t_end]")
+            elif np.any(np.diff(steps) == 0):
+                error("time.sample_times", f"sample_times snap to steps {steps.tolist()} of "
+                      f"dt = {dt}, and two fall on one step")
             elif store_ok:
                 unstored = [t for t, k in zip(sample_times, steps) if k % store_every and k != n_steps]
                 if unstored:
@@ -447,7 +458,7 @@ def _check(spec: ExperimentSpec):
 
     if spec.potential is not None:
         kind = spec.potential.get("kind")
-        if kind not in _POTENTIAL_PARAMS:
+        if not isinstance(kind, str) or kind not in _POTENTIAL_PARAMS:
             error("potential", f"unknown potential kind {kind!r}")
         else:
             for name in _POTENTIAL_PARAMS[kind]:
@@ -456,15 +467,12 @@ def _check(spec: ExperimentSpec):
 
     if not (_is_int(spec.ensemble_size) and spec.ensemble_size >= 0):
         error("ensemble_size", f"must be a non-negative integer, got {spec.ensemble_size!r}")
-    elif spec.dynamics != "none":
-        if spec.ensemble_size < 1:
-            error("ensemble_size", "dynamics requested but ensemble is empty")
-        elif spec.dynamics in ("bohm", "both") and spec.ensemble_size < 100:
-            error(
-                "ensemble_size",
-                f"{spec.ensemble_size} trajectories are underpowered for the "
-                "equivariance test; need at least 100",
-            )
+    elif spec.dynamics != "none" and spec.ensemble_size < 100:
+        error(
+            "ensemble_size",
+            f"{spec.ensemble_size} trajectories are underpowered for the "
+            "statistical tests; need at least 100",
+        )
 
     if any(f.severity == "error" for f in findings):
         return findings, None
@@ -513,6 +521,10 @@ def _check(spec: ExperimentSpec):
                 "fast momentum components will be under-resolved in time",
             )
         )
+    if spec.dynamics == "both" and len(spec.time.get("sample_times") or []) < 2:
+        error("time.sample_times", "dynamics 'both' compares the mean step between "
+              "sample times, so it needs at least two")
+        return findings, None
     potential = _build_potential(spec)
     try:
         finite = bool(np.all(np.isfinite(potential.on_grid(axes))))
@@ -592,19 +604,10 @@ def _wave_pipeline(
         tests["stationary-density"] = drift <= spec.tolerance("stationary_density", 1e-6)
 
     if bohm:
-        step_ids = [source.index_at(t) for t in snapped]
-        head = dyn.Ensemble(ensemble.trajectories[: min(10, ensemble.size)], spec.name)
+        head = ensemble.take(members=slice(10))
         files.append(art.write_ensemble_csv(out / "bohm_trajectories_head.csv", head))
-        positions = dyn.Ensemble(
-            tuple(
-                dyn.Trajectory(
-                    traj.times[step_ids], traj.configurations[step_ids], traj.seed
-                )
-                for traj in ensemble.trajectories
-            ),
-            spec.name,
-        )
-        files.append(art.write_ensemble_csv(out / "bohm_positions.csv", positions))
+        rows = ensemble.take(steps=[source.index_at(t) for t in snapped])
+        files.append(art.write_ensemble_csv(out / "bohm_positions.csv", rows))
 
         t_screen = snapped[-1]
         report = dyn.equivariance_test(
@@ -617,11 +620,9 @@ def _wave_pipeline(
         tests["equivariance"] = report.passed
 
         if is_box:
+            start = ensemble.positions[0]
             max_drift = max(
-                float(np.max(np.linalg.norm(
-                    traj.configurations - traj.configurations[0], axis=1
-                )))
-                for traj in ensemble.trajectories
+                float(np.max(np.linalg.norm(row - start, axis=1))) for row in ensemble.positions
             )
             tests["constant-trajectories"] = max_drift <= spec.tolerance(
                 "constancy", 1e-6

@@ -124,13 +124,11 @@ def test_criterion_5_equivariance_double_slit():
 
     rng = np.random.default_rng(qf.derive_seed(spec.seed, 2))
     uniform = rng.uniform(-10.0, 10.0, size=(10000, 1))
-    control_members = tuple(
-        qf.Trajectory(np.array([t_screen]), uniform[i : i + 1], seed=i, notes=())
-        for i in range(uniform.shape[0])
+    n = uniform.shape[0]
+    control_members = qf.Ensemble(
+        np.array([t_screen]), uniform[None], np.arange(n, dtype=np.uint64), np.full(n, -1)
     )
-    control = qf.equivariance_test(
-        qf.Ensemble(control_members, None), w_screen, t_screen, significance=1e-3
-    )
+    control = qf.equivariance_test(control_members, w_screen, t_screen, significance=1e-3)
     elapsed = time.perf_counter() - t0
     ok = rep.passed and not control.passed and elapsed < 300.0
     _report(5, "double-slit equivariance, 10^4 trajectories", ok,
@@ -165,8 +163,8 @@ def test_criterion_6_rdmp_marginals_and_continuity():
         return mean_step_displacement(traj)
 
     coarse, fine = bohm_step(0.01), bohm_step(0.005)
-    rdmp_traj = ens.trajectories[0]
-    rdmp_step = mean_step_displacement(rdmp_traj)
+    rdmp_path = ens.positions[:, 0]
+    rdmp_step = float(np.mean(np.linalg.norm(np.diff(rdmp_path, axis=0), axis=1)))
     elapsed = time.perf_counter() - t0
     ok = (
         not marginal_fails
@@ -226,8 +224,7 @@ def test_criterion_7_conditional_effective():
     # autonomy under non-interacting evolution
     frames = qf.evolve_frames(w, Potential.free(), 0.005, 60, store_every=1)
     g2 = qf.GridWaveFunction((ay,), g[1])
-    y_frames = qf.evolve_frames(g2, Potential.free(), 0.005, 60)
-    ypath = qf.run_bohm_ensemble(y_frames, np.array([[5.0]]), seed=0).trajectories[0]
+    ypath = qf.integrate_trajectory(g2, Potential.free(), [5.0], 0.3, 0.005)
     autonomy = qf.schrodinger_autonomy_check(frames, split, ypath, Potential.free())
 
     elapsed = time.perf_counter() - t0
@@ -274,10 +271,7 @@ def test_criterion_8_numerics():
     w_run = qf.stationary_state(axb, box, 0, dt=dt)
     frames_box = qf.evolve_frames(w_run, box, dt, 2500, store_every=25)
     ens = qf.run_bohm_ensemble(frames_box, np.linspace(-0.8, 0.8, 50)[:, None], seed=1)
-    displacement = max(
-        float(np.max(np.abs(tr.configurations - tr.configurations[0])))
-        for tr in ens.trajectories
-    )
+    displacement = float(np.max(np.abs(ens.positions - ens.positions[0])))
 
     elapsed = time.perf_counter() - t0
     ok = (

@@ -47,12 +47,8 @@ def test_write_json_round_trip(tmp_path):
 
 
 def test_trajectory_csv_columns(tmp_path):
-    traj = qf.Trajectory(
-        times=np.array([0.0, 0.1]),
-        configurations=np.array([[0.5], [0.6]]),
-        seed=1,
-        notes=(),
-    )
+    w = qf.gaussian_packet((qf.uniform_axis(-8, 8, 64),), [0.0], [1.0])
+    traj = qf.integrate_trajectory(w, Potential.free(), [0.5], 0.1, 0.05)
     p = write_trajectory_csv(tmp_path / "t.csv", traj)
     lines = p.read_text().splitlines()
     assert lines[0] == "t,x1"
@@ -60,13 +56,12 @@ def test_trajectory_csv_columns(tmp_path):
 
 
 def test_ensemble_csv_columns(tmp_path):
-    traj = qf.Trajectory(
+    ens = qf.Ensemble(
         times=np.array([0.0, 0.1]),
-        configurations=np.array([[0.5, 1.0], [0.6, 1.1]]),
-        seed=1,
-        notes=(),
+        positions=np.array([[[0.5, 1.0]], [[0.6, 1.1]]]),
+        seeds=np.array([1], dtype=np.uint64),
+        frozen_at=np.array([-1]),
     )
-    ens = qf.Ensemble(trajectories=(traj,), spec_ref=None)
     p = write_ensemble_csv(tmp_path / "e.csv", ens)
     lines = p.read_text().splitlines()
     assert lines[0] == "trajectory_id,t,x1,x2"

@@ -1,7 +1,10 @@
+import copy
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qflab as qf
 from qflab.artifacts import canonical_json
@@ -130,7 +133,8 @@ def test_report_partial_manifest(tmp_path, capsys):
     assert "wall clock" not in out
 
 
-def wave_spec(tmp_path, name, **changes):
+def wave_spec_body(name="wave", **changes):
+    """The wave spec, with whole sections or section items replaced."""
     body = {
         "name": name, "kind": "free-gaussian", "seed": 1, "dynamics": "bohm",
         "ensemble_size": 100,
@@ -145,8 +149,12 @@ def wave_spec(tmp_path, name, **changes):
             body[section] = dict(body[section], **{item: value})
         else:
             body[section] = value
+    return body
+
+
+def wave_spec(tmp_path, name, **changes):
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(body))
+    path.write_text(json.dumps(wave_spec_body(name, **changes)))
     return path
 
 
@@ -164,7 +172,13 @@ PROBES = {
     "sample-time-between-stored-frames": (
         {"time.store_every": 3, "time.sample_times": [0.01]}, "time.sample_times",
     ),
+    "sample-times-on-one-step": ({"time.sample_times": [0.01, 0.0101]}, "time.sample_times"),
     "ensemble-size-string": ({"ensemble_size": "100"}, "ensemble_size"),
+    "rdmp-ensemble-of-four": ({"dynamics": "rdmp", "ensemble_size": 4}, "ensemble_size"),
+    "duel-with-one-sample-time": (
+        {"dynamics": "both", "time.sample_times": [0.02]}, "time.sample_times",
+    ),
+    "nan-in-params": ({"params": {"note": float("nan")}}, "params"),
     "fractional-grid-points": ({"grid.points": [64.5]}, "grid.points"),
     "seed-string": ({"seed": "7"}, "seed"),
     "tolerance-string": ({"tolerances": {"significance": "x"}}, "tolerances.significance"),
@@ -257,3 +271,56 @@ def test_report_on_json_that_is_no_manifest_exits_invalid(tmp_path, capsys):
         path.write_text(text)
         assert main(["report", str(path)]) == EXIT_INVALID
         assert "ERROR   manifest:" in capsys.readouterr().out
+
+
+# Small specs of every pipeline, each runnable as it stands: the wave spec
+# above, the tiny box (stationary state, both dynamics) and the two
+# finite-model presets.
+FUZZ_BASES = {
+    "wave": {},
+    "tiny-box": {
+        "kind": "box", "dynamics": "both",
+        "grid": {"lo": [-2.0], "hi": [2.0], "points": [64]},
+        "potential": {"kind": "box", "inner_lo": [-1.0], "inner_hi": [1.0], "height": 1e2},
+        "initial_state": {"kind": "stationary", "level": 0},
+        "time": {"dt": 0.001, "t_end": 0.01, "sample_times": [0.005, 0.01]},
+    },
+    "pbr": {**FINITE, **qf.preset("pbr").to_json()},
+    "box-nomological": {**FINITE, **qf.preset("box-nomological").to_json()},
+}
+# Values small enough that any spec built from them runs in well under a second.
+FUZZ_VALUES = st.sampled_from([
+    None, True, -1, 0, 1, 2, 3, 8, 100, 0.0, 1e-3, 0.005, 0.5, 2.5, -3.0, 1e4,
+    float("nan"), float("inf"), "", "x", "free", "box", "gaussian", "stationary",
+    "two-lobe", "plane-wave", "rdmp", "both", "none", [], [0.0], [1e-3], [8], [40.0],
+    [1.0, 2.0], ["x"], [0.01, 0.005], [-1.0, 1.0], {}, {"kind": "free"},
+])
+
+
+@st.composite
+def fuzzed_specs(draw):
+    base = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    body = copy.deepcopy(wave_spec_body(**FUZZ_BASES[base]))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(body) + ["bogus"]))
+        target, name = body, key
+        if isinstance(body.get(key), dict) and body[key] and draw(st.booleans()):
+            target, name = body[key], draw(st.sampled_from(sorted(body[key])))
+        if draw(st.integers(0, 5)) == 0:
+            target.pop(name, None)
+        else:
+            target[name] = copy.deepcopy(draw(FUZZ_VALUES))
+    return body
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=fuzzed_specs())
+def test_fuzzed_specs_never_end_in_a_traceback(body, tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    path = root / "spec.json"
+    path.write_text(json.dumps(body))
+    assert main(["validate", str(path)]) in (EXIT_PASS, EXIT_INVALID)
+    assert main(["run", str(path), "--out-dir", str(root / "runs")]) in (
+        EXIT_PASS, EXIT_FAILURE, EXIT_INVALID
+    )

@@ -203,9 +203,7 @@ class TestAutonomy:
 
     def _y_path(self, ay, g2, t_end=0.3, dt=0.005, y0=5.0):
         gw = qf.GridWaveFunction((ay,), g2)
-        frames = qf.evolve_frames(gw, Potential.free(), dt, int(round(t_end / dt)))
-        ens = qf.run_bohm_ensemble(frames, np.array([[y0]]), seed=0)
-        return ens.trajectories[0]
+        return qf.integrate_trajectory(gw, Potential.free(), [y0], t_end, dt)
 
     def test_noninteracting_disjoint_branch_is_autonomous(self):
         w, (ax, ay), f, g = two_branch_state()

@@ -280,7 +280,7 @@ def test_rk4_endpoint_matches_independent_integrator():
     x0 = 0.9
     sol = solve_ivp(rhs, (0.0, 1.0), [x0], rtol=1e-10, atol=1e-12, max_step=0.02)
     ens = qf.run_bohm_ensemble(frames, np.array([[x0]]), seed=0)
-    assert abs(ens.trajectories[0].configurations[-1, 0] - sol.y[0, -1]) < 1e-6
+    assert abs(ens.positions[-1, 0, 0] - sol.y[0, -1]) < 1e-6
 
 
 def test_one_dimensional_trajectories_never_cross():
@@ -289,7 +289,7 @@ def test_one_dimensional_trajectories_never_cross():
     frames = qf.evolve_frames(w0, Potential.free(), 0.002, 750, store_every=5)
     q0 = np.linspace(-5.0, 5.0, 9)[:, None]
     ens = qf.run_bohm_ensemble(frames, q0, seed=0)
-    paths = np.stack([t.configurations[:, 0] for t in ens.trajectories])
+    paths = ens.positions[:, :, 0].T
     assert np.all(np.diff(paths, axis=0) > 0)
 
 
@@ -298,9 +298,8 @@ def test_trajectory_seed_determinism():
     q0 = np.array([[0.3], [-1.1]])
     a = qf.run_bohm_ensemble(frames, q0, seed=7)
     b = qf.run_bohm_ensemble(frames, q0, seed=7)
-    for ta, tb in zip(a.trajectories, b.trajectories):
-        assert np.array_equal(ta.configurations, tb.configurations)
-        assert np.array_equal(ta.times, tb.times)
+    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.times, b.times)
 
 
 def test_exact_node_start_truncates_single_trajectory():
@@ -318,11 +317,11 @@ def test_exact_node_start_freezes_ensemble_member():
     w0 = qf.GridWaveFunction((ax,), g.astype(complex))
     frames = qf.evolve_frames(w0, Potential.free(), 0.01, 10)
     ens = qf.run_bohm_ensemble(frames, np.array([[0.0], [3.0]]), seed=1)
-    frozen, healthy = ens.trajectories[0], ens.trajectories[1]
+    frozen = ens.positions[:, 0]
     # all members keep the shared time grid; the bad one is flagged
-    assert np.array_equal(frozen.times, healthy.times)
-    assert frozen.notes and not healthy.notes
-    assert np.all(frozen.configurations == frozen.configurations[0])
+    assert ens.positions.shape[:2] == (ens.times.size, 2)
+    assert ens.frozen_at[0] >= 0 and ens.frozen_at[1] == -1
+    assert np.all(frozen == frozen[0])
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +376,24 @@ def test_rdmp_samples_iid_from_stationary_density():
         assert r.passed, f"time {t}: p={r.p_value}"
 
 
+def test_rdmp_ensemble_is_the_per_draw_stream_in_2d():
+    ax = qf.uniform_axis(-6, 6, 32)
+    w0 = qf.gaussian_packet((ax, ax), [0.3, -0.2], [1.0, 0.8], [0.5, 0.1])
+    frames = qf.evolve_frames(w0, Potential.free(), 0.01, 30, store_every=5)
+    times, n = [0.1, 0.2, 0.3], 40
+    ens = qf.rdmp_ensemble(frames, times, n, seed=9)
+    # reference: each member's generator feeds one draw per sample time, in order
+    samplers = [qf.dynamics._BornSampler(frames.wavefunction(frames.index_at(t))) for t in times]
+    expect = np.empty((len(times), n, 2))
+    for j in range(n):
+        rng = np.random.default_rng(derive_seed(9, j))
+        for i, sampler in enumerate(samplers):
+            expect[i, j] = sampler.draw(rng, 1)[0]
+    assert np.array_equal(ens.positions.view(np.uint64), expect.view(np.uint64))
+    assert np.array_equal(ens.times, frames.times[[frames.index_at(t) for t in times]])
+    assert ens.seeds.tolist() == [derive_seed(9, j) for j in range(n)]
+
+
 def test_rdmp_jumps_between_disjoint_bumps():
     ax = qf.uniform_axis(-16, 16, 512)
     w0 = qf.two_lobe_packet(ax, 10.0, 0.6)
@@ -396,7 +413,7 @@ def test_rdmp_mean_step_matches_iid_draw_statistic():
     times = np.round(np.linspace(0.05, 0.5, 10), 4)
     frames = qf.evolve_frames(w, box, dt, 2500, store_every=25)
     ens = qf.rdmp_ensemble(frames, times, 300, seed=7)
-    steps = np.array([mean_step_displacement(t) for t in ens.trajectories])
+    steps = np.linalg.norm(np.diff(ens.positions, axis=0), axis=2).mean(axis=0)
 
     pair = qf.born_sample_many(w, 8000, seed=8)[:, 0]
     iid = np.abs(pair[::2] - pair[1::2])
@@ -556,12 +573,12 @@ def test_streamed_march_matches_stored_frames(initial):
     keep = [0.0, 0.3, 0.9]
     source = qf.FrameSource(w0, Potential.free(), dt, n_steps, store_every, keep=keep)
     streamed = qf.run_bohm_ensemble(source, q0, seed=2)
-    for a, b in zip(stored.trajectories, streamed.trajectories):
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.configurations, b.configurations)
-        assert a.notes == b.notes and a.seed == b.seed
+    assert np.array_equal(stored.times, streamed.times)
+    assert np.array_equal(stored.positions, streamed.positions)
+    assert np.array_equal(stored.frozen_at, streamed.frozen_at)
+    assert np.array_equal(stored.seeds, streamed.seeds)
     if initial == "odd":
-        assert streamed.trajectories[0].notes  # the member on the node froze
+        assert streamed.frozen_at[0] >= 0  # the member on the node froze
     kept = source.drain()
     ids = [frames.index_at(t) for t in keep]
     assert np.array_equal(kept.times, frames.times[ids])
