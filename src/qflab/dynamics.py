@@ -54,9 +54,11 @@ _MASK64 = (1 << 64) - 1
 # stored frames evolved, prefiltered and held together by the streamed pipeline
 _CHUNK = 64
 # Rayleigh-quotient iteration of stationary_state: the residual that certifies
-# a propagator eigenvector, and the most linear solves it may take
+# a propagator eigenvector, the most linear solves one run of it may take, and
+# how often it restarts after converging to an eigenvector far from v_H
 _RQI_TOL = 1e-13
 _RQI_MAX_STEPS = 12
+_RQI_RESTARTS = 2
 
 __all__ = [
     "Potential",
@@ -294,12 +296,14 @@ def stationary_state(
     started from v_H, and accepted only with a certificate: the residual
     |U v - mu v| is at most 1e-13 and |<v_H|v>|^2 exceeds 1/2.  U is
     unitary, so at most one of its orthonormal eigenvectors can overlap
-    v_H that much, and an accepted v is that one.  A level without a
-    certified vector raises ValueError, and a spec asking for it exits as
-    invalid.  That happens at high levels, whose phases alias around the
-    unit circle, or at energies above a box wall: either v_H is a mixture
-    with no propagator eigenvector that close, or the iteration converges
-    to another eigenvector than the close one.
+    v_H that much, and an accepted v is that one.  If the iteration
+    converges to another eigenvector, it restarts from v_H with the
+    eigenvectors found so far projected out, at most twice.  A level
+    without a certified vector raises ValueError, and a spec asking for it
+    exits as invalid.  That happens only where v_H is a mixture with no
+    propagator eigenvector that close: at high levels, whose phases alias
+    around the unit circle, or at energies above a box wall (34 levels of
+    the 512-point duel grid, the first being 84).
     Time-reversal symmetry of the propagator makes the eigenvector real up
     to a global phase, which is fixed the same way as the dt=None branch.
     """
@@ -325,23 +329,35 @@ def _propagator_eigenvector(a, potential, dt, v_h, level) -> np.ndarray:
     u *= evolver.half_potential[:, None]
     u *= evolver.half_potential
     shifted = np.empty_like(u)
-    v = v_h
-    for step in range(_RQI_MAX_STEPS + 1):
-        uv = u @ v
-        mu = np.vdot(v, uv)
-        residual = np.linalg.norm(uv - mu * v)
-        if residual <= _RQI_TOL or step == _RQI_MAX_STEPS:
+    found = []
+    for restart in range(_RQI_RESTARTS + 1):
+        # start from v_h, with the eigenvectors already converged to projected
+        # out and renormalised (the first run starts from v_h as it is)
+        v = v_h
+        for f in found:
+            v = v - np.vdot(f, v) * f
+        if found:
+            v = v / np.linalg.norm(v)
+        for step in range(_RQI_MAX_STEPS + 1):
+            uv = u @ v
+            mu = np.vdot(v, uv)
+            residual = np.linalg.norm(uv - mu * v)
+            if residual <= _RQI_TOL or step == _RQI_MAX_STEPS:
+                break
+            np.copyto(shifted, u)
+            shifted.flat[:: a.size + 1] -= mu
+            w = linalg.lu_solve(linalg.lu_factor(shifted, overwrite_a=True), v)
+            v = w / np.linalg.norm(w)
+        overlap = abs(np.vdot(v_h, v)) ** 2
+        if residual > _RQI_TOL or overlap > 0.5:
             break
-        np.copyto(shifted, u)
-        shifted.flat[:: a.size + 1] -= mu
-        w = linalg.lu_solve(linalg.lu_factor(shifted, overwrite_a=True), v)
-        v = w / np.linalg.norm(w)
-    overlap = abs(np.vdot(v_h, v)) ** 2
+        found.append(v)
     if not (residual <= _RQI_TOL and overlap > 0.5):
         raise ValueError(
             f"level {level} has no certified eigenvector of the dt={dt} step propagator "
-            f"(residual {residual:.1e} after {step} Rayleigh-quotient steps, overlap^2 "
-            f"{overlap:.3f} with its Hamiltonian eigenstate); choose another level"
+            f"(residual {residual:.1e} after {step} Rayleigh-quotient steps and {restart} "
+            f"restarts, overlap^2 {overlap:.3f} with its Hamiltonian eigenstate); "
+            "choose another level"
         )
     return v
 
@@ -624,9 +640,11 @@ class VelocityField:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         interp, threshold = self._interpolators_at(t)
         values = interp(pts)
-        mask = np.abs(values[0]) < threshold
-        safe = np.where(mask, 1.0, values[0])
-        vel = np.imag(values[1:] / safe).T
+        psi, grad = values[0], values[1:]
+        mask = np.abs(psi) < threshold
+        if not mask.any():
+            return (grad / psi).imag.T, mask
+        vel = (grad / np.where(mask, 1.0, psi)).imag.T
         vel[mask] = 0.0
         return vel, mask
 
@@ -646,13 +664,14 @@ def guiding_velocity(w: GridWaveFunction, q) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _wrap_positions(positions, axes):
-    out = np.array(positions, dtype=float, copy=True)
-    for d, a in enumerate(axes):
-        lo = a[0]
-        length = (a[1] - a[0]) * a.size
-        out[..., d] = lo + np.mod(out[..., d] - lo, length)
-    return out
+def _periods(axes):
+    return np.array([a[0] for a in axes]), np.array([(a[1] - a[0]) * a.size for a in axes])
+
+
+def _wrap_positions(positions, lo, length, out=None):
+    """Positions (..., ndim) wrapped into [lo, lo + length), the _periods of the axes."""
+    out = np.subtract(positions, lo, out=out)
+    return np.add(np.mod(out, length, out=out), lo, out=out)
 
 
 def _rk4_batch(field: VelocityField, pos, t, h):
@@ -661,8 +680,7 @@ def _rk4_batch(field: VelocityField, pos, t, h):
     v2, m2 = field.velocity(pos + 0.5 * h * v1, t + 0.5 * h)
     v3, m3 = field.velocity(pos + 0.5 * h * v2, t + 0.5 * h)
     v4, m4 = field.velocity(pos + h * v3, t + h)
-    new_pos = pos + (h / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4)
-    return new_pos, m1 | m2 | m3 | m4
+    return pos + (h / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4), m1 | m2 | m3 | m4
 
 
 def _velocity_strict(field, x, t):
@@ -785,24 +803,24 @@ def run_bohm_ensemble(
     """
     field = VelocityField(frames)
     pos = np.atleast_2d(np.asarray(positions0, dtype=float))
-    n = pos.shape[0]
-    positions = np.empty((frames.n_frames, n, pos.shape[1]))
+    positions = np.empty((frames.n_frames,) + pos.shape)
     positions[0] = pos
-    frozen_at = np.full(n, -1)
+    frozen_at, frozen = np.full(len(pos), -1), np.zeros(len(pos), dtype=bool)
+    lo, length = _periods(frames.axes)
     for i in range(frames.n_frames - 1):
-        t = float(frames.times[i])
-        h = float(frames.times[i + 1] - frames.times[i])
+        t, h = float(frames.times[i]), float(frames.times[i + 1] - frames.times[i])
         new_pos, touched = _rk4_batch(field, pos, t, h)
-        for j in np.flatnonzero(touched & (frozen_at < 0)):
-            try:
-                new_pos[j] = _advance_adaptive(field, pos[j], t, h)
-            except _StepUnderflow:
-                frozen_at[j] = i
-        frozen = frozen_at >= 0
-        new_pos[frozen] = pos[frozen]
-        pos = _wrap_positions(new_pos, frames.axes)
-        positions[i + 1] = pos
-    return Ensemble(frames.times, positions, _member_seeds(seed, n), frozen_at, spec_ref)
+        if touched.any():
+            for j in np.flatnonzero(touched & ~frozen):
+                try:
+                    new_pos[j] = _advance_adaptive(field, pos[j], t, h)
+                except _StepUnderflow:
+                    frozen_at[j] = i
+            frozen = frozen_at >= 0
+        if frozen.any():
+            new_pos[frozen] = pos[frozen]
+        pos = _wrap_positions(new_pos, lo, length, out=positions[i + 1])
+    return Ensemble(frames.times, positions, _member_seeds(seed, len(pos)), frozen_at, spec_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +851,7 @@ class _BornSampler:
         flat = np.minimum(np.searchsorted(self.cdf, u, side="right"), self.cdf.size - 1)
         idx = np.unravel_index(flat, self.shape)
         pts = np.stack([a[idx[d]] for d, a in enumerate(self.axes)], axis=1)
-        return _wrap_positions(pts + (jitter - 0.5) * self.spacings, self.axes)
+        return _wrap_positions(pts + (jitter - 0.5) * self.spacings, *_periods(self.axes))
 
 
 def born_sample(w: GridWaveFunction, seed: int) -> np.ndarray:

@@ -3,17 +3,21 @@
 An interpolator holds B-spline coefficients for a stack of gridded arrays:
 the last ``len(axes)`` dimensions are the grid, any leading dimensions are
 stacked arrays (wave frames, psi and its gradient components).  The whole
-stack is prefiltered in one pass per grid axis at construction, and one
+stack is prefiltered at construction, one ``spline_filter1d`` call per grid
+axis; a complex stack is filtered through its float view, shape
+``(..., n, 2)``, which keeps the real and imaginary parts apart.  One
 evaluation computes the tap indices and weights of each point once and
-applies them to every stacked array.  The kernel reproduces
-``scipy.ndimage.map_coordinates(order=3, mode="grid-wrap", prefilter=False)``
-bit for bit.  Spline filtering is linear, so two interpolators over the
-same grid can be blended coefficient-wise -- the velocity field uses that
-for linear-in-time frame interpolation.
+applies them to every stacked array.  Prefilter and kernel reproduce
+``spline_filter`` and ``map_coordinates(order=3, mode="grid-wrap",
+prefilter=False)`` on ``.real`` and ``.imag`` bit for bit, except the kernel
+on a real stack over 2+ axes at a single point.  Spline filtering is
+linear, so two interpolators over one grid can be blended coefficient-wise
+-- the velocity field uses that for linear-in-time frame interpolation.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 
 import numpy as np
@@ -26,11 +30,14 @@ _TAP_OFFSETS = np.arange(4)[:, None]
 
 
 def _prefilter(values: np.ndarray, ndim: int) -> np.ndarray:
-    """Real spline coefficients, filtered along the trailing ``ndim`` axes."""
-    out = np.empty(values.shape)
+    """Spline coefficients of a real or complex stack, filtered along the trailing ``ndim`` axes."""
+    values = np.ascontiguousarray(values, dtype=np.result_type(values, float))
+    out = np.empty_like(values)
+    # float views (..., 1) or (..., 2): real and imaginary parts are filtered apart
+    src, dst = (a.view(float).reshape(values.shape + (-1,)) for a in (values, out))
     for axis in range(values.ndim - ndim, values.ndim):
-        ndimage.spline_filter1d(values, _ORDER, axis, output=out, mode=_MODE)
-        values = out
+        ndimage.spline_filter1d(src, _ORDER, axis, output=dst, mode=_MODE)
+        src = dst
     return out
 
 
@@ -67,25 +74,20 @@ class CubicGridInterpolator:
 
     def __init__(self, axes, values=None, coefficients=None):
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
+        self.sizes = tuple(a.size for a in self.axes)
         self.origins = np.array([a[0] for a in self.axes])
         self.steps = np.array([a[1] - a[0] for a in self.axes])
-        self.lengths = np.array([a.size for a in self.axes], dtype=float)
-        if coefficients is not None:
-            self.coefficients = coefficients
-        else:
-            values = np.asarray(values)
-            ndim = len(self.axes)
-            if np.iscomplexobj(values):
-                self.coefficients = (
-                    _prefilter(values.real, ndim) + 1j * _prefilter(values.imag, ndim)
-                )
-            else:
-                self.coefficients = _prefilter(values, ndim)
+        self.lengths = np.array(self.sizes, dtype=float)
+        if coefficients is None:
+            coefficients = _prefilter(np.asarray(values), len(self.axes))
+        self.coefficients = coefficients
 
     def blend(self, other: "CubicGridInterpolator", weight: float):
         """Interpolator for (1-weight)*self + weight*other (shared grid)."""
-        coeffs = (1.0 - weight) * self.coefficients + weight * other.coefficients
-        return CubicGridInterpolator(self.axes, coefficients=coeffs)
+        blended = copy.copy(self)
+        blended.coefficients = (1.0 - weight) * self.coefficients
+        blended.coefficients += weight * other.coefficients
+        return blended
 
     def _fractional_indices(self, points: np.ndarray) -> np.ndarray:
         # points: (n, ndim) -> (ndim, n) fractional grid indices, wrapped
@@ -99,11 +101,10 @@ class CubicGridInterpolator:
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         idx = self._fractional_indices(pts)
-        ndim = len(self.axes)
+        ndim = len(self.sizes)
         # flat tap index and weights, axis d broadcast as (4 on axis d, 1 elsewhere, n)
         flat, weights = None, []
-        for d, x in enumerate(idx):
-            size = self.axes[d].size
+        for d, (x, size) in enumerate(zip(idx, self.sizes)):
             taps, w = _axis_taps(x, size)
             shape = [1] * ndim + [x.size]
             shape[d] = 4
@@ -113,14 +114,13 @@ class CubicGridInterpolator:
         c = self.coefficients
         stack = c.shape[: c.ndim - ndim]
         terms = c.reshape(stack + (-1,)).take(flat, axis=-1)
-        # complex times real weight only adds signed zeros to each part, and
-        # every sum starts from +0.0, so both parts match map_coordinates
-        # run on .real and .imag
+        # complex times real weight only adds signed zeros to each part, so both
+        # parts match map_coordinates on .real and .imag.  np.add.reduce adds
+        # the taps in map_coordinates' order from +0.0, except when the tap
+        # axis is the only one longer than 1 (it then sums 8+ taps pairwise);
+        # the float view gives a complex stack 2n values per tap, so only a
+        # real stack on 2+ axes at a single point is summed otherwise
         for w in weights:
-            terms = terms * w
-        terms = terms.reshape(stack + (4**ndim, -1))
-        # tap order, last axis fastest, as map_coordinates sums them
-        out = 0.0 + terms[..., 0, :]
-        for k in range(1, 4**ndim):
-            out = out + terms[..., k, :]
-        return out
+            terms *= w
+        parts = terms.view(float).reshape(stack + (4**ndim, -1))
+        return np.add.reduce(parts, axis=-2, initial=0.0).view(c.dtype)

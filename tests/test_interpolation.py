@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -129,3 +129,16 @@ def test_kernel_matches_map_coordinates(case):
     ]).reshape(values.shape[: values.ndim - len(axes)] + (len(points),))
     assert got.shape == expect.shape
     assert np.array_equal(_bits(got), _bits(expect))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked_grids())
+def test_kernel_at_one_point_matches_all_points(case):
+    # the adaptive RK4 step evaluates one point at a time.  Real stacks on 2+
+    # axes are left out: numpy sums their 16+ taps pairwise at a single point,
+    # and qflab evaluates only complex stacks
+    axes, values, points = case
+    assume(np.iscomplexobj(values) or len(axes) == 1)
+    interp = CubicGridInterpolator(axes, values)
+    one_by_one = np.stack([interp(p)[..., 0] for p in points[:12]], axis=-1)
+    assert np.array_equal(_bits(one_by_one), _bits(interp(points[:12])))
