@@ -16,11 +16,11 @@ steps that touch a node (|psi| < 1e-8 max|psi|) are halved and retried,
 giving up below dt / 2**10.
 
 Frames stream: a FrameSource evolves _CHUNK stored frames at a time, the
-velocity field computes psi and its gradient for a whole chunk with one
-batched FFT and prefilters the stack in one pass per grid axis, and the
-march holds at most two chunks.  Only the frames a caller asks to keep
-(a run keeps t = 0 and its sample times) outlive their chunk.
-``evolve_frames`` drains the same source and keeps every frame.
+velocity field takes the spline coefficients of psi and its gradient for a
+chunk from one batched FFT, divided by the B-spline symbol, and one batched
+inverse FFT, and the march holds at most two chunks.  Only the frames a
+caller asks to keep (a run keeps t = 0 and its sample times) outlive their
+chunk.  ``evolve_frames`` drains the same source and keeps every frame.
 
 The random-jump alternative draws an independent Born sample at each
 requested time, with no continuity between successive configurations.
@@ -43,7 +43,7 @@ import numpy as np
 from scipy import linalg, special
 
 from ._kstwo import kstwo_sf
-from .interpolation import CubicGridInterpolator
+from .interpolation import CubicGridInterpolator, _inverse_symbol
 from .states import GridWaveFunction, born_density, grid_norm
 
 EPS_NODE_FACTOR = 1e-8
@@ -563,10 +563,10 @@ def evolve_frames(
 
 
 def _psi_and_gradient(axes, amps: np.ndarray) -> np.ndarray:
-    """(k, 1+ndim, *grid) stack of psi and its spectral gradient for k frames."""
-    grid_axes = tuple(range(1, amps.ndim))
-    spectrum = np.fft.fftn(amps, axes=grid_axes)
-    stack = [amps]
+    """(k, 1+ndim, *grid) spline coefficients of psi and its spectral gradient for k frames."""
+    stack = np.empty((len(amps), 1 + len(axes)) + amps.shape[1:], dtype=complex)
+    spectrum = np.multiply(np.fft.fftn(amps, axes=tuple(range(1, amps.ndim))),
+                           _inverse_symbol(amps.shape[1:]), out=stack[:, 0])
     for d, a in enumerate(axes):
         k = 2 * np.pi * np.fft.fftfreq(a.size, d=a[1] - a[0])
         if a.size % 2 == 0:
@@ -575,15 +575,15 @@ def _psi_and_gradient(axes, amps: np.ndarray) -> np.ndarray:
             k[a.size // 2] = 0.0
         shape = [1] * len(axes)
         shape[d] = a.size
-        stack.append(np.fft.ifftn(1j * k.reshape(shape) * spectrum, axes=grid_axes))
-    return np.stack(stack, axis=1)
+        np.multiply(1j * k.reshape(shape), spectrum, out=stack[:, 1 + d])
+    return np.fft.ifftn(stack, axes=tuple(range(2, stack.ndim)), out=stack)
 
 
 class VelocityField:
     """Probability-current velocity Im(grad psi / psi) over stored frames.
 
     ``frames`` is a WaveFrames or a FrameSource.  Frames are read _CHUNK at
-    a time; psi and its gradient are computed and prefiltered as one stack
+    a time; the spline coefficients of psi and its gradient are one stack
     per chunk, and only the current and the previous chunk are held.  Any
     time can be asked of WaveFrames; a FrameSource only moves forward.
     Evaluation at intermediate times blends the bracketing frames linearly
@@ -604,10 +604,10 @@ class VelocityField:
         if c not in self._chunks:
             axes = self.frames.axes
             amps = self.frames.chunk(c)
-            stack = CubicGridInterpolator(axes, _psi_and_gradient(axes, amps))
+            stack = CubicGridInterpolator(axes, coefficients=_psi_and_gradient(axes, amps))
             self._chunks = {k: v for k, v in self._chunks.items() if k == c - 1}
             self._chunks[c] = (
-                [CubicGridInterpolator(axes, coefficients=k) for k in stack.coefficients],
+                [stack._on_grid(k) for k in stack.coefficients],
                 np.max(np.abs(amps), axis=tuple(range(1, amps.ndim))),
             )
         interps, max_abs = self._chunks[c]

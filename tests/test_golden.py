@@ -10,11 +10,12 @@ so every file built from it but ``spec.json`` and ``rdmp_positions.csv``,
 changed in the last digits.  Every artifact except ``manifest.json`` (it
 holds the wall-clock time) must keep them.
 
-FFTs, spline filters and libm may round differently in other numpy or
-scipy releases, so the test runs only with the versions the digests were
-recorded with.  OpenBLAS rounds the LU solves behind a stationary state
-differently when it runs threaded, so each run is made in a fresh process
-with one BLAS thread, whatever the machine.
+FFTs (which also give the spline coefficients) and libm may round
+differently in other numpy or scipy releases, so the test runs only with
+the versions the digests were recorded with.  OpenBLAS rounds the LU
+solves behind a stationary state differently when it runs threaded, so
+each run is made in a fresh process with one BLAS thread, whatever the
+machine.
 """
 
 import hashlib

@@ -24,8 +24,9 @@ def test_pyproject_version_is_the_package_version():
     assert expand.read_attr(attr, package_dir={"": "src"}, root_dir=root) == qf.__version__
 
 
-# a tiny `both` stationary box run, which computes chi-square and KS p-values
-# and the duel, and a pbr run, which takes the finite-model path
+# a tiny `both` stationary box run, which marches Bohm members through the
+# spline field and computes chi-square and KS p-values and the duel, and a
+# pbr run, which takes the finite-model path
 GUARD_SPECS = {
     "box": {
         "name": "guard-box", "kind": "box", "seed": 3, "dynamics": "both",
@@ -43,20 +44,21 @@ import sys
 import qflab
 from qflab.cli import main
 
-def stats_loaded(step):
-    if "scipy.stats" in sys.modules:
-        sys.exit(f"scipy.stats loaded after {step}")
+def heavy_loaded(step):
+    for module in ("scipy.stats", "scipy.ndimage"):
+        if module in sys.modules:
+            sys.exit(f"{module} loaded after {step}")
 
-stats_loaded("import qflab")
+heavy_loaded("import qflab")
 for spec in sys.argv[2:]:
     code = main(["run", spec, "--out-dir", sys.argv[1]])
     if code != 0:
         sys.exit(f"qflab run {spec} exited {code}")
-    stats_loaded(f"qflab run {spec}")
+    heavy_loaded(f"qflab run {spec}")
 """
 
 
-def test_import_and_run_never_load_scipy_stats(tmp_path):
+def test_import_and_run_never_load_scipy_stats_or_ndimage(tmp_path):
     paths = []
     for name, body in GUARD_SPECS.items():
         path = tmp_path / f"{name}.json"
