@@ -18,9 +18,16 @@ giving up below dt / 2**10.
 Frames stream: a FrameSource evolves _CHUNK stored frames at a time, the
 velocity field takes the spline coefficients of psi and its gradient for a
 chunk from one batched FFT, divided by the B-spline symbol, and one batched
-inverse FFT, and the march holds at most two chunks.  Only the frames a
-caller asks to keep (a run keeps t = 0 and its sample times) outlive their
-chunk.  ``evolve_frames`` drains the same source and keeps every frame.
+inverse FFT, and the march holds one chunk's coefficients and a copy of the
+previous chunk's last frame.  Only the frames a caller asks to keep (a run
+keeps t = 0 and its sample times) outlive their chunk.  ``evolve_frames``
+drains the same source and keeps every frame.
+
+The march holds O(N) positions: the members' current ones, the rows it is
+asked to keep (every row by default), optionally the full paths of the
+first few members and the running maximum of their distance from their
+start.  Velocities are evaluated _BLOCK members at a time, so that a
+block's spline taps and terms stay in cache.
 
 The random-jump alternative draws an independent Born sample at each
 requested time, with no continuity between successive configurations.
@@ -35,7 +42,6 @@ returns bit for bit, and this module imports only ``scipy.linalg`` and
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -53,6 +59,9 @@ CHI2_SIGNIFICANCE = 1e-3
 _MASK64 = (1 << 64) - 1
 # stored frames evolved, prefiltered and held together by the streamed pipeline
 _CHUNK = 64
+# members whose velocities are evaluated together: a block's spline taps and
+# terms fit in cache, where one pass over 10^5 members does not
+_BLOCK = 4096
 # Rayleigh-quotient iteration of stationary_state: the residual that certifies
 # a propagator eigenvector, the most linear solves one run of it may take, and
 # how often it restarts after converging to an eigenvector far from v_H
@@ -386,10 +395,13 @@ class _SplitStepEvolver:
             shape[d] = a.size
             ksq = ksq + (k**2).reshape(shape)
         self.kinetic = np.exp(-0.5j * dt * ksq)
+        # on one axis fft and ifft give fftn's bits and skip its axis bookkeeping
+        self._fft, self._ifft = (np.fft.fft, np.fft.ifft) if len(axes) == 1 else \
+            (np.fft.fftn, np.fft.ifftn)
 
     def step(self, amps: np.ndarray) -> np.ndarray:
         out = self.half_potential * amps
-        out = np.fft.ifftn(self.kinetic * np.fft.fftn(out))
+        out = self._ifft(self.kinetic * self._fft(out))
         return self.half_potential * out
 
 
@@ -462,6 +474,13 @@ class WaveFrames:
         return self.amplitudes[c * _CHUNK : (c + 1) * _CHUNK]
 
 
+def _kept_rows(times: np.ndarray, keep) -> list:
+    """Sorted distinct indices of the stored times at ``keep``; all of them when keep is None."""
+    if keep is None:
+        return list(range(times.size))
+    return sorted({_index_at(times, t) for t in keep})
+
+
 def _bracket(times: np.ndarray, t: float):
     if t <= times[0]:
         return 0, 0.0
@@ -496,9 +515,10 @@ class FrameSource:
             raise ValueError(f"store_every must be a positive integer, got {store_every!r}")
         _check_momentum_resolution(w0)
         self.axes = w0.axes
+        self._shape = w0.amplitudes.shape
         steps = [0] + [i for i in range(1, n_steps + 1) if i % store_every == 0 or i == n_steps]
         self.times = np.array([i * dt for i in steps])
-        self._keep = None if keep is None else sorted({_index_at(self.times, t) for t in keep})
+        self._keep = None if keep is None else _kept_rows(self.times, keep)
         self._kept = []
         self._next = 0
         self._frames = self._evolve(_SplitStepEvolver(w0.axes, p, dt), w0.amplitudes,
@@ -513,7 +533,7 @@ class FrameSource:
 
     @staticmethod
     def _evolve(evolver, amps, n_steps, store_every):
-        yield amps.copy()
+        yield amps
         for i in range(1, n_steps + 1):
             amps = evolver.step(amps)
             if i % store_every == 0 or i == n_steps:
@@ -528,8 +548,10 @@ class FrameSource:
         return amps
 
     def _advance(self) -> np.ndarray:
-        amps = np.array(list(itertools.islice(self._frames, _CHUNK)))
         start = self._next * _CHUNK
+        amps = np.empty((min(_CHUNK, self.n_frames - start),) + self._shape, dtype=complex)
+        for out, frame in zip(amps, self._frames):
+            out[...] = frame
         self._next += 1
         if self._keep is None:
             self._kept.append(amps)
@@ -565,8 +587,8 @@ def evolve_frames(
 def _psi_and_gradient(axes, amps: np.ndarray) -> np.ndarray:
     """(k, 1+ndim, *grid) spline coefficients of psi and its spectral gradient for k frames."""
     stack = np.empty((len(amps), 1 + len(axes)) + amps.shape[1:], dtype=complex)
-    spectrum = np.multiply(np.fft.fftn(amps, axes=tuple(range(1, amps.ndim))),
-                           _inverse_symbol(amps.shape[1:]), out=stack[:, 0])
+    spectrum = np.fft.fftn(amps, axes=tuple(range(1, amps.ndim)), out=stack[:, 0])
+    spectrum *= _inverse_symbol(amps.shape[1:])
     for d, a in enumerate(axes):
         k = 2 * np.pi * np.fft.fftfreq(a.size, d=a[1] - a[0])
         if a.size % 2 == 0:
@@ -584,34 +606,53 @@ class VelocityField:
 
     ``frames`` is a WaveFrames or a FrameSource.  Frames are read _CHUNK at
     a time; the spline coefficients of psi and its gradient are one stack
-    per chunk, and only the current and the previous chunk are held.  Any
-    time can be asked of WaveFrames; a FrameSource only moves forward.
-    Evaluation at intermediate times blends the bracketing frames linearly
-    (blending commutes with spline evaluation).
+    per chunk.  Only the current chunk's stack is held, with a copy of the
+    previous chunk's last frame, which is all a forward march reads of it.
+    Any time can be asked of WaveFrames (a chunk read again is rebuilt); a
+    FrameSource only moves forward.  Evaluation at intermediate times
+    blends the bracketing frames linearly (blending commutes with spline
+    evaluation), once per time; points are evaluated _BLOCK at a time.
     """
 
     def __init__(self, frames: WaveFrames | FrameSource, node_factor: float = EPS_NODE_FACTOR):
         self.frames = frames
         self.node_factor = node_factor
         self.ndim = len(frames.axes)
-        self._chunks = {}  # chunk index -> (per-frame interpolators, max |psi| per frame)
+        self._chunk = None  # (chunk index, per-frame interpolators, max |psi| per frame)
+        self._last = None  # (chunk index, interpolator, max |psi|) of a chunk's last frame
         self._cache_t = None
         self._cache = None
 
     def _frame(self, i: int):
         """Interpolator of (psi, grad psi) at stored frame i, and max |psi| there."""
         c, j = divmod(i, _CHUNK)
-        if c not in self._chunks:
-            axes = self.frames.axes
-            amps = self.frames.chunk(c)
-            stack = CubicGridInterpolator(axes, coefficients=_psi_and_gradient(axes, amps))
-            self._chunks = {k: v for k, v in self._chunks.items() if k == c - 1}
-            self._chunks[c] = (
-                [stack._on_grid(k) for k in stack.coefficients],
-                np.max(np.abs(amps), axis=tuple(range(1, amps.ndim))),
-            )
-        interps, max_abs = self._chunks[c]
+        if self._last is not None and (c, j) == (self._last[0], _CHUNK - 1):
+            return self._last[1:]
+        if self._chunk is None or self._chunk[0] != c:
+            self._load(c)
+        _, interps, max_abs = self._chunk
         return interps[j], max_abs[j]
+
+    def _load(self, c: int):
+        self._last = self._last_frame_of(c - 1)
+        # the old stack goes before the new one is built: nothing may hold a
+        # view of it, the cached interpolator included
+        self._chunk = self._cache_t = self._cache = None
+        axes = self.frames.axes
+        amps = self.frames.chunk(c)
+        stack = CubicGridInterpolator(axes, coefficients=_psi_and_gradient(axes, amps))
+        self._chunk = (
+            c,
+            [stack._on_grid(k) for k in stack.coefficients],
+            np.max(np.abs(amps), axis=tuple(range(1, amps.ndim))),
+        )
+
+    def _last_frame_of(self, c: int):
+        """(c, interpolator, max |psi|) of held chunk c's last frame, copied; else None."""
+        if self._chunk is None or self._chunk[0] != c:
+            return None
+        _, interps, max_abs = self._chunk
+        return c, interps[-1]._on_grid(interps[-1].coefficients.copy()), max_abs[-1]
 
     def _interpolators_at(self, t: float):
         if self._cache_t is not None and t == self._cache_t:
@@ -624,7 +665,9 @@ class VelocityField:
             interp, max_abs = self._frame(i + 1)
             threshold = self.node_factor * max_abs
         else:
-            (f0, m0), (f1, m1) = self._frame(i), self._frame(i + 1)
+            # frame i + 1 first: a new chunk is loaded before frame i is held
+            f1, m1 = self._frame(i + 1)
+            f0, m0 = self._frame(i)
             interp = f0.blend(f1, a)
             threshold = self.node_factor * ((1 - a) * m0 + a * m1)
         self._cache_t = t
@@ -639,14 +682,25 @@ class VelocityField:
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         interp, threshold = self._interpolators_at(t)
-        values = interp(pts)
-        psi, grad = values[0], values[1:]
-        mask = np.abs(psi) < threshold
-        if not mask.any():
-            return (grad / psi).imag.T, mask
-        vel = (grad / np.where(mask, 1.0, psi)).imag.T
-        vel[mask] = 0.0
+        if len(pts) <= _BLOCK:
+            return _velocity_from_values(interp(pts), threshold)
+        # a block's taps and terms stay in cache; the values are the same bits
+        vel, mask = np.empty(pts.shape), np.empty(len(pts), dtype=bool)
+        for s in range(0, len(pts), _BLOCK):
+            vel[s : s + _BLOCK], mask[s : s + _BLOCK] = _velocity_from_values(
+                interp(pts[s : s + _BLOCK]), threshold)
         return vel, mask
+
+
+def _velocity_from_values(values: np.ndarray, threshold):
+    """Velocities Im(grad psi / psi) and node mask from interpolated (psi, grad psi) rows."""
+    psi, grad = values[0], values[1:]
+    mask = np.abs(psi) < threshold
+    if not mask.any():
+        return (grad / psi).imag.T, mask
+    vel = (grad / np.where(mask, 1.0, psi)).imag.T
+    vel[mask] = 0.0
+    return vel, mask
 
 
 def guiding_velocity(w: GridWaveFunction, q) -> np.ndarray:
@@ -722,7 +776,9 @@ class Ensemble:
     ``positions[i, j]`` is member j's configuration at ``times[i]``.
     ``seeds[j]`` is member j's seed, and ``frozen_at[j]`` the stored step
     at which its adaptive step underflowed (it holds its position from
-    there on), or -1 if it never did.
+    there on), or -1 if it never did.  A march can also record its first
+    members' full paths (``head``) and ``max_drift`` (see
+    run_bohm_ensemble); ``take`` drops them.
     """
 
     times: np.ndarray  # (T,)
@@ -730,6 +786,8 @@ class Ensemble:
     seeds: np.ndarray  # (N,)
     frozen_at: np.ndarray  # (N,)
     spec_ref: str | None = None
+    head: Ensemble | None = None  # the first members at every stored step
+    max_drift: float | None = None  # largest |Q_j(t) - Q_j(0)| over every stored step
 
     @property
     def size(self) -> int:
@@ -739,16 +797,24 @@ class Ensemble:
         """(N, D) member positions at stored time t."""
         return self.positions[_index_at(self.times, t, tol)]
 
-    def take(self, steps=slice(None), members=slice(None)) -> "Ensemble":
-        """These stored steps of these members; frozen_at still counts steps of the full grid."""
-        return Ensemble(
-            self.times[steps], self.positions[steps, members], self.seeds[members],
-            self.frozen_at[members], self.spec_ref,
-        )
+    def take(self, steps) -> "Ensemble":
+        """These stored steps of every member; frozen_at still counts steps of the full grid."""
+        return Ensemble(self.times[steps], self.positions[steps], self.seeds, self.frozen_at,
+                        self.spec_ref)
 
 
 def _member_seeds(seed: int, n: int) -> np.ndarray:
-    return np.array([derive_seed(seed, j) for j in range(n)], dtype=np.uint64)
+    """(n,) uint64 seeds derive_seed(seed, j) of members j = 0 .. n-1."""
+    return _derive_seeds(seed, np.arange(n, dtype=np.uint64))
+
+
+def _derive_seeds(seed: int, indices: np.ndarray) -> np.ndarray:
+    """derive_seed(seed, j) for each uint64 index j; uint64 arithmetic wraps mod 2**64."""
+    z = indices + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z ^ np.uint64(seed & _MASK64)
 
 
 def integrate_trajectory(
@@ -791,6 +857,9 @@ def run_bohm_ensemble(
     positions0: np.ndarray,
     seed: int = 0,
     spec_ref: str | None = None,
+    keep=None,
+    head: int = 0,
+    drift: bool = False,
 ) -> Ensemble:
     """Integrate a batch of trajectories over shared frames.
 
@@ -800,11 +869,25 @@ def run_bohm_ensemble(
     node fall back to the per-member adaptive path for that step.  Members
     whose adaptive step underflows are frozen in place (keeping the shared
     time grid) and their step is recorded in ``frozen_at``.
+
+    The march holds the members' current positions, not their paths.  The
+    ensemble keeps the rows at the ``keep`` times (every row when keep is
+    None); ``head`` > 0 also keeps the first ``head`` members at every step,
+    as ``Ensemble.head``, and ``drift`` records the largest distance of any
+    member from its start over every step as ``Ensemble.max_drift``.
+    ``frozen_at`` counts steps of the full grid either way.
     """
     field = VelocityField(frames)
-    pos = np.atleast_2d(np.asarray(positions0, dtype=float))
-    positions = np.empty((frames.n_frames,) + pos.shape)
-    positions[0] = pos
+    start = np.atleast_2d(np.asarray(positions0, dtype=float))
+    rows = _kept_rows(frames.times, keep)
+    slot = {i: r for r, i in enumerate(rows)}
+    kept = np.empty((len(rows),) + start.shape)
+    paths = np.empty((frames.n_frames,) + start[:head].shape)
+    paths[0] = start[:head]
+    pos = start
+    if 0 in slot:  # rows are sorted, so row 0 is the first kept
+        kept[0] = pos
+    max_drift = _max_distance(pos, start) if drift else None
     frozen_at, frozen = np.full(len(pos), -1), np.zeros(len(pos), dtype=bool)
     lo, length = _periods(frames.axes)
     for i in range(frames.n_frames - 1):
@@ -819,8 +902,20 @@ def run_bohm_ensemble(
             frozen = frozen_at >= 0
         if frozen.any():
             new_pos[frozen] = pos[frozen]
-        pos = _wrap_positions(new_pos, lo, length, out=positions[i + 1])
-    return Ensemble(frames.times, positions, _member_seeds(seed, len(pos)), frozen_at, spec_ref)
+        r = slot.get(i + 1)
+        pos = _wrap_positions(new_pos, lo, length, out=new_pos if r is None else kept[r])
+        if head:
+            paths[i + 1] = pos[:head]
+        if drift:
+            max_drift = max(max_drift, _max_distance(pos, start))
+    seeds = _member_seeds(seed, len(pos))
+    head_paths = Ensemble(frames.times, paths, seeds[:head], frozen_at[:head], spec_ref) \
+        if head else None
+    return Ensemble(frames.times[rows], kept, seeds, frozen_at, spec_ref, head_paths, max_drift)
+
+
+def _max_distance(pos: np.ndarray, start: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(pos - start, axis=1)))
 
 
 # ---------------------------------------------------------------------------

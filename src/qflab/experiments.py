@@ -576,18 +576,22 @@ def _wave_pipeline(
     sample_times = spec.time.get("sample_times") or [t_end]
     snapped = [float(np.round(t / dt) * dt) for t in sample_times]
     # one pass of the evolution: the Bohm march reads every frame as it is
-    # evolved; only t = 0 and the sample frames are kept
+    # evolved; only t = 0 and the sample frames, and the same rows of the
+    # ensemble, are kept
+    keep = [0.0] + snapped
     source = dyn.FrameSource(
-        w0, potential, dt, n_steps, store_every=spec.time.get("store_every", 1),
-        keep=[0.0] + snapped,
+        w0, potential, dt, n_steps, store_every=spec.time.get("store_every", 1), keep=keep
     )
+    is_box = spec.kind == "box"
     bohm = spec.dynamics in ("bohm", "both")
     if bohm:
         q0 = dyn.born_sample_many(w0, spec.ensemble_size, dyn.derive_seed(spec.seed, 1))
         ensemble = dyn.run_bohm_ensemble(
-            source, q0, seed=dyn.derive_seed(spec.seed, 1), spec_ref=spec.name
+            source, q0, seed=dyn.derive_seed(spec.seed, 1), spec_ref=spec.name,
+            keep=keep, head=10, drift=is_box,
         )
     frames = source.drain()
+    # indices of the sample times in the kept frames and the kept rows alike
     sample_ids = [frames.index_at(t) for t in snapped]
 
     subset = dyn.WaveFrames(
@@ -595,7 +599,6 @@ def _wave_pipeline(
     )
     files.append(art.write_frames(out / "wave_frames.bin", subset))
 
-    is_box = spec.kind == "box"
     if is_box:
         dens0 = frames.density(0)
         drift = max(
@@ -604,9 +607,8 @@ def _wave_pipeline(
         tests["stationary-density"] = drift <= spec.tolerance("stationary_density", 1e-6)
 
     if bohm:
-        head = ensemble.take(members=slice(10))
-        files.append(art.write_ensemble_csv(out / "bohm_trajectories_head.csv", head))
-        rows = ensemble.take(steps=[source.index_at(t) for t in snapped])
+        files.append(art.write_ensemble_csv(out / "bohm_trajectories_head.csv", ensemble.head))
+        rows = ensemble.take(steps=sample_ids)
         files.append(art.write_ensemble_csv(out / "bohm_positions.csv", rows))
 
         t_screen = snapped[-1]
@@ -620,11 +622,8 @@ def _wave_pipeline(
         tests["equivariance"] = report.passed
 
         if is_box:
-            start = ensemble.positions[0]
-            max_drift = max(
-                float(np.max(np.linalg.norm(row - start, axis=1))) for row in ensemble.positions
-            )
-            tests["constant-trajectories"] = max_drift <= spec.tolerance(
+            # every member at every step, as a running maximum of the march
+            tests["constant-trajectories"] = ensemble.max_drift <= spec.tolerance(
                 "constancy", 1e-6
             )
 

@@ -107,7 +107,9 @@ class CubicGridInterpolator:
 
         Returns shape (*stack, n): one row of values per stacked array.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2:  # the velocity field passes (n, ndim) floats as they are
+            pts = np.atleast_2d(pts)
         idx = self._fractional_indices(pts)
         ndim = len(self.sizes)
         # flat tap index and weights, axis d broadcast as (4 on axis d, 1 elsewhere, n)

@@ -1,6 +1,7 @@
 import collections
 import functools
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -64,6 +65,17 @@ def test_derive_seed_is_injective_enough():
     assert len(seeds) == 10000
     assert derive_seed(42, 3) == derive_seed(42, 3)
     assert derive_seed(42, 3) != derive_seed(43, 3)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_member_seeds_are_derive_seed(seed):
+    n = 1000
+    assert qf.dynamics._member_seeds(seed, n)[[0, 1, n - 1]].tolist() == [
+        derive_seed(seed, j) for j in (0, 1, n - 1)]
+    # past 2**32 the uint64 arithmetic still wraps as derive_seed's mod 2**64
+    indices = [0, 1, 2**32, n - 1, 2**64 - 1]
+    assert qf.dynamics._derive_seeds(seed, np.array(indices, dtype=np.uint64)).tolist() == [
+        derive_seed(seed, j) for j in indices]
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +654,94 @@ def test_odd_march_bytes_pinned():
         "198c2ca60795832c54f661585f91366bf57924e949e7ba11b8f04595e3ce6e22",
         "8275b5c35eae5df39bea7e173b3bcdf939a1988a133cb0cb254dd20484929391",
     ]
+
+
+def as_bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_kept_rows_are_the_full_march_rows(monkeypatch):
+    """A march that keeps some rows, the head paths and the running drift
+    gives the bits of the every-row march, for blocks of 7 members and of
+    all of them; the odd state's node freezes member 0 at the first step."""
+    ax = qf.uniform_axis(-16, 16, 256)
+    w0 = odd_state(ax)
+    dt, n_steps, store_every = 0.002, 450, 3
+    q0 = np.concatenate([[[0.0]], qf.born_sample_many(w0, 30, 3)])
+    keep = [0.6, 0.0, 0.3, 0.3]
+
+    def march(**kwargs):
+        source = qf.FrameSource(w0, Potential.free(), dt, n_steps, store_every, keep=())
+        assert source.n_frames > 2 * qf.dynamics._CHUNK
+        return qf.run_bohm_ensemble(source, q0, seed=2, **kwargs)
+
+    runs = {}
+    for block in (7, len(q0)):
+        monkeypatch.setattr(qf.dynamics, "_BLOCK", block)
+        runs[block] = march(), march(keep=keep, head=4, drift=True)
+    full, part = runs[len(q0)]
+    assert full.frozen_at[0] == 0 and np.all(full.frozen_at[1:] == -1)
+    assert full.head is None and full.max_drift is None
+    rows = [full.times.tolist().index(t) for t in (0.0, 0.3, 0.6)]
+    assert np.array_equal(part.times, full.times[rows])
+    assert np.array_equal(as_bits(part.positions), as_bits(full.positions[rows]))
+    assert np.array_equal(part.frozen_at, full.frozen_at)
+    assert np.array_equal(part.seeds, full.seeds)
+    assert np.array_equal(part.head.times, full.times)
+    assert np.array_equal(as_bits(part.head.positions), as_bits(full.positions[:, :4]))
+    assert np.array_equal(part.head.frozen_at, full.frozen_at[:4])
+    assert np.array_equal(part.head.seeds, full.seeds[:4])
+    start = full.positions[0]
+    drifts = [float(np.max(np.linalg.norm(row - start, axis=1))) for row in full.positions]
+    assert part.max_drift == max(drifts)
+    assert part.max_drift > max(drifts[i] for i in rows)  # it reads the rows not kept
+    blocked_full, blocked_part = runs[7]
+    for a, b in ((blocked_full, full), (blocked_part, part), (blocked_part.head, part.head)):
+        assert np.array_equal(as_bits(a.positions), as_bits(b.positions))
+        assert np.array_equal(a.frozen_at, b.frozen_at)
+    assert blocked_part.max_drift == part.max_drift
+
+
+def test_kept_rows_march_holds_no_full_rows():
+    # 2000 members over 401 stored steps: every row would be 6.4 MB of
+    # positions; keeping two rows and ten members' paths the march's traced
+    # peak is about 1.3 MB (one 256-point chunk and its coefficient stack,
+    # and the batch's arrays)
+    ax = qf.uniform_axis(-16, 16, 256)
+    w0 = qf.two_lobe_packet(ax, 7.0, 0.7)
+    q0 = qf.born_sample_many(w0, 2000, 5)
+    source = qf.FrameSource(w0, Potential.free(), 0.001, 400, keep=())
+    full_rows = source.n_frames * q0.nbytes
+    tracemalloc.start()
+    try:
+        ensemble = qf.run_bohm_ensemble(source, q0, keep=[0.0, 0.4], head=10, drift=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ensemble.positions.shape == (2, 2000, 1)
+    assert ensemble.head.positions.shape == (401, 10, 1)
+    assert peak < full_rows / 3, (peak, full_rows)
+
+
+def test_velocity_field_reads_chunks_backward():
+    """Over WaveFrames the field answers any time: read backward across a
+    chunk boundary it gives the velocities it gives read forward."""
+    ax = qf.uniform_axis(-8, 8, 64)
+    w0 = qf.gaussian_packet((ax,), [0.5], [1.0], [1.0])
+    dt = 0.002
+    frames = qf.evolve_frames(w0, Potential.free(), dt, 200)
+    assert frames.n_frames > 3 * qf.dynamics._CHUNK
+    points = np.random.default_rng(4).uniform(-8, 8, (40, 1))
+    times = [0.0, 62.5 * dt, 63 * dt, 63.5 * dt, 64 * dt, 64.5 * dt, 127.5 * dt, 128 * dt,
+             150 * dt]
+    field = qf.VelocityField(frames)
+    forward = [field.velocity(points, t) for t in times]
+    backward = [field.velocity(points, t) for t in reversed(times)][::-1]
+    for t, (v, m), (vb, mb) in zip(times, forward, backward):
+        v_fresh, m_fresh = qf.VelocityField(frames).velocity(points, t)
+        assert np.array_equal(as_bits(vb), as_bits(v)), t
+        assert np.array_equal(as_bits(v_fresh), as_bits(v)), t
+        assert np.array_equal(mb, m) and np.array_equal(m_fresh, m)
 
 
 def test_march_work_counts(monkeypatch):
