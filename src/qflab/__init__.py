@@ -25,25 +25,19 @@ from .dynamics import (
     MomentumResolutionWarning,
     NodeProximity,
     Potential,
-    Trajectory,
     VelocityField,
     WaveFrames,
-    born_sample,
     born_sample_many,
     chi_square_gof,
     compare_bohm_rdmp,
     derive_seed,
     equivariance_test,
     evolve_frames,
-    evolve_step,
     gaussian_packet,
     guiding_velocity,
-    integrate_trajectory,
     ks_gof,
-    mean_step_displacement,
     plane_wave,
     rdmp_ensemble,
-    rdmp_trajectory,
     run_bohm_ensemble,
     spectral_hamiltonian,
     stationary_state,

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import Ensemble, Trajectory, WaveFrames
+from .dynamics import Ensemble, WaveFrames
 
 FRAME_FORMAT = "wave-frames-v1"
 
@@ -32,7 +32,6 @@ __all__ = [
     "write_json",
     "read_json",
     "write_csv",
-    "write_trajectory_csv",
     "write_ensemble_csv",
     "write_frames",
     "read_frames",
@@ -100,14 +99,6 @@ def _table_lines(table: np.ndarray, prefix: str = ""):
     """
     cells = map(repr, table.ravel().tolist())
     return map(prefix.__add__, map(",".join, zip(*[cells] * table.shape[1])))
-
-
-def write_trajectory_csv(path, traj: Trajectory) -> Path:
-    ndim = traj.configurations.shape[1]
-    header = ["t"] + [f"x{d + 1}" for d in range(ndim)]
-    return write_csv(
-        path, header, _table_lines(np.column_stack((traj.times, traj.configurations)))
-    )
 
 
 def write_ensemble_csv(path, e: Ensemble) -> Path:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Potential, WaveFrames, Trajectory, evolve_frames
+from .dynamics import Ensemble, FrameSource, Potential, WaveFrames
 from .interpolation import CubicGridInterpolator
 from .states import GridWaveFunction, born_density, grid_norm, l2_distance
 
@@ -404,7 +404,7 @@ class AutonomyReport:
 def schrodinger_autonomy_check(
     frames: WaveFrames,
     split: SubsystemSplit,
-    y_trajectory: Trajectory,
+    y_path: Ensemble,
     potential_x: Potential,
     n_checks: int = 8,
     eps_support: float = EPS_SUPPORT,
@@ -412,32 +412,32 @@ def schrodinger_autonomy_check(
     """Does the effective wave function obey its own Schrodinger equation?
 
     The joint frames must come from an interaction-free x-y Hamiltonian
-    and the environment trajectory from the caller (its times must be a
-    subset of the frame times).  The effective wave function is extracted
-    once at the first frame, evolved independently under V(x) with the
-    frame spacing as its own dt, and compared at ``n_checks`` times with
-    the conditional wave function sliced at Y(t).
+    and the environment path Y(t) from the caller: a one-member Ensemble
+    over the environment coordinates, whose times must be a subset of the
+    frame times.  The effective wave function is extracted once at the
+    first frame, evolved independently under V(x) with the frame spacing
+    as its own dt, keeping only the frames it is compared at, and compared
+    at ``n_checks`` times with the conditional wave function sliced at Y(t).
     """
+    ys = y_path.positions[:, 0]
     w0 = frames.wavefunction(0)
-    eff = detect_effective(w0, split, y_trajectory.configurations[0], eps_support)
+    eff = detect_effective(w0, split, ys[0], eps_support)
     if not eff.effective:
         raise ValueError("initial wave is not in effective form at Y(0)")
 
     dt = float(frames.times[1] - frames.times[0])
-    t_span = float(y_trajectory.times[-1] - y_trajectory.times[0])
-    sub_frames = evolve_frames(
-        eff.wavefunction, potential_x, dt, int(round(t_span / dt)), store_every=1
-    )
+    t_span = float(y_path.times[-1] - y_path.times[0])
     check_ids = np.unique(
-        np.linspace(0, y_trajectory.times.size - 1, n_checks).round().astype(int)
+        np.linspace(0, y_path.times.size - 1, n_checks).round().astype(int)
     )
+    sub_frames = FrameSource(
+        eff.wavefunction, potential_x, dt, int(round(t_span / dt)), keep=y_path.times[check_ids]
+    ).drain()
     times, dists = [], []
     for i in check_ids:
-        t = float(y_trajectory.times[i])
+        t = float(y_path.times[i])
         j = frames.index_at(t)
-        cond = conditional_wavefunction(
-            frames.wavefunction(j), split, y_trajectory.configurations[i]
-        )
+        cond = conditional_wavefunction(frames.wavefunction(j), split, ys[i])
         auto = GridWaveFunction(
             sub_frames.axes, sub_frames.amplitudes[sub_frames.index_at(t)]
         )

@@ -20,8 +20,9 @@ velocity field takes the spline coefficients of psi and its gradient for a
 chunk from one batched FFT, divided by the B-spline symbol, and one batched
 inverse FFT, and the march holds one chunk's coefficients and a copy of the
 previous chunk's last frame.  Only the frames a caller asks to keep (a run
-keeps t = 0 and its sample times) outlive their chunk.  ``evolve_frames``
-drains the same source and keeps every frame.
+keeps t = 0 and its sample times) outlive their chunk, copied into one
+array sized up front.  ``evolve_frames`` drains the same source and keeps
+every frame.
 
 The march holds O(N) positions: the members' current ones, the rows it is
 asked to keep (every row by default), optionally the full paths of the
@@ -71,7 +72,6 @@ _RQI_RESTARTS = 2
 
 __all__ = [
     "Potential",
-    "Trajectory",
     "Ensemble",
     "WaveFrames",
     "FrameSource",
@@ -84,18 +84,15 @@ __all__ = [
     "plane_wave",
     "stationary_state",
     "spectral_hamiltonian",
-    "evolve_step",
     "evolve_frames",
     "guiding_velocity",
-    "integrate_trajectory",
     "run_bohm_ensemble",
-    "born_sample",
     "born_sample_many",
-    "rdmp_trajectory",
     "rdmp_ensemble",
     "equivariance_test",
     "compare_bohm_rdmp",
-    "mean_step_displacement",
+    "chi_square_gof",
+    "ks_gof",
     "GoodnessOfFit",
     "EquivarianceReport",
     "DivergenceReport",
@@ -426,13 +423,6 @@ def _check_momentum_resolution(w: GridWaveFunction, mass_tol=1e-6):
         )
 
 
-def evolve_step(w: GridWaveFunction, p: Potential, dt: float) -> GridWaveFunction:
-    """One split-step update.  Norm is preserved to roundoff, not re-imposed."""
-    _check_momentum_resolution(w)
-    evolver = _SplitStepEvolver(w.axes, p, dt)
-    return w.with_amplitudes(evolver.step(w.amplitudes), normalize=False)
-
-
 def _index_at(times: np.ndarray, t: float, tol: float = 1e-9) -> int:
     i = int(np.argmin(np.abs(times - t)))
     if abs(float(times[i]) - t) > tol * max(1.0, abs(t)):
@@ -462,10 +452,6 @@ class WaveFrames:
     def index_at(self, t: float, tol: float = 1e-9) -> int:
         return _index_at(self.times, t, tol)
 
-    def bracket(self, t: float):
-        """(i, blend) with times[i] <= t <= times[i+1]; clamped at the ends."""
-        return _bracket(self.times, t)
-
     def density(self, i: int) -> np.ndarray:
         return np.abs(self.amplitudes[i]) ** 2
 
@@ -494,10 +480,11 @@ class FrameSource:
     """The stored frames of one split-step evolution, evolved _CHUNK at a time.
 
     ``times`` lists every stored frame (the initial state, every
-    store_every-th step and the last step) before any is evolved.
-    ``chunk(c)`` evolves the chunks up to c, in order, and copies out the
-    frames at the ``keep`` times as they pass (every frame when keep is
-    None); ``drain()`` evolves whatever is left and returns the kept frames.
+    store_every-th step and the last step) before any is evolved.  The
+    frames at the ``keep`` times (every frame when keep is None) go into
+    one array, allocated up front.  ``chunk(c)`` evolves the chunks up to
+    c, in order, and copies each one's kept frames into that array as they
+    pass; ``drain()`` evolves whatever is left and returns the array.
     Memory is one chunk plus the kept frames, whatever the run's length.
     """
 
@@ -518,8 +505,8 @@ class FrameSource:
         self._shape = w0.amplitudes.shape
         steps = [0] + [i for i in range(1, n_steps + 1) if i % store_every == 0 or i == n_steps]
         self.times = np.array([i * dt for i in steps])
-        self._keep = None if keep is None else _kept_rows(self.times, keep)
-        self._kept = []
+        self._rows = np.array(_kept_rows(self.times, keep), dtype=np.intp)
+        self._kept = np.empty((len(self._rows),) + self._shape, dtype=complex)
         self._next = 0
         self._frames = self._evolve(_SplitStepEvolver(w0.axes, p, dt), w0.amplitudes,
                                     n_steps, store_every)
@@ -553,19 +540,16 @@ class FrameSource:
         for out, frame in zip(amps, self._frames):
             out[...] = frame
         self._next += 1
-        if self._keep is None:
-            self._kept.append(amps)
-        else:
-            here = [i - start for i in self._keep if start <= i < start + len(amps)]
-            self._kept.append(amps[here])
+        lo, hi = np.searchsorted(self._rows, [start, start + len(amps)])
+        # the rows are in range; "clip" writes straight into out, "raise" buffers
+        np.take(amps, self._rows[lo:hi] - start, axis=0, out=self._kept[lo:hi], mode="clip")
         return amps
 
     def drain(self) -> WaveFrames:
         """Evolve the remaining chunks; the kept frames as WaveFrames."""
         while self._next * _CHUNK < self.n_frames:
             self._advance()
-        times = self.times if self._keep is None else self.times[self._keep]
-        return WaveFrames(self.axes, times, np.concatenate(self._kept))
+        return WaveFrames(self.axes, self.times[self._rows], self._kept)
 
 
 def evolve_frames(
@@ -760,16 +744,6 @@ def _advance_adaptive(field, x, t, h, depth=0):
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Sampled particle path: one configuration per time stamp."""
-
-    times: np.ndarray
-    configurations: np.ndarray  # (n_times, ndim)
-    seed: int = 0
-    notes: tuple = ()
-
-
-@dataclass(frozen=True)
 class Ensemble:
     """Members on one shared time grid, one array per quantity.
 
@@ -815,41 +789,6 @@ def _derive_seeds(seed: int, indices: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     return z ^ np.uint64(seed & _MASK64)
-
-
-def integrate_trajectory(
-    w0: GridWaveFunction,
-    p: Potential,
-    q0,
-    t_end: float,
-    dt: float,
-    store_every: int = 1,
-    seed: int = 0,
-) -> Trajectory:
-    """Integrate the guiding equation against the concurrently evolved wave.
-
-    A one-member ``run_bohm_ensemble`` over a streamed FrameSource.  If the
-    member's adaptive step underflows at a node, the trajectory is
-    truncated at the last completed time with a diagnostic note.
-    """
-    n_steps = int(round(t_end / dt))
-    frames = FrameSource(w0, p, dt, n_steps, store_every, keep=())
-    x = np.atleast_1d(np.asarray(q0, dtype=float))
-    _require_inside(x, w0)
-    e = run_bohm_ensemble(frames, x[None])
-    stop = int(e.frozen_at[0])
-    if stop < 0:
-        return Trajectory(e.times, e.positions[:, 0], seed=seed)
-    return Trajectory(
-        e.times[: stop + 1], e.positions[: stop + 1, 0], seed=seed,
-        notes=(f"truncated at t={e.times[stop]:.6g}: node step underflow",),
-    )
-
-
-def _require_inside(q, w: GridWaveFunction):
-    for d, (lo, hi) in enumerate(w.bounds):
-        if not (lo <= q[d] < hi):
-            raise ValueError(f"coordinate {d} of {q} outside grid [{lo}, {hi})")
 
 
 def run_bohm_ensemble(
@@ -949,41 +888,10 @@ class _BornSampler:
         return _wrap_positions(pts + (jitter - 0.5) * self.spacings, *_periods(self.axes))
 
 
-def born_sample(w: GridWaveFunction, seed: int) -> np.ndarray:
-    """One configuration drawn from |psi|^2."""
-    return born_sample_many(w, 1, seed)[0]
-
-
 def born_sample_many(w: GridWaveFunction, n: int, seed: int) -> np.ndarray:
     """(n, ndim) configurations drawn from |psi|^2."""
     rng = np.random.default_rng(seed)
     return _BornSampler(w).draw(rng, n)
-
-
-def _snap_sample_times(sample_times, dt):
-    steps = np.round(np.asarray(sample_times, dtype=float) / dt).astype(int)
-    if np.any(np.diff(steps) <= 0):
-        raise ValueError("sample times must fall on strictly increasing steps of dt")
-    return steps, steps * dt
-
-
-def rdmp_trajectory(
-    w0: GridWaveFunction,
-    p: Potential,
-    sample_times,
-    seed: int,
-    dt: float = 1e-3,
-) -> Trajectory:
-    """Independent Born draw at each sample time from the evolved density.
-
-    Successive configurations carry no continuity; requested times snap to
-    the wave-evolution step grid.  The draws are those of a one-member
-    ensemble whose member seed is ``seed`` itself.
-    """
-    steps, snapped = _snap_sample_times(sample_times, dt)
-    frames = FrameSource(w0, p, dt, int(steps.max(initial=0)), keep=snapped).drain()
-    times, positions = _jumps(frames, snapped, [seed])
-    return Trajectory(times, positions[:, 0], seed=seed)
 
 
 def rdmp_ensemble(
@@ -993,28 +901,23 @@ def rdmp_ensemble(
     seed: int,
     spec_ref: str | None = None,
 ) -> Ensemble:
-    """n independent random-jump trajectories over shared frames."""
-    seeds = _member_seeds(seed, n)
-    times, positions = _jumps(frames, sample_times, seeds.tolist())
-    return Ensemble(times, positions, seeds, np.full(n, -1), spec_ref)
+    """n independent random-jump trajectories over shared frames.
 
-
-def _jumps(frames: WaveFrames, sample_times, member_seeds):
-    """(times (T,), positions (T, N, D)): an independent Born draw per member and sample time.
-
-    Member j draws default_rng(member_seeds[j]).random((T, 1 + D)).  Row i
-    holds the uniform that picks its cell at sample time i, then the D
-    jitter uniforms: the order in which ``_BornSampler.draw(rng, 1)``
-    takes them, time after time.
+    An independent Born draw per member and sample time: member j draws
+    default_rng(derive_seed(seed, j)).random((T, 1 + D)).  Row i holds the
+    uniform that picks its cell at sample time i, then the D jitter
+    uniforms: the order in which ``_BornSampler.draw(rng, 1)`` takes them,
+    time after time.
     """
+    seeds = _member_seeds(seed, n)
     indices = [frames.index_at(t) for t in np.asarray(sample_times, dtype=float)]
     shape = (len(indices), 1 + len(frames.axes))
-    draws = np.stack([np.random.default_rng(s).random(shape) for s in member_seeds], axis=1)
+    draws = np.stack([np.random.default_rng(s).random(shape) for s in seeds.tolist()], axis=1)
     positions = np.stack([
         _BornSampler(frames.wavefunction(i)).points(u[:, 0], u[:, 1:])
         for i, u in zip(indices, draws)
     ])
-    return frames.times[indices], positions
+    return Ensemble(frames.times[indices], positions, seeds, np.full(n, -1), spec_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -1191,11 +1094,6 @@ def equivariance_test(
         ks_marginals=ks,
         passed=passed,
     )
-
-
-def mean_step_displacement(traj: Trajectory) -> float:
-    """Mean |Q(t_{i+1}) - Q(t_i)| along one trajectory."""
-    return float(_member_mean_steps(traj.configurations[:, None])[0])
 
 
 def _member_mean_steps(positions: np.ndarray) -> np.ndarray:

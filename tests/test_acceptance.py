@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import qflab as qf
-from qflab.dynamics import Potential, chi_square_gof, mean_step_displacement
+from qflab.dynamics import Potential, chi_square_gof
 
 
 def _report(num, name, ok, detail=""):
@@ -159,8 +159,9 @@ def test_criterion_6_rdmp_marginals_and_continuity():
             marginal_fails.append((float(t), r.p_value))
 
     def bohm_step(step):
-        traj = qf.integrate_trajectory(w0, Potential.free(), [1.2], 1.0, step)
-        return mean_step_displacement(traj)
+        source = qf.FrameSource(w0, Potential.free(), step, int(round(1.0 / step)), keep=())
+        path = qf.run_bohm_ensemble(source, [[1.2]]).positions[:, 0]
+        return float(np.linalg.norm(np.diff(path, axis=0), axis=1).mean())
 
     coarse, fine = bohm_step(0.01), bohm_step(0.005)
     rdmp_path = ens.positions[:, 0]
@@ -224,7 +225,7 @@ def test_criterion_7_conditional_effective():
     # autonomy under non-interacting evolution
     frames = qf.evolve_frames(w, Potential.free(), 0.005, 60, store_every=1)
     g2 = qf.GridWaveFunction((ay,), g[1])
-    ypath = qf.integrate_trajectory(g2, Potential.free(), [5.0], 0.3, 0.005)
+    ypath = qf.run_bohm_ensemble(qf.FrameSource(g2, Potential.free(), 0.005, 60, keep=()), [[5.0]])
     autonomy = qf.schrodinger_autonomy_check(frames, split, ypath, Potential.free())
 
     elapsed = time.perf_counter() - t0

@@ -10,7 +10,6 @@ from qflab.artifacts import (
     write_ensemble_csv,
     write_frames,
     write_json,
-    write_trajectory_csv,
 )
 from qflab.dynamics import Potential
 
@@ -44,15 +43,6 @@ def test_write_json_round_trip(tmp_path):
     raw = p.read_bytes()
     assert raw.endswith(b"\n")
     assert read_json(p) == obj
-
-
-def test_trajectory_csv_columns(tmp_path):
-    w = qf.gaussian_packet((qf.uniform_axis(-8, 8, 64),), [0.0], [1.0])
-    traj = qf.integrate_trajectory(w, Potential.free(), [0.5], 0.1, 0.05)
-    p = write_trajectory_csv(tmp_path / "t.csv", traj)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "t,x1"
-    assert lines[1].startswith("0.0,0.5")
 
 
 def test_ensemble_csv_columns(tmp_path):

@@ -203,7 +203,8 @@ class TestAutonomy:
 
     def _y_path(self, ay, g2, t_end=0.3, dt=0.005, y0=5.0):
         gw = qf.GridWaveFunction((ay,), g2)
-        return qf.integrate_trajectory(gw, Potential.free(), [y0], t_end, dt)
+        source = qf.FrameSource(gw, Potential.free(), dt, int(round(t_end / dt)), keep=())
+        return qf.run_bohm_ensemble(source, [[y0]])
 
     def test_noninteracting_disjoint_branch_is_autonomous(self):
         w, (ax, ay), f, g = two_branch_state()

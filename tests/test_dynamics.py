@@ -19,10 +19,31 @@ from qflab.dynamics import (
     compare_bohm_rdmp,
     derive_seed,
     ks_gof,
-    mean_step_displacement,
 )
 from qflab.interpolation import CubicGridInterpolator
 from test_golden import NUMPY_VERSION, SCIPY_VERSION
+
+
+def bohm_path(w0, q0, t_end, dt):
+    """(T, D) path of one Bohm member from q0 under the free wave, streamed."""
+    source = qf.FrameSource(w0, Potential.free(), dt, int(round(t_end / dt)), keep=())
+    return qf.run_bohm_ensemble(source, [q0]).positions[:, 0]
+
+
+def rdmp_path(w0, times, s, dt):
+    """(T, D) path of one random-jump member at times snapped to dt.
+
+    Member 0's seed is seed ^ derive_seed(0, 0), so the member draws from
+    default_rng(s).
+    """
+    steps = np.round(np.asarray(times, dtype=float) / dt).astype(int)
+    frames = qf.evolve_frames(w0, Potential.free(), dt, int(steps.max()))
+    return qf.rdmp_ensemble(frames, steps * dt, 1, seed=derive_seed(0, 0) ^ s).positions[:, 0]
+
+
+def mean_step(path):
+    """Mean |Q(t_{i+1}) - Q(t_i)| along one (T, D) path."""
+    return float(np.linalg.norm(np.diff(path, axis=0), axis=1).mean())
 
 
 def free_gaussian_frames(sigma0=1.0, t_end=2.0, dt=0.002, n=512, span=24.0):
@@ -89,7 +110,7 @@ def test_plane_wave_picks_up_exact_kinetic_phase():
     w = qf.plane_wave(ax, mode)
     dt = 0.01
     k = 2 * np.pi * mode / (2 * np.pi)
-    evolved = qf.evolve_step(w, Potential.free(), dt)
+    evolved = qf.evolve_frames(w, Potential.free(), dt, 1).wavefunction(1)
     expect = w.amplitudes * np.exp(-0.5j * k**2 * dt)
     assert np.max(np.abs(evolved.amplitudes - expect)) < 1e-13
 
@@ -289,8 +310,8 @@ def test_packet_center_moves_at_group_velocity():
     ax = qf.uniform_axis(-24, 24, 512)
     k0 = 1.5
     w0 = qf.gaussian_packet((ax,), [-2.0], [2.0], [k0])
-    traj = qf.integrate_trajectory(w0, Potential.free(), [-2.0], 1.0, 0.002)
-    travelled = traj.configurations[-1, 0] - traj.configurations[0, 0]
+    path = bohm_path(w0, [-2.0], 1.0, 0.002)
+    travelled = path[-1, 0] - path[0, 0]
     assert abs(travelled - k0 * 1.0) / (k0 * 1.0) < 0.01
 
 
@@ -298,10 +319,10 @@ def test_free_gaussian_trajectory_follows_scaling_law():
     sigma0, x0, t_end = 1.0, 1.5, 2.0
     ax = qf.uniform_axis(-24, 24, 512)
     w0 = qf.gaussian_packet((ax,), [0.0], [sigma0])
-    traj = qf.integrate_trajectory(w0, Potential.free(), [x0], t_end, 0.002)
+    path = bohm_path(w0, [x0], t_end, 0.002)
     sigma_t = np.sqrt(1 + (t_end / (2 * sigma0**2)) ** 2)
     expect = x0 * sigma_t / sigma0
-    assert abs(traj.configurations[-1, 0] - expect) / expect < 0.01
+    assert abs(path[-1, 0] - expect) / expect < 0.01
 
 
 def test_rk4_endpoint_matches_independent_integrator():
@@ -338,15 +359,6 @@ def test_trajectory_seed_determinism():
     b = qf.run_bohm_ensemble(frames, q0, seed=7)
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.times, b.times)
-
-
-def test_exact_node_start_truncates_single_trajectory():
-    ax = qf.uniform_axis(-10, 10, 256)
-    g = np.exp(-((ax - 3.0) ** 2) / 4) - np.exp(-((ax + 3.0) ** 2) / 4)
-    w0 = qf.GridWaveFunction((ax,), g.astype(complex))
-    traj = qf.integrate_trajectory(w0, Potential.free(), [0.0], 0.1, 0.01)
-    assert traj.times[-1] < 0.1
-    assert traj.notes
 
 
 def test_exact_node_start_freezes_ensemble_member():
@@ -436,8 +448,8 @@ def test_rdmp_jumps_between_disjoint_bumps():
     ax = qf.uniform_axis(-16, 16, 512)
     w0 = qf.two_lobe_packet(ax, 10.0, 0.6)
     times = np.round(np.linspace(0.01, 0.2, 20), 3)
-    traj = qf.rdmp_trajectory(w0, Potential.free(), times, seed=6, dt=1e-3)
-    sides = traj.configurations[:, 0] > 0
+    path = rdmp_path(w0, times, 6, 1e-3)
+    sides = path[:, 0] > 0
     flips = np.sum(sides[1:] != sides[:-1])
     # independent fair draws flip about half the time; 19 transitions
     assert 3 <= flips <= 16
@@ -464,16 +476,14 @@ def test_bohm_step_shrinks_with_dt_rdmp_does_not():
     w0 = qf.gaussian_packet((ax,), [0.0], [1.0])
 
     def bohm_step(dt):
-        traj = qf.integrate_trajectory(w0, Potential.free(), [1.2], 1.0, dt)
-        return mean_step_displacement(traj)
+        return mean_step(bohm_path(w0, [1.2], 1.0, dt))
 
     coarse, fine = bohm_step(0.01), bohm_step(0.005)
     assert fine < 0.6 * coarse  # continuous path: step scales with dt
 
     def rdmp_step(n_times):
         times = np.round(np.linspace(0.1, 1.0, n_times), 4)
-        traj = qf.rdmp_trajectory(w0, Potential.free(), times, seed=9, dt=0.002)
-        return mean_step_displacement(traj)
+        return mean_step(rdmp_path(w0, times, 9, 0.002))
 
     s10, s20 = rdmp_step(10), rdmp_step(20)
     floor = 0.5  # two i.i.d. draws from sigma~1 densities sit ~1 apart
@@ -555,7 +565,7 @@ def reference_velocity(frames, points, t):
             stack.append(np.fft.ifftn(1j * k.reshape(shape) * spectrum))
         return stack, np.max(np.abs(amps))
 
-    i, a = frames.bracket(t)
+    i, a = qf.dynamics._bracket(frames.times, t)
     if a in (0.0, 1.0):
         stack, peak = frame(i + int(a))
         threshold = qf.dynamics.EPS_NODE_FACTOR * peak
@@ -700,6 +710,21 @@ def test_kept_rows_are_the_full_march_rows(monkeypatch):
         assert np.array_equal(as_bits(a.positions), as_bits(b.positions))
         assert np.array_equal(a.frozen_at, b.frozen_at)
     assert blocked_part.max_drift == part.max_drift
+
+
+def test_evolve_frames_holds_each_frame_once():
+    # 601 frames on 1,024 points are 9.8 MB; the traced peak adds one
+    # 64-frame chunk and the step's temporaries, not a second copy of them
+    ax = qf.uniform_axis(-16, 16, 1024)
+    w0 = qf.two_lobe_packet(ax, 7.0, 0.7)
+    tracemalloc.start()
+    try:
+        frames = qf.evolve_frames(w0, Potential.free(), 0.001, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frames.n_frames == 601
+    assert peak <= 1.25 * frames.amplitudes.nbytes
 
 
 def test_kept_rows_march_holds_no_full_rows():

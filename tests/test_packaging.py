@@ -1,5 +1,8 @@
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -74,3 +77,20 @@ def test_import_and_run_never_load_scipy_stats_or_ndimage(tmp_path):
         env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_every_module_all_lists_its_public_definitions():
+    # a name removed from a module must leave its __all__, and a public
+    # function or class added to one must join it
+    for info in pkgutil.iter_modules(qf.__path__, "qflab."):
+        module = importlib.import_module(info.name)
+        listed = getattr(module, "__all__", None)
+        if listed is None:
+            continue
+        assert [n for n in listed if not hasattr(module, n)] == [], info.name
+        defined = {
+            name for name, obj in vars(module).items()
+            if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__
+        }
+        assert sorted(defined - set(listed)) == [], info.name
