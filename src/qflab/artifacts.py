@@ -25,7 +25,6 @@ from .dynamics import Ensemble, WaveFrames
 FRAME_FORMAT = "wave-frames-v1"
 
 __all__ = [
-    "pythonize",
     "canonical_json",
     "sha256_of_json",
     "spec_hash",
@@ -38,28 +37,33 @@ __all__ = [
 ]
 
 
-def pythonize(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize them."""
+_CONTAINERS = (dict, list, tuple)
+
+
+def _str_keys(obj):
+    """obj with dict keys str(k), not json's spelling and int order; a list is
+    scanned by type in C and rebuilt only when it holds a container."""
     if isinstance(obj, dict):
-        return {str(k): pythonize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [pythonize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [pythonize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, complex):
-        raise TypeError("complex values must be split into [re, im] before writing")
+        return {str(k): _str_keys(v) if isinstance(v, _CONTAINERS) else v for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)) and any(issubclass(t, _CONTAINERS) for t in set(map(type, obj))):
+        return [_str_keys(v) if isinstance(v, _CONTAINERS) else v for v in obj]
     return obj
+
+
+def _json_default(obj):
+    """The Python value json writes for a numpy array or real scalar."""
+    if isinstance(obj, np.ndarray):
+        return _str_keys(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):  # longdouble.item() is a longdouble
+        return float(obj) if isinstance(obj, np.floating) else obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable; complex values must be "
+                    "split into [re, im] before writing")
 
 
 def canonical_json(obj) -> str:
     """Sorted keys, no inessential whitespace, shortest-repr floats, no NaN."""
-    return json.dumps(pythonize(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return json.dumps(_str_keys(obj), default=_json_default, sort_keys=True,
+                      separators=(",", ":"), allow_nan=False)
 
 
 def sha256_of_json(obj) -> str:

@@ -15,14 +15,15 @@ stored on a fixed dt grid (linear interpolation in time between frames);
 steps that touch a node (|psi| < 1e-8 max|psi|) are halved and retried,
 giving up below dt / 2**10.
 
-Frames stream: a FrameSource evolves _CHUNK stored frames at a time, the
-velocity field takes the spline coefficients of psi and its gradient for a
-chunk from one batched FFT, divided by the B-spline symbol, and one batched
-inverse FFT, and the march holds one chunk's coefficients and a copy of the
-previous chunk's last frame.  Only the frames a caller asks to keep (a run
-keeps t = 0 and its sample times) outlive their chunk, copied into one
-array sized up front.  ``evolve_frames`` drains the same source and keeps
-every frame.
+Frames stream: a FrameSource evolves _CHUNK stored frames at a time, each
+in place in its slot of the chunk (the step's multiplies and FFTs write
+there).  The velocity field takes the spline coefficients of psi and its
+gradient for a chunk from one batched FFT, divided by the B-spline symbol,
+and one batched inverse FFT; the march holds one chunk's coefficients and a
+copy of the previous chunk's last frame.  Only the frames a caller asks to
+keep (a run keeps t = 0 and its sample times) outlive their chunk, copied
+into one array sized up front.  ``evolve_frames`` drains the same source
+and keeps every frame.
 
 The march holds O(N) positions: the members' current ones, the rows it is
 asked to keep (every row by default), optionally the full paths of the
@@ -43,6 +44,7 @@ returns bit for bit, and this module imports only ``scipy.linalg`` and
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from dataclasses import dataclass, field
 
@@ -379,8 +381,6 @@ class _SplitStepEvolver:
     def __init__(self, axes, potential: Potential, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        self.axes = axes
-        self.dt = dt
         v = potential.on_grid(axes)
         if not np.all(np.isfinite(v)):
             raise ValueError("potential must be finite at all grid points")
@@ -396,10 +396,10 @@ class _SplitStepEvolver:
         self._fft, self._ifft = (np.fft.fft, np.fft.ifft) if len(axes) == 1 else \
             (np.fft.fftn, np.fft.ifftn)
 
-    def step(self, amps: np.ndarray) -> np.ndarray:
-        out = self.half_potential * amps
-        out = self._ifft(self.kinetic * self._fft(out))
-        return self.half_potential * out
+    def step(self, amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.multiply(self.half_potential, amps, out=out)  # out may be amps
+        self._ifft(np.multiply(self.kinetic, self._fft(out, out=out), out=out), out=out)
+        return np.multiply(self.half_potential, out, out=out)
 
 
 def _check_momentum_resolution(w: GridWaveFunction, mass_tol=1e-6):
@@ -467,12 +467,12 @@ def _kept_rows(times: np.ndarray, keep) -> list:
     return sorted({_index_at(times, t) for t in keep})
 
 
-def _bracket(times: np.ndarray, t: float):
+def _bracket(times, t: float):
     if t <= times[0]:
         return 0, 0.0
     if t >= times[-1]:
-        return max(times.size - 2, 0), 1.0
-    i = int(np.searchsorted(times, t, side="right")) - 1
+        return max(len(times) - 2, 0), 1.0
+    i = bisect.bisect_right(times, t) - 1
     return i, float((t - times[i]) / (times[i + 1] - times[i]))
 
 
@@ -508,8 +508,9 @@ class FrameSource:
         self._rows = np.array(_kept_rows(self.times, keep), dtype=np.intp)
         self._kept = np.empty((len(self._rows),) + self._shape, dtype=complex)
         self._next = 0
-        self._frames = self._evolve(_SplitStepEvolver(w0.axes, p, dt), w0.amplitudes,
-                                    n_steps, store_every)
+        self._evolver = _SplitStepEvolver(w0.axes, p, dt)
+        self._gaps = np.diff(steps, prepend=0).tolist()  # split steps up to each stored frame
+        self._frame = w0.amplitudes  # the last frame evolved
 
     @property
     def n_frames(self) -> int:
@@ -517,14 +518,6 @@ class FrameSource:
 
     def index_at(self, t: float, tol: float = 1e-9) -> int:
         return _index_at(self.times, t, tol)
-
-    @staticmethod
-    def _evolve(evolver, amps, n_steps, store_every):
-        yield amps
-        for i in range(1, n_steps + 1):
-            amps = evolver.step(amps)
-            if i % store_every == 0 or i == n_steps:
-                yield amps
 
     def chunk(self, c: int) -> np.ndarray:
         """Amplitudes (k, *grid_shape) of chunk c, evolving up to it; no going back."""
@@ -537,8 +530,14 @@ class FrameSource:
     def _advance(self) -> np.ndarray:
         start = self._next * _CHUNK
         amps = np.empty((min(_CHUNK, self.n_frames - start),) + self._shape, dtype=complex)
-        for out, frame in zip(amps, self._frames):
-            out[...] = frame
+        frame = self._frame  # each frame is evolved in its own slot, from the one before
+        for out, n_steps in zip(amps, self._gaps[start:]):
+            if n_steps == 0:
+                out[...] = frame
+            for _ in range(n_steps):
+                frame = self._evolver.step(frame, out=out)
+            frame = out
+        self._frame = frame.copy()  # the next chunk's start, without holding this chunk
         self._next += 1
         lo, hi = np.searchsorted(self._rows, [start, start + len(amps)])
         # the rows are in range; "clip" writes straight into out, "raise" buffers
@@ -601,11 +600,10 @@ class VelocityField:
     def __init__(self, frames: WaveFrames | FrameSource, node_factor: float = EPS_NODE_FACTOR):
         self.frames = frames
         self.node_factor = node_factor
-        self.ndim = len(frames.axes)
+        self._times = frames.times.tolist()  # bisect on a list is cheaper than searchsorted
         self._chunk = None  # (chunk index, per-frame interpolators, max |psi| per frame)
         self._last = None  # (chunk index, interpolator, max |psi|) of a chunk's last frame
-        self._cache_t = None
-        self._cache = None
+        self._cache_t = self._cache = None  # the last time asked and its interpolator
 
     def _frame(self, i: int):
         """Interpolator of (psi, grad psi) at stored frame i, and max |psi| there."""
@@ -641,7 +639,7 @@ class VelocityField:
     def _interpolators_at(self, t: float):
         if self._cache_t is not None and t == self._cache_t:
             return self._cache
-        i, a = _bracket(self.frames.times, t)
+        i, a = _bracket(self._times, t)
         if a == 0.0:
             interp, max_abs = self._frame(i)
             threshold = self.node_factor * max_abs
@@ -664,7 +662,8 @@ class VelocityField:
         Velocities on masked points are zeroed; callers decide whether a
         node is fatal (strict single-point path) or retried (batch path).
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = points if isinstance(points, np.ndarray) and points.ndim == 2 \
+            else np.atleast_2d(np.asarray(points, dtype=float))  # the march's are (n, ndim)
         interp, threshold = self._interpolators_at(t)
         if len(pts) <= _BLOCK:
             return _velocity_from_values(interp(pts), threshold)
@@ -854,7 +853,9 @@ def run_bohm_ensemble(
 
 
 def _max_distance(pos: np.ndarray, start: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(pos - start, axis=1)))
+    # sqrt is monotone and correctly rounded: the bits of the largest norm
+    d = pos - start
+    return float(np.sqrt(np.add.reduce(d * d, axis=1).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ periodic grid the cubic prefilter divides the DFT by the B-spline symbol
 prod_d (4 + 2 cos(2 pi m_d / n_d)) / 6 (Unser, Aldroubi & Eden, IEEE TPAMI
 13, 277, 1991): one ``fftn`` and ``ifftn`` over the grid axes give scipy's
 ``spline_filter(mode="grid-wrap")`` to roundoff, with no recursive filter.
-One evaluation computes the tap indices and weights of each point once and
-applies them to every stacked array, reproducing ``map_coordinates(order=3,
-mode="grid-wrap", prefilter=False)`` on ``.real`` and ``.imag`` bit for
-bit, except on a real stack over 2+ axes at a single point.  Spline
+One evaluation computes the tap indices and weights of each point once, in
+place, and applies them to every stacked array, reproducing
+``map_coordinates(order=3, mode="grid-wrap", prefilter=False)`` on ``.real``
+and ``.imag`` bit for bit, except on a real stack over 2+ axes at a single
+point.  The periodic mod leaves every fractional index in [+0, size], where
+truncation is the floor; the per-axis tap tables and shapes are set up once
+per grid and shared by every interpolator made from it.  Spline
 filtering is linear, so two interpolators over one grid can be blended
 coefficient-wise -- the velocity field uses that for linear-in-time frames.
 """
@@ -20,10 +23,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-# taps floor(x)-1 .. floor(x)+2, as rows of _wrapped_taps
-_TAP_OFFSETS = np.arange(4)[:, None]
-
 
 @functools.lru_cache(maxsize=16)
 def _inverse_symbol(shape: tuple) -> np.ndarray:
@@ -45,30 +44,36 @@ def _prefilter(values: np.ndarray, ndim: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _wrapped_taps(size: int) -> np.ndarray:
-    """Grid index of taps -1 .. size+2, wrapped periodically; entry k is tap k-1."""
-    return np.arange(-1, size + 3) % size
+    """(4, size + 1) grid indices of the taps j-1 .. j+2, wrapped periodically, in column j."""
+    taps = (np.arange(size + 1) + np.arange(-1, 3)[:, None]) % size
+    taps.setflags(write=False)  # cached, so shared by every caller
+    return taps
 
 
-def _axis_taps(x: np.ndarray, size: int):
-    """Wrapped tap indices (4, n) and cubic B-spline weights (4, n) at coordinates x.
+def _axis_taps(x: np.ndarray, taps: np.ndarray):
+    """Wrapped tap indices (4, n) and cubic B-spline weights (4, n) at x in [+0, size].
 
-    The weights are map_coordinates' order-3 weights, operation for
-    operation: the first tap sits at floor(x) - 1.
+    ``taps`` is the axis' ``_wrapped_taps``.  The weights are map_coordinates'
+    order-3 weights, operation for operation: the first tap sits at floor(x) - 1,
+    and on x >= +0 truncating to an integer is the floor.
     """
-    first = np.floor(x)
-    yz = np.empty((2, x.size))
-    y, z = yz
-    np.subtract(x, first, out=y)
-    np.subtract(1.0, y, out=z)
+    first = x.astype(np.intp)
+    yz, squares = np.empty((2, 2, x.size))
+    np.subtract(x, first, out=yz[0])
+    np.subtract(1.0, yz[0], out=yz[1])
+    np.multiply(yz, yz, out=squares)
     w = np.empty((4, x.size))
-    np.divide(z * z * z, 6.0, out=w[0])
-    # w1 and w2 are one polynomial, of y and of z
-    np.divide(yz * yz * (yz - 2.0) * 3.0 + 4.0, 6.0, out=w[1:3])
-    np.subtract(1.0, w[0], out=w[3])
-    w[3] -= w[1]
-    w[3] -= w[2]
-    taps = _wrapped_taps(size).take(first.astype(np.intp) + _TAP_OFFSETS)
-    return taps, w
+    np.multiply(squares[1], yz[1], out=w[0])  # z*z*z
+    # w1 and w2 are one polynomial, of y and of z: yz*yz*(yz-2)*3 + 4; a
+    # product of two floats does not depend on their order
+    mid = np.subtract(yz, 2.0, out=w[1:3])
+    mid *= squares
+    mid *= 3.0
+    mid += 4.0
+    w[:3] /= 6.0
+    # ((1 - w0) - w1) - w2, row after row
+    np.subtract.reduce(w[:3], axis=0, initial=1.0, out=w[3])
+    return taps.take(first, axis=1), w
 
 
 class CubicGridInterpolator:
@@ -77,11 +82,15 @@ class CubicGridInterpolator:
     def __init__(self, axes, values=None, coefficients=None):
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
         self.sizes = tuple(a.size for a in self.axes)
-        self.origins = np.array([a[0] for a in self.axes])
-        self.steps = np.array([a[1] - a[0] for a in self.axes])
-        self.lengths = np.array(self.sizes, dtype=float)
+        self.origins = np.array([[a[0]] for a in self.axes])  # (ndim, 1) columns
+        self.steps = np.array([[a[1] - a[0]] for a in self.axes])
+        self.lengths = np.array([[size] for size in self.sizes], dtype=float)
+        # axis d's taps and weights broadcast as (4 on axis d, 1 elsewhere, n)
+        ndim = len(self.sizes)
+        self._tap_shapes = tuple((1,) * d + (4,) + (1,) * (ndim - 1 - d) for d in range(ndim))
+        self._taps = tuple(_wrapped_taps(size) for size in self.sizes)
         if coefficients is None:
-            coefficients = _prefilter(np.asarray(values), len(self.axes))
+            coefficients = _prefilter(np.asarray(values), ndim)
         self.coefficients = coefficients
 
     def blend(self, other: "CubicGridInterpolator", weight: float):
@@ -98,9 +107,10 @@ class CubicGridInterpolator:
         return twin
 
     def _fractional_indices(self, points: np.ndarray) -> np.ndarray:
-        # points: (n, ndim) -> (ndim, n) fractional grid indices, wrapped
-        idx = (points - self.origins) / self.steps
-        return np.mod(idx, self.lengths).T
+        # points: (n, ndim) -> (ndim, n) fractional grid indices in [+0, size]
+        idx = np.subtract(points.T, self.origins)
+        idx /= self.steps
+        return np.mod(idx, self.lengths, out=idx)
 
     def __call__(self, points) -> np.ndarray:
         """Evaluate at points of shape (n, ndim) or (ndim,).
@@ -110,19 +120,15 @@ class CubicGridInterpolator:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:  # the velocity field passes (n, ndim) floats as they are
             pts = np.atleast_2d(pts)
-        idx = self._fractional_indices(pts)
-        ndim = len(self.sizes)
-        # flat tap index and weights, axis d broadcast as (4 on axis d, 1 elsewhere, n)
         flat, weights = None, []
-        for d, (x, size) in enumerate(zip(idx, self.sizes)):
-            taps, w = _axis_taps(x, size)
-            shape = [1] * ndim + [x.size]
-            shape[d] = 4
-            taps = taps.reshape(shape)
+        for x, size, axis_taps, shape in zip(self._fractional_indices(pts), self.sizes,
+                                             self._taps, self._tap_shapes):
+            taps, w = _axis_taps(x, axis_taps)
+            taps = taps.reshape(shape + (-1,))
             flat = taps if flat is None else flat * size + taps
-            weights.append(w.reshape(shape))
+            weights.append(w.reshape(shape + (-1,)))
         c = self.coefficients
-        stack = c.shape[: c.ndim - ndim]
+        stack = c.shape[: c.ndim - len(self.sizes)]
         terms = c.reshape(stack + (-1,)).take(flat, axis=-1)
         # complex times real weight only adds signed zeros to each part, so both
         # parts match map_coordinates on .real and .imag.  np.add.reduce adds
@@ -132,5 +138,5 @@ class CubicGridInterpolator:
         # real stack on 2+ axes at a single point is summed otherwise
         for w in weights:
             terms *= w
-        parts = terms.view(float).reshape(stack + (4**ndim, -1))
+        parts = terms.view(float).reshape(stack + (4 ** len(self.sizes), -1))
         return np.add.reduce(parts, axis=-2, initial=0.0).view(c.dtype)

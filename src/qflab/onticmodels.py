@@ -27,6 +27,7 @@ the argument does not go through.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,13 +312,16 @@ class PbrConstruction:
     preparations: tuple  # ((name, FiniteState), ...) in fixed order
     measurement: ProjectiveMeasurement
     pairing: tuple
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = np.stack([measurement_distribution(s, self.measurement) for _, s in self.preparations], 1)
+        table.setflags(write=False)  # shared by every caller of the cached construction
+        object.__setattr__(self, "_table", table)
 
     def probability_table(self) -> np.ndarray:
-        """[k, j] = Born probability of outcome k for preparation j."""
-        table = np.empty((len(self.measurement.basis), len(self.preparations)))
-        for j, (_, state) in enumerate(self.preparations):
-            table[:, j] = measurement_distribution(state, self.measurement)
-        return table
+        """[k, j] = Born probability of outcome k for preparation j (read-only)."""
+        return self._table
 
     def zero_diagonal_max(self) -> float:
         table = self.probability_table()
@@ -325,7 +329,7 @@ class PbrConstruction:
 
 
 def build_pbr_states() -> PbrConstruction:
-    """Two-qubit overlap-argument construction.
+    """Two-qubit overlap-argument construction, built once per process.
 
     Preparations: |0>|0>, |0>|+>, |+>|0>, |+>|+>.  The measurement basis
     pairs each preparation with one outcome it can never trigger:
@@ -335,6 +339,11 @@ def build_pbr_states() -> PbrConstruction:
         f3 = (|+ 1> + |- 0>) / sqrt(2)   blocks |+>|0>
         f4 = (|+ -> + |- +>) / sqrt(2)   blocks |+>|+>
     """
+    return _pbr_construction()
+
+
+@functools.lru_cache(maxsize=1)
+def _pbr_construction() -> PbrConstruction:
     zero = basis_state(2, 0)
     one = basis_state(2, 1)
     plus = plus_state()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,86 @@ def test_canonical_json_rejects_nan():
 def test_canonical_json_handles_numpy_scalars():
     out = canonical_json({"a": np.float64(0.1), "n": np.int64(3)})
     assert out == '{"a":0.1,"n":3}'
+
+
+def _pythonize(obj):
+    """The converter canonical_json ran every value through before it used
+    json.dumps(default=): the reference its output must keep."""
+    if isinstance(obj, dict):
+        return {str(k): _pythonize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_pythonize(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_pythonize(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, complex):
+        raise TypeError("complex values must be split into [re, im] before writing")
+    return obj
+
+
+def _reference_json(obj):
+    return json.dumps(_pythonize(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+_SCALARS = [np.float64(0.1), np.float32(0.1), np.float16(1.5), np.longdouble(0.25),
+            np.float64(-0.0), np.float64(5e-324), np.int8(-3), np.int64(2**62),
+            np.uint64(2**64 - 1), np.uint8(7), np.intc(-1), np.bool_(True), np.bool_(False)]
+_CORPUS = [
+    *_SCALARS,
+    _SCALARS,
+    tuple(_SCALARS),
+    np.array([[1.5, -0.0], [2.0, 3e-300]]),
+    np.arange(6, dtype=np.int16).reshape(2, 3),
+    np.array([[[True]], [[False]]]),
+    np.zeros((2, 0)),
+    np.array([0.1, 1 / 3], dtype=np.float32),
+    [np.array([1.0]), (np.array([[2, 3]]), np.float32(4.5))],
+    (1, 2.5, "x", None, True),
+    [(), [], {}, [[[]]]],
+    [{"b": np.float64(1.0), "a": [np.int32(1), {"z": None}]}, {"c": np.array([1.0, 2.0])}],
+    {"nested": {"deep": [np.float32(0.5), (np.uint16(4),)]}, "empty": {}},
+    {1: "one", 10: "ten", 2: "two"},
+    {True: 1, None: 2, 1.5: 3, "s": 4, float("inf"): 5},
+    {np.int64(3): [{4: np.bool_(False)}], (1, 2): "tuple key", np.float32(0.5): "half"},
+    [1, 2.0, True, None, "s", -0.0, 1e300, 2**70],
+    {"k": [[1, [2, [3, {"x": np.arange(3)}]]]]},
+]
+
+
+@pytest.mark.parametrize("obj", _CORPUS, ids=range(len(_CORPUS)))
+def test_canonical_json_keeps_the_pythonize_bytes(obj):
+    assert canonical_json(obj) == _reference_json(obj)
+
+
+@pytest.mark.parametrize("obj, error", [
+    (1j, TypeError),
+    ({"a": [np.complex128(1 + 2j)]}, TypeError),
+    (np.complex64(1), TypeError),
+    (np.array([1 + 1j]), TypeError),
+    (object(), TypeError),
+    ({"x": float("nan")}, ValueError),
+    ([np.float64("nan")], ValueError),
+    (np.float32("inf"), ValueError),
+    ({"a": np.array([1.0, np.nan])}, ValueError),
+], ids=range(9))
+def test_canonical_json_raises_as_pythonize_did(obj, error):
+    with pytest.raises(error):
+        _reference_json(obj)
+    with pytest.raises(error):
+        canonical_json(obj)
+
+
+def test_canonical_json_writes_a_zero_d_array_as_its_value():
+    # the pythonize walk iterated the scalar a 0-d array's tolist() returns
+    with pytest.raises(TypeError):
+        _reference_json({"a": np.array(0.5)})
+    assert canonical_json({"a": np.array(0.5), "n": np.array([np.int64(2)])[0]}) == \
+        '{"a":0.5,"n":2}'
 
 
 def test_spec_hash_stable_under_key_order_and_out_dir():

@@ -814,3 +814,58 @@ def test_frame_source_rejects_bad_store_every(store_every):
     w0 = qf.gaussian_packet((ax,), [0.0], [1.0])
     with pytest.raises(ValueError, match="store_every"):
         qf.evolve_frames(w0, Potential.free(), 0.01, 10, store_every=store_every)
+
+
+@pytest.mark.parametrize("ndim, store_every", [(1, 1), (1, 3), (2, 1), (2, 3)])
+def test_frame_source_frames_are_the_out_of_place_split_step(ndim, store_every):
+    """Each frame is evolved in place in its chunk slot; the frames equal the
+    out-of-place loop hv * ifft(k * fft(hv * a)) bit for bit, across a chunk
+    boundary.  Complex multiplies do not commute bit for bit, so this also
+    pins the order of each multiply's operands."""
+    axes = tuple(qf.uniform_axis(-6, 6, n) for n in (48, 20)[:ndim])
+    w0 = qf.gaussian_packet(axes, [0.3] * ndim, [1.2] * ndim, [0.5] * ndim)
+    potential = Potential.box([-3.0] * ndim, [3.0] * ndim, 50.0)
+    dt, n_steps = 0.01, 70 * store_every - 1  # the last gap is short when store_every > 1
+    evolver = _SplitStepEvolver(axes, potential, dt)
+    hv, k = evolver.half_potential, evolver.kinetic
+    fft, ifft = (np.fft.fft, np.fft.ifft) if ndim == 1 else (np.fft.fftn, np.fft.ifftn)
+    a, expect = w0.amplitudes, [w0.amplitudes]
+    for i in range(1, n_steps + 1):
+        a = hv * ifft(k * fft(hv * a))
+        if i % store_every == 0 or i == n_steps:
+            expect.append(a)
+    expect = np.array(expect)
+    assert len(expect) > qf.dynamics._CHUNK
+    source = qf.FrameSource(w0, potential, dt, n_steps, store_every, keep=())
+    streamed = np.concatenate([source.chunk(0), source.chunk(1)])
+    drained = qf.evolve_frames(w0, potential, dt, n_steps, store_every).amplitudes
+    assert np.array_equal(as_bits(streamed), as_bits(expect))
+    assert np.array_equal(as_bits(drained), as_bits(expect))
+
+
+def test_bracket_on_a_list_is_the_searchsorted_bracket():
+    # the velocity field brackets t by bisect on a list of the stored times
+    times = qf.FrameSource(qf.gaussian_packet((qf.uniform_axis(-8, 8, 16),), [0.0], [1.0]),
+                           Potential.free(), 1e-3, 300, 7).times
+    rng = np.random.default_rng(9)
+    ts = np.concatenate([times, times[:-1] + 0.5e-3, rng.uniform(-0.01, 0.31, 200),
+                         np.nextafter(times, -np.inf), np.nextafter(times, np.inf)])
+    for t in ts.tolist():
+        if t <= times[0]:
+            expect = 0, 0.0
+        elif t >= times[-1]:
+            expect = times.size - 2, 1.0
+        else:
+            i = int(np.searchsorted(times, t, side="right")) - 1
+            expect = i, float((t - times[i]) / (times[i + 1] - times[i]))
+        got = qf.dynamics._bracket(times.tolist(), t)
+        assert got[0] == expect[0] and as_bits(got[1]) == as_bits(expect[1]), t
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_max_distance_is_the_largest_norm(ndim):
+    rng = np.random.default_rng(ndim)
+    start = rng.normal(size=(500, ndim))
+    pos = start + rng.normal(scale=10.0 ** rng.integers(-12, 3, (500, 1)), size=(500, ndim))
+    expect = float(np.max(np.linalg.norm(pos - start, axis=1)))
+    assert as_bits(qf.dynamics._max_distance(pos, start)) == as_bits(expect)

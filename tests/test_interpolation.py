@@ -1,5 +1,6 @@
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -96,15 +97,52 @@ def stacked_grids(draw):
     values = rng.normal(size=stack + shape)
     if draw(st.booleans()):
         values = values + 1j * rng.normal(size=stack + shape)
-    # off-grid points over three periods, grid nodes, and the periodic seam
+    return axes, values, _kernel_points(axes, rng)
+
+
+def _kernel_points(axes, rng):
+    """Off-grid points over three periods, grid nodes, and the periodic seam.
+
+    The kernel truncates the wrapped fractional index to find the first tap,
+    which is the floor only because the mod leaves every index in [+0, size]:
+    the seam points are lo, one ulp below lo + L, just below lo, up to one
+    period beyond lo + L, and (when lo is near 0) points whose mod rounds up
+    to exactly L.
+    """
     span = np.array([(a[0], a[-1] + (a[1] - a[0])) for a in axes])
-    width = span[:, 1] - span[:, 0]
-    points = [rng.uniform(span[:, 0] - width, span[:, 1] + width, (40, ndim))]
+    lo, hi = span[:, 0], span[:, 1]
+    width = hi - lo
+    points = [rng.uniform(lo - width, hi + width, (40, len(axes)))]
     points.append(np.stack([a[rng.integers(0, a.size, 10)] for a in axes], axis=1))
-    for edge in (span[:, 0], span[:, 1], np.nextafter(span[:, 0], -np.inf),
-                 np.nextafter(span[:, 1], -np.inf), span[:, 0] - 1e-17):
+    for edge in (lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, -np.inf), lo - 1e-17,
+                 lo - width * 2.0**-60, hi + 0.5 * width, np.nextafter(hi + width, -np.inf)):
         points.append(edge[None, :])
-    return axes, values, np.concatenate(points)
+    return np.concatenate(points)
+
+
+def _seam_case(ndim):
+    """A complex stack on axes from 0: there the points just below the origin
+    wrap to a fractional index of exactly the axis size."""
+    rng = np.random.default_rng(ndim)
+    axes = tuple(qf.uniform_axis(0.0, 3.0, n) for n in (12, 9)[:ndim])
+    shape = tuple(a.size for a in axes)
+    values = rng.normal(size=(2, *shape)) + 1j * rng.normal(size=(2, *shape))
+    return axes, values, _kernel_points(axes, rng)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_seam_case_rounds_up_to_the_period(ndim):
+    axes, values, points = _seam_case(ndim)
+    interp = CubicGridInterpolator(axes, values)
+    idx = interp._fractional_indices(points)
+    sizes = np.array([[a.size] for a in axes], dtype=float)
+    assert np.all(idx >= 0) and np.all(idx <= sizes) and not np.signbit(idx).any()
+    at_size = np.all(idx == sizes, axis=0)
+    assert at_size.sum() >= 2  # np.nextafter(0, -inf) and 0 - 1e-17
+    # index size is index 0 again: the same taps and weights, the same bits
+    origin = np.zeros((1, ndim))
+    assert np.array_equal(_bits(interp(points[at_size])),
+                          _bits(np.repeat(interp(origin), at_size.sum(), axis=-1)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -143,6 +181,8 @@ def test_grid_nodes_return_the_samples(shape, step, origin, complex_values, seed
 
 @settings(max_examples=80, deadline=None)
 @given(stacked_grids())
+@example(_seam_case(1))
+@example(_seam_case(2))
 def test_kernel_matches_map_coordinates(case):
     axes, values, points = case
     interp = CubicGridInterpolator(axes, values)
