@@ -60,6 +60,13 @@ def _print_findings(findings):
         print(f"{f.severity.upper():7s} {f.field}: {f.message}")
 
 
+def _print_tests(tests: dict, spec_hash):
+    """PASS or FAIL for each test, by name, then the spec hash."""
+    for name in sorted(tests):
+        print(f"{'PASS' if tests[name] else 'FAIL'} {name}")
+    print(f"spec hash {spec_hash}")
+
+
 def _run_and_report(spec: experiments.ExperimentSpec, args) -> int:
     spec = spec.with_overrides(args.seed, args.out_dir, args.tolerance_scale)
     try:
@@ -67,10 +74,7 @@ def _run_and_report(spec: experiments.ExperimentSpec, args) -> int:
     except experiments.SpecValidationError as exc:
         _print_findings(exc.findings)
         return EXIT_INVALID
-    for name in sorted(manifest.tests):
-        flag = "PASS" if manifest.tests[name] else "FAIL"
-        print(f"{flag} {name}")
-    print(f"spec hash {manifest.spec_hash}")
+    _print_tests(manifest.tests, manifest.spec_hash)
     print(f"artifacts in {experiments._out_dir_for(spec)}")
     return EXIT_PASS if manifest.passed else EXIT_FAILURE
 
@@ -145,10 +149,7 @@ def main(argv=None) -> int:
         if not (isinstance(manifest, dict) and isinstance(manifest.get("tests", {}), dict)):
             print(f"ERROR   manifest: {args.manifest} is not a run manifest (a JSON object)")
             return EXIT_INVALID
-        for name in sorted(manifest.get("tests", {})):
-            flag = "PASS" if manifest["tests"][name] else "FAIL"
-            print(f"{flag} {name}")
-        print(f"spec hash {manifest.get('spec_hash')}")
+        _print_tests(manifest.get("tests", {}), manifest.get("spec_hash"))
         print(f"tool version {manifest.get('tool_version')}")
         wall = manifest.get("wall_clock_seconds")
         if isinstance(wall, (int, float)):

@@ -11,9 +11,11 @@ Wave evolution is second-order symmetric split-step on a periodic grid:
 Particle velocities follow the probability current, v = Im(grad psi / psi),
 evaluated off-grid by separable cubic interpolation of psi and its spectral
 gradient.  Trajectories integrate that field with RK4 against wave frames
-stored on a fixed dt grid (linear interpolation in time between frames);
-steps that touch a node (|psi| < 1e-8 max|psi|) are halved and retried,
-giving up below dt / 2**10.
+stored on a fixed dt grid (linear interpolation in time between frames).
+The members whose step touches a node (|psi| < 1e-8 max|psi|) take it again
+as two half steps, together; those that touch one again are halved again,
+and a member that still does at dt / 2**10 is frozen.  One RK4 formula,
+``_rk4_batch``, serves every step and every half step.
 
 Frames stream: a FrameSource evolves _CHUNK stored frames at a time, each
 in place in its slot of the chunk (the step's multiplies and FFTs write
@@ -53,7 +55,7 @@ from scipy import linalg, special
 
 from ._kstwo import kstwo_sf
 from .interpolation import CubicGridInterpolator, _inverse_symbol
-from .states import GridWaveFunction, born_density, grid_norm
+from .states import GridWaveFunction, born_density, fix_global_phase
 
 EPS_NODE_FACTOR = 1e-8
 MAX_HALVINGS = 10
@@ -103,10 +105,6 @@ __all__ = [
 
 class NodeProximity(Exception):
     """Velocity requested where |psi| is below the node threshold."""
-
-
-class _StepUnderflow(Exception):
-    """Adaptive halving hit dt / 2**MAX_HALVINGS without clearing a node."""
 
 
 class MomentumResolutionWarning(UserWarning):
@@ -313,7 +311,7 @@ def stationary_state(
     around the unit circle, or at energies above a box wall (34 levels of
     the 512-point duel grid, the first being 84).
     Time-reversal symmetry of the propagator makes the eigenvector real up
-    to a global phase, which is fixed the same way as the dt=None branch.
+    to a global phase, which ``fix_global_phase`` fixes as in the dt=None branch.
     """
     a = np.asarray(axis, dtype=float)
     _, v_h = linalg.eigh(
@@ -322,8 +320,7 @@ def stationary_state(
     vec = v_h[:, 0].astype(complex)
     if dt is not None:
         vec = _propagator_eigenvector(a, potential, dt, vec, level)
-    pivot = vec[np.argmax(np.abs(vec))]
-    vec = vec * (abs(pivot) / pivot)
+    vec = fix_global_phase(vec)
     if np.max(np.abs(vec.imag)) < 1e-9 * np.max(np.abs(vec.real)):
         vec = vec.real.astype(complex)
     return GridWaveFunction((a,), vec)
@@ -660,7 +657,7 @@ class VelocityField:
         """Velocities (n, ndim) and the node mask (n,) at time t.
 
         Velocities on masked points are zeroed; callers decide whether a
-        node is fatal (strict single-point path) or retried (batch path).
+        node is fatal (guiding_velocity) or halves the step (the march).
         """
         pts = points if isinstance(points, np.ndarray) and points.ndim == 2 \
             else np.atleast_2d(np.asarray(points, dtype=float))  # the march's are (n, ndim)
@@ -720,26 +717,30 @@ def _rk4_batch(field: VelocityField, pos, t, h):
     return pos + (h / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4), m1 | m2 | m3 | m4
 
 
-def _velocity_strict(field, x, t):
-    vel, mask = field.velocity(x[None], t)
-    if mask[0]:
-        raise NodeProximity
-    return vel[0]
+def _halve(field, pos, t, h, depth=1):
+    """Two RK4 half steps of h for members (n, D) whose step from t touched a node.
 
-
-def _advance_adaptive(field, x, t, h, depth=0):
-    """RK4 step that halves itself near nodes; underflows past MAX_HALVINGS."""
-    try:
-        v1 = _velocity_strict(field, x, t)
-        v2 = _velocity_strict(field, x + 0.5 * h * v1, t + 0.5 * h)
-        v3 = _velocity_strict(field, x + 0.5 * h * v2, t + 0.5 * h)
-        v4 = _velocity_strict(field, x + h * v3, t + h)
-        return x + (h / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4)
-    except NodeProximity:
-        if depth >= MAX_HALVINGS:
-            raise _StepUnderflow(t)
-        mid = _advance_adaptive(field, x, t, h / 2, depth + 1)
-        return _advance_adaptive(field, mid, t + h / 2, h / 2, depth + 1)
+    Inside each half step the members that touch a node again are halved
+    again; one that still touches a node at depth MAX_HALVINGS underflows
+    and leaves the batch at once.  Overwrites pos and returns it with the
+    (n,) underflow mask; the march discards an underflowed member's row.
+    """
+    h = h / 2
+    under = np.zeros(len(pos), dtype=bool)
+    for s in (t, t + h):
+        live = np.flatnonzero(~under)
+        if not live.size:
+            break
+        new, touched = _rk4_batch(field, pos[live], s, h)
+        if touched.any():
+            j = live[touched]
+            if depth == MAX_HALVINGS:
+                under[j] = True
+            else:
+                new[touched], u = _halve(field, pos[j], s, h, depth + 1)
+                under[j[u]] = True
+        pos[live] = new
+    return pos, under
 
 
 @dataclass(frozen=True)
@@ -748,7 +749,7 @@ class Ensemble:
 
     ``positions[i, j]`` is member j's configuration at ``times[i]``.
     ``seeds[j]`` is member j's seed, and ``frozen_at[j]`` the stored step
-    at which its adaptive step underflowed (it holds its position from
+    at which its halved step underflowed (it holds its position from
     there on), or -1 if it never did.  A march can also record its first
     members' full paths (``head``) and ``max_drift`` (see
     run_bohm_ensemble); ``take`` drops them.
@@ -803,10 +804,11 @@ def run_bohm_ensemble(
 
     ``frames`` is stored (WaveFrames) or streamed (FrameSource); the march
     reads a stream once, forward, and its kept frames are then drained from
-    it.  All members advance together; only members whose RK4 stages touch a
-    node fall back to the per-member adaptive path for that step.  Members
-    whose adaptive step underflows are frozen in place (keeping the shared
-    time grid) and their step is recorded in ``frozen_at``.
+    it.  All members advance together.  The members whose RK4 stages touch a
+    node redo that step as a batch of two half steps, halving again where a
+    half step touches a node (see _halve).  A member whose step underflows
+    dt / 2**MAX_HALVINGS is frozen in place (keeping the shared time grid)
+    and its step is recorded in ``frozen_at``.
 
     The march holds the members' current positions, not their paths.  The
     ensemble keeps the rows at the ``keep`` times (every row when keep is
@@ -831,12 +833,10 @@ def run_bohm_ensemble(
     for i in range(frames.n_frames - 1):
         t, h = float(frames.times[i]), float(frames.times[i + 1] - frames.times[i])
         new_pos, touched = _rk4_batch(field, pos, t, h)
-        if touched.any():
-            for j in np.flatnonzero(touched & ~frozen):
-                try:
-                    new_pos[j] = _advance_adaptive(field, pos[j], t, h)
-                except _StepUnderflow:
-                    frozen_at[j] = i
+        j = np.flatnonzero(touched & ~frozen)
+        if j.size:
+            new_pos[j], under = _halve(field, pos[j], t, h)
+            frozen_at[j[under]] = i
             frozen = frozen_at >= 0
         if frozen.any():
             new_pos[frozen] = pos[frozen]

@@ -38,6 +38,12 @@ _POTENTIAL_PARAMS = {
     "slit-barrier": ("wall_lo", "wall_hi", "slit_centers", "slit_width", "height"),
     "table": ("values",),
 }
+# the tolerances each kind reads
+_TOLERANCES = {
+    "pbr": ("scale", "structure"),
+    "ontic-model-check": ("scale", "consistency"),
+    **dict.fromkeys(WAVE_KINDS, ("scale", "significance", "stationary_density", "constancy")),
+}
 
 __all__ = [
     "ExperimentSpec",
@@ -73,20 +79,7 @@ class ExperimentSpec:
         return float(self.tolerances.get(key, default)) * scale
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "seed": self.seed,
-            "dynamics": self.dynamics,
-            "ensemble_size": self.ensemble_size,
-            "grid": self.grid,
-            "potential": self.potential,
-            "initial_state": self.initial_state,
-            "time": self.time,
-            "params": self.params,
-            "tolerances": self.tolerances,
-            "out_dir": self.out_dir,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentSpec":
@@ -120,8 +113,8 @@ class Finding:
     field: str
     message: str
 
-    def to_json(self):
-        return {"severity": self.severity, "field": self.field, "message": self.message}
+    def to_json(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class SpecValidationError(Exception):
@@ -142,15 +135,8 @@ class RunManifest:
     artifacts: tuple
     passed: bool
 
-    def to_json(self):
-        return {
-            "spec_hash": self.spec_hash,
-            "tool_version": self.tool_version,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "tests": dict(self.tests),
-            "artifacts": list(self.artifacts),
-            "passed": self.passed,
-        }
+    def to_json(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +333,10 @@ def _check(spec: ExperimentSpec):
         error("tolerances", "must be a JSON object")
     else:
         for key, value in spec.tolerances.items():
-            if not _is_number(value):
+            if key not in _TOLERANCES[spec.kind]:
+                error(f"tolerances.{key}", f"{spec.kind} experiments read no tolerance {key!r}; "
+                      f"known: {', '.join(_TOLERANCES[spec.kind])}")
+            elif not _is_number(value):
                 error(f"tolerances.{key}", f"must be a finite number, got {value!r}")
 
     if spec.kind in ("pbr", "ontic-model-check"):

@@ -182,6 +182,7 @@ PROBES = {
     "fractional-grid-points": ({"grid.points": [64.5]}, "grid.points"),
     "seed-string": ({"seed": "7"}, "seed"),
     "tolerance-string": ({"tolerances": {"significance": "x"}}, "tolerances.significance"),
+    "tolerance-misspelt": ({"tolerances": {"signifcance": 0.01}}, "tolerances.signifcance"),
     "box-without-height": (
         {"potential": {"kind": "box", "inner_lo": [-1.0], "inner_hi": [1.0]}},
         "potential.height",

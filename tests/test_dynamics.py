@@ -374,6 +374,105 @@ def test_exact_node_start_freezes_ensemble_member():
     assert np.all(frozen == frozen[0])
 
 
+class _Underflow(Exception):
+    """The reference fallback reached dt / 2**MAX_HALVINGS at a node."""
+
+
+def _velocity_strict(field, x, t):
+    vel, mask = field.velocity(x[None], t)
+    if mask[0]:
+        raise qf.NodeProximity
+    return vel[0]
+
+
+def _advance_adaptive(field, x, t, h, depth=0):
+    """The per-member node fallback the march once had: an RK4 step of one
+    member that halves itself near nodes and underflows past MAX_HALVINGS."""
+    try:
+        v1 = _velocity_strict(field, x, t)
+        v2 = _velocity_strict(field, x + 0.5 * h * v1, t + 0.5 * h)
+        v3 = _velocity_strict(field, x + 0.5 * h * v2, t + 0.5 * h)
+        v4 = _velocity_strict(field, x + h * v3, t + h)
+        return x + (h / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4)
+    except qf.NodeProximity:
+        if depth >= qf.dynamics.MAX_HALVINGS:
+            raise _Underflow
+        mid = _advance_adaptive(field, x, t, h / 2, depth + 1)
+        return _advance_adaptive(field, mid, t + h / 2, h / 2, depth + 1)
+
+
+def scalar_fallback_march(frames, q0, outcomes):
+    """Every row and frozen_at of a march whose touched members take the
+    per-member fallback one at a time; counts its member-steps that
+    recover and that freeze in ``outcomes``."""
+    field = qf.VelocityField(frames)
+    pos = np.asarray(q0, dtype=float)
+    rows, frozen_at = [pos], np.full(len(pos), -1)
+    lo, length = qf.dynamics._periods(frames.axes)
+    for i in range(frames.n_frames - 1):
+        t, h = float(frames.times[i]), float(frames.times[i + 1] - frames.times[i])
+        new_pos, touched = qf.dynamics._rk4_batch(field, pos, t, h)
+        for j in np.flatnonzero(touched & (frozen_at < 0)):
+            try:
+                new_pos[j] = _advance_adaptive(field, pos[j], t, h)
+                outcomes["recovered"] += 1
+            except _Underflow:
+                frozen_at[j] = i
+                outcomes["frozen"] += 1
+        frozen = frozen_at >= 0
+        new_pos[frozen] = pos[frozen]
+        pos = qf.dynamics._wrap_positions(new_pos, lo, length)
+        rows.append(pos)
+    return np.array(rows), frozen_at
+
+
+def node_fallback_case(case):
+    """Frames and starts whose long steps (ten and fifteen split steps) make
+    members both halve and recover and freeze once node_factor is raised:
+    the odd state with its lobes moving onto the node, 301 members, and a
+    moving Gaussian in a 2-D box, 200 members."""
+    if case == "odd":
+        ax = qf.uniform_axis(-16, 16, 256)
+        w0 = qf.GridWaveFunction((ax,), np.exp(-((ax - 3.0) ** 2) / 4 - 1.5j * ax)
+                                 - np.exp(-((ax + 3.0) ** 2) / 4 + 1.5j * ax))
+        q0 = np.concatenate([[[0.0]], qf.born_sample_many(w0, 300, 3)])
+        return qf.evolve_frames(w0, Potential.free(), 0.04, 83, 10), q0
+    ax = qf.uniform_axis(-4, 4, 32)
+    w0 = qf.gaussian_packet((ax, ax), [0.3, -0.2], [0.7, 0.6], [2.0, 1.0])
+    potential = Potential.box([-2.5, -2.5], [2.5, 2.5], 50.0)
+    return qf.evolve_frames(w0, potential, 0.01, 200, 15), qf.born_sample_many(w0, 200, 4)
+
+
+@pytest.mark.parametrize("case", ["odd", "box"])
+def test_batched_node_fallback_is_the_scalar_fallback(monkeypatch, case):
+    """The march halves its touched members as a batch and gives the bits of
+    the per-member fallback, with node_factor raised so that some
+    member-steps halve and recover and some freeze.  An underflowed member
+    leaves its batch at once: kept in, it walks every branch of its step
+    down to depth MAX_HALVINGS, and the 2-D march at 0.9 makes thousands
+    more velocity calls than its 1,400."""
+    frames, q0 = node_fallback_case(case)
+    calls = collections.Counter()
+    velocity = qf.VelocityField.velocity
+
+    def counted(self, *args):
+        calls[factor] += 1
+        return velocity(self, *args)
+
+    for factor in (0.05, 0.3, 0.9):
+        monkeypatch.setattr(qf.VelocityField.__init__, "__defaults__", (factor,))
+        outcomes = collections.Counter()
+        positions, frozen_at = scalar_fallback_march(frames, q0, outcomes)
+        with monkeypatch.context() as m:
+            m.setattr(qf.VelocityField, "velocity", counted)
+            ensemble = qf.run_bohm_ensemble(frames, q0)
+        assert np.array_equal(as_bits(ensemble.positions), as_bits(positions)), factor
+        assert np.array_equal(ensemble.frozen_at, frozen_at), factor
+        assert outcomes["recovered"] > 0 and outcomes["frozen"] > 0, (factor, outcomes)
+    if case == "box":
+        assert calls[0.9] <= 1700, calls
+
+
 # ---------------------------------------------------------------------------
 # Born sampling and RDMP
 # ---------------------------------------------------------------------------
