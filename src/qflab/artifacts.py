@@ -8,6 +8,12 @@ followed by raw little-endian complex128 bytes in C order.  The values a
 run hands to the writers repeat bit for bit only at a fixed BLAS thread
 count: OpenBLAS rounds the eigen-solve and LU steps of a stationary state
 differently when it runs threaded.
+
+Records are written by one rule: an object with a ``to_json`` method is
+written as what it returns, and any other dataclass as the dict of its
+fields, ``{f.name: getattr(obj, f.name) for f in fields(obj)}``.  A record
+defines ``to_json`` only when its JSON differs from its fields or other
+code reads that dict.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import hashlib
 import itertools
 import json
 import struct
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,11 +58,15 @@ def _str_keys(obj):
 
 
 def _json_default(obj):
-    """The Python value json writes for a numpy array or real scalar."""
+    """The Python value json writes for a numpy array or real scalar, or a record."""
     if isinstance(obj, np.ndarray):
         return _str_keys(obj.tolist())
     if isinstance(obj, (np.floating, np.integer, np.bool_)):  # longdouble.item() is a longdouble
         return float(obj) if isinstance(obj, np.floating) else obj.item()
+    if hasattr(obj, "to_json"):
+        return _str_keys(obj.to_json())
+    if is_dataclass(obj):
+        return _str_keys({f.name: getattr(obj, f.name) for f in fields(obj)})
     raise TypeError(f"{type(obj).__name__} is not JSON serializable; complex values must be "
                     "split into [re, im] before writing")
 

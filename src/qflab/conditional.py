@@ -392,14 +392,6 @@ class AutonomyReport:
     branch_index: int
     max_distance: float
 
-    def to_json(self):
-        return {
-            "times": self.times.tolist(),
-            "distances": self.distances.tolist(),
-            "branch_index": self.branch_index,
-            "max_distance": self.max_distance,
-        }
-
 
 def schrodinger_autonomy_check(
     frames: WaveFrames,

@@ -759,7 +759,6 @@ class Ensemble:
     positions: np.ndarray  # (T, N, D)
     seeds: np.ndarray  # (N,)
     frozen_at: np.ndarray  # (N,)
-    spec_ref: str | None = None
     head: Ensemble | None = None  # the first members at every stored step
     max_drift: float | None = None  # largest |Q_j(t) - Q_j(0)| over every stored step
 
@@ -773,8 +772,7 @@ class Ensemble:
 
     def take(self, steps) -> "Ensemble":
         """These stored steps of every member; frozen_at still counts steps of the full grid."""
-        return Ensemble(self.times[steps], self.positions[steps], self.seeds, self.frozen_at,
-                        self.spec_ref)
+        return Ensemble(self.times[steps], self.positions[steps], self.seeds, self.frozen_at)
 
 
 def _member_seeds(seed: int, n: int) -> np.ndarray:
@@ -795,7 +793,6 @@ def run_bohm_ensemble(
     frames: WaveFrames | FrameSource,
     positions0: np.ndarray,
     seed: int = 0,
-    spec_ref: str | None = None,
     keep=None,
     head: int = 0,
     drift: bool = False,
@@ -807,8 +804,8 @@ def run_bohm_ensemble(
     it.  All members advance together.  The members whose RK4 stages touch a
     node redo that step as a batch of two half steps, halving again where a
     half step touches a node (see _halve).  A member whose step underflows
-    dt / 2**MAX_HALVINGS is frozen in place (keeping the shared time grid)
-    and its step is recorded in ``frozen_at``.
+    dt / 2**MAX_HALVINGS is frozen in place (keeping the shared time grid),
+    its step is recorded in ``frozen_at``, and it leaves the batch.
 
     The march holds the members' current positions, not their paths.  The
     ensemble keeps the rows at the ``keep`` times (every row when keep is
@@ -832,8 +829,14 @@ def run_bohm_ensemble(
     lo, length = _periods(frames.axes)
     for i in range(frames.n_frames - 1):
         t, h = float(frames.times[i]), float(frames.times[i + 1] - frames.times[i])
-        new_pos, touched = _rk4_batch(field, pos, t, h)
-        j = np.flatnonzero(touched & ~frozen)
+        if frozen.any():  # frozen members leave the batch
+            live = np.flatnonzero(~frozen)
+            new_pos = pos.copy()
+            new_pos[live], touched = _rk4_batch(field, pos[live], t, h)
+            j = live[touched]
+        else:
+            new_pos, touched = _rk4_batch(field, pos, t, h)
+            j = np.flatnonzero(touched)
         if j.size:
             new_pos[j], under = _halve(field, pos[j], t, h)
             frozen_at[j[under]] = i
@@ -847,9 +850,8 @@ def run_bohm_ensemble(
         if drift:
             max_drift = max(max_drift, _max_distance(pos, start))
     seeds = _member_seeds(seed, len(pos))
-    head_paths = Ensemble(frames.times, paths, seeds[:head], frozen_at[:head], spec_ref) \
-        if head else None
-    return Ensemble(frames.times[rows], kept, seeds, frozen_at, spec_ref, head_paths, max_drift)
+    head_paths = Ensemble(frames.times, paths, seeds[:head], frozen_at[:head]) if head else None
+    return Ensemble(frames.times[rows], kept, seeds, frozen_at, head_paths, max_drift)
 
 
 def _max_distance(pos: np.ndarray, start: np.ndarray) -> float:
@@ -900,7 +902,6 @@ def rdmp_ensemble(
     sample_times,
     n: int,
     seed: int,
-    spec_ref: str | None = None,
 ) -> Ensemble:
     """n independent random-jump trajectories over shared frames.
 
@@ -918,7 +919,7 @@ def rdmp_ensemble(
         _BornSampler(frames.wavefunction(i)).points(u[:, 0], u[:, 1:])
         for i, u in zip(indices, draws)
     ])
-    return Ensemble(frames.times[indices], positions, seeds, np.full(n, -1), spec_ref)
+    return Ensemble(frames.times[indices], positions, seeds, np.full(n, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -933,14 +934,6 @@ class GoodnessOfFit:
     p_value: float
     passed: bool
 
-    def to_json(self):
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class EquivarianceReport:
@@ -951,23 +944,11 @@ class EquivarianceReport:
     ks_marginals: tuple
     passed: bool
 
-    def to_json(self):
-        return {
-            "time": self.time,
-            "n_samples": self.n_samples,
-            "significance": self.significance,
-            "chi_square": self.chi_square.to_json(),
-            "ks_marginals": [g.to_json() for g in self.ks_marginals],
-            "passed": self.passed,
-        }
 
-
-def _grid_bin_edges(w: GridWaveFunction, n_bins_axis):
-    edges = []
-    for d, a in enumerate(w.axes):
-        lo, hi = w.bounds[d]
-        edges.append(np.linspace(lo, hi, n_bins_axis[d] + 1))
-    return edges
+def _grid_bin_edges(w: GridWaveFunction, n_samples: int):
+    """Bin edges over each axis of w's box, sqrt(n_samples) bins in all."""
+    per_axis = max(2, int(round(np.sqrt(n_samples) ** (1.0 / w.ndim))))
+    return [np.linspace(lo, hi, per_axis + 1) for lo, hi in w.bounds]
 
 
 def _axis_overlap_matrix(a, bounds, bin_edges):
@@ -1012,9 +993,8 @@ def chi_square_gof(
     class; degrees of freedom are classes minus one.
     """
     samples = np.atleast_2d(samples)
-    n, ndim = samples.shape
-    per_axis = max(2, int(round(np.sqrt(n) ** (1.0 / ndim))))
-    edges = _grid_bin_edges(w, [per_axis] * ndim)
+    n = len(samples)
+    edges = _grid_bin_edges(w, n)
     observed, _ = np.histogramdd(samples, bins=edges)
     expected = _expected_counts(w, edges, n)
     obs, exp = observed.ravel(), expected.ravel()
@@ -1118,16 +1098,6 @@ class DivergenceReport:
     bohm_mean_step: float
     rdmp_mean_step: float
 
-    def to_json(self):
-        return {
-            "times": self.times.tolist(),
-            "tv_distance": self.tv_distance.tolist(),
-            "tv_threshold": self.tv_threshold,
-            "tv_passed": self.tv_passed,
-            "bohm_mean_step": self.bohm_mean_step,
-            "rdmp_mean_step": self.rdmp_mean_step,
-        }
-
 
 def _tv_between_samples(a: np.ndarray, b: np.ndarray, edges) -> float:
     ha, _ = np.histogramdd(a, bins=edges)
@@ -1155,10 +1125,7 @@ def compare_bohm_rdmp(
         raise ValueError(f"ensemble sizes differ: {bohm.size} vs {rdmp.size}")
     ensemble_size = bohm.size
     ts = np.asarray(sample_times, dtype=float)
-    w0 = frames.wavefunction(0)
-    ndim = len(frames.axes)
-    per_axis = max(2, int(round(np.sqrt(ensemble_size) ** (1.0 / ndim))))
-    edges = _grid_bin_edges(w0, [per_axis] * ndim)
+    edges = _grid_bin_edges(frames.wavefunction(0), ensemble_size)
     n_bins = int(np.prod([len(e) - 1 for e in edges]))
     threshold = tv_factor * np.sqrt(n_bins / ensemble_size)
     tv = np.array(

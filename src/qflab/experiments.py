@@ -113,9 +113,6 @@ class Finding:
     field: str
     message: str
 
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 class SpecValidationError(Exception):
     """Spec rejected; findings list the offending fields."""
@@ -134,9 +131,6 @@ class RunManifest:
     tests: dict
     artifacts: tuple
     passed: bool
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +570,7 @@ def _wave_pipeline(
     if bohm:
         q0 = dyn.born_sample_many(w0, spec.ensemble_size, dyn.derive_seed(spec.seed, 1))
         ensemble = dyn.run_bohm_ensemble(
-            source, q0, seed=dyn.derive_seed(spec.seed, 1), spec_ref=spec.name,
-            keep=keep, head=10, drift=is_box,
+            source, q0, seed=dyn.derive_seed(spec.seed, 1), keep=keep, head=10, drift=is_box,
         )
     frames = source.drain()
     # indices of the sample times in the kept frames and the kept rows alike
@@ -607,7 +600,7 @@ def _wave_pipeline(
             t_screen,
             significance=spec.tolerance("significance", dyn.CHI2_SIGNIFICANCE),
         )
-        files.append(art.write_json(out / "equivariance.json", report.to_json()))
+        files.append(art.write_json(out / "equivariance.json", report))
         tests["equivariance"] = report.passed
 
         if is_box:
@@ -618,7 +611,7 @@ def _wave_pipeline(
 
     if spec.dynamics in ("rdmp", "both"):
         rensemble = dyn.rdmp_ensemble(
-            frames, snapped, spec.ensemble_size, dyn.derive_seed(spec.seed, 2), spec.name
+            frames, snapped, spec.ensemble_size, dyn.derive_seed(spec.seed, 2)
         )
         files.append(art.write_ensemble_csv(out / "rdmp_positions.csv", rensemble))
         gofs = []
@@ -628,13 +621,13 @@ def _wave_pipeline(
                 frames.wavefunction(i),
                 significance=spec.tolerance("significance", dyn.CHI2_SIGNIFICANCE),
             )
-            gofs.append({"time": t, **gof.to_json()})
+            gofs.append({"time": t, **vars(gof)})
         files.append(art.write_json(out / "rdmp_marginals.json", gofs))
         tests["rdmp-marginals"] = all(g["passed"] for g in gofs)
 
     if spec.dynamics == "both":
         duel = dyn.compare_bohm_rdmp(frames, snapped, ensemble, rensemble)
-        files.append(art.write_json(out / "bohm_vs_rdmp.json", duel.to_json()))
+        files.append(art.write_json(out / "bohm_vs_rdmp.json", duel))
         tests["tv-agreement"] = duel.tv_passed
 
 
@@ -668,17 +661,17 @@ def _pbr_pipeline(spec: ExperimentSpec, out: Path, tests: dict, files: list):
     revised = om.build_revised_overlap_model(catalog, measurements)
 
     outcomes = {
-        "random-epistemic": om.pbr_contradiction(random_model).to_json(),
-        "trivial-ontic": om.pbr_contradiction(trivial).to_json(),
-        "revised-overlap": om.pbr_contradiction(revised).to_json(),
+        "random-epistemic": om.pbr_contradiction(random_model),
+        "trivial-ontic": om.pbr_contradiction(trivial),
+        "revised-overlap": om.pbr_contradiction(revised),
+        "random-epistemic-consistency": om.check_consistency(random_model),
     }
-    outcomes["random-epistemic-consistency"] = om.check_consistency(random_model).to_json()
     files.append(art.write_json(out / "contradiction.json", outcomes))
-    files.append(art.write_json(out / "random_model.json", random_model.to_json()))
-    tests["contradiction"] = outcomes["random-epistemic"]["derivable"]
-    tests["trivial-not-derivable"] = not outcomes["trivial-ontic"]["derivable"]
-    tests["revised-blocked"] = not outcomes["revised-overlap"]["derivable"]
-    tests["random-model-consistent"] = outcomes["random-epistemic-consistency"]["passed"]
+    files.append(art.write_json(out / "random_model.json", random_model))
+    tests["contradiction"] = outcomes["random-epistemic"].derivable
+    tests["trivial-not-derivable"] = not outcomes["trivial-ontic"].derivable
+    tests["revised-blocked"] = not outcomes["revised-overlap"].derivable
+    tests["random-model-consistent"] = outcomes["random-epistemic-consistency"].passed
 
 
 def _ontic_check_pipeline(spec: ExperimentSpec, out: Path, tests: dict, files: list):
@@ -686,14 +679,14 @@ def _ontic_check_pipeline(spec: ExperimentSpec, out: Path, tests: dict, files: l
         n_cells=int(spec.params.get("n_cells", 64)),
         levels=tuple(spec.params.get("levels", (1, 2))),
     )
-    files.append(art.write_json(out / "box_model.json", model.to_json()))
+    files.append(art.write_json(out / "box_model.json", model))
 
     consistency = om.check_consistency(model, tol=spec.tolerance("consistency", 1e-12))
-    files.append(art.write_json(out / "consistency.json", consistency.to_json()))
+    files.append(art.write_json(out / "consistency.json", consistency))
     tests["consistency"] = consistency.passed
 
     overlap_report = om.classify(model)
-    files.append(art.write_json(out / "classification.json", overlap_report.to_json()))
+    files.append(art.write_json(out / "classification.json", overlap_report))
     n = len(model.preparations)
     tests["epistemic-pairs"] = (
         overlap_report.classification == "psi-epistemic"
@@ -701,12 +694,12 @@ def _ontic_check_pipeline(spec: ExperimentSpec, out: Path, tests: dict, files: l
     )
 
     outcome = om.pbr_contradiction(model)
-    files.append(art.write_json(out / "contradiction.json", outcome.to_json()))
+    files.append(art.write_json(out / "contradiction.json", outcome))
     tests["not-derivable"] = not outcome.derivable
 
     projected = om.standard_projection(model)
     proj_consistency = om.check_consistency(projected)
-    files.append(art.write_json(out / "projection_consistency.json", proj_consistency.to_json()))
+    files.append(art.write_json(out / "projection_consistency.json", proj_consistency))
     tests["projection-fails"] = not proj_consistency.passed
 
     files.append(
@@ -727,11 +720,9 @@ def run(spec: ExperimentSpec) -> RunManifest:
     tests: dict = {}
     files: list = []
 
-    files.append(art.write_json(out / "spec.json", spec.to_json()))
+    files.append(art.write_json(out / "spec.json", spec))
     if findings:
-        files.append(
-            art.write_json(out / "findings.json", [f.to_json() for f in findings])
-        )
+        files.append(art.write_json(out / "findings.json", findings))
 
     if spec.kind in WAVE_KINDS:
         _wave_pipeline(spec, w0, out, tests, files)
@@ -750,5 +741,5 @@ def run(spec: ExperimentSpec) -> RunManifest:
         artifacts=tuple(sorted(p.name for p in files)),
         passed=all(tests.values()) if tests else True,
     )
-    art.write_json(out / "manifest.json", manifest.to_json())
+    art.write_json(out / "manifest.json", manifest)
     return manifest

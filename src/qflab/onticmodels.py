@@ -374,15 +374,6 @@ class PbrOutcome:
     common_support_size: int = 0
     response_sum_bound: float | None = None
 
-    def to_json(self):
-        return {
-            "derivable": self.derivable,
-            "reason": self.reason,
-            "witness": list(self.witness) if self.witness else None,
-            "common_support_size": self.common_support_size,
-            "response_sum_bound": self.response_sum_bound,
-        }
-
 
 def pbr_contradiction(
     model: OntologicalModel,
@@ -582,14 +573,6 @@ class DistinctnessReport:
     worst_overlap: float
     tol: float
     passed: bool
-
-    def to_json(self):
-        return {
-            "pairs": [list(p) for p in self.pairs],
-            "worst_overlap": self.worst_overlap,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 def _distinguishing_measurement(model, a, b, support_tol=1e-12):

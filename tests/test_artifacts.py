@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qflab.artifacts import (
     write_json,
 )
 from qflab.dynamics import Potential
+from test_conditional import two_branch_state
 
 
 def test_canonical_json_sorts_and_minimizes():
@@ -108,6 +110,100 @@ def test_canonical_json_writes_a_zero_d_array_as_its_value():
         _reference_json({"a": np.array(0.5)})
     assert canonical_json({"a": np.array(0.5), "n": np.array([np.int64(2)])[0]}) == \
         '{"a":0.5,"n":2}'
+
+
+# The to_json methods these records had before canonical_json wrote a record
+# without one as the dict of its fields: the reference its bytes must keep.
+def _gof_to_json(r):
+    return {"name": r.name, "statistic": r.statistic, "p_value": r.p_value, "passed": r.passed}
+
+
+_OLD_TO_JSON = {
+    qf.dynamics.GoodnessOfFit: _gof_to_json,
+    qf.dynamics.EquivarianceReport: lambda r: {
+        "time": r.time,
+        "n_samples": r.n_samples,
+        "significance": r.significance,
+        "chi_square": _gof_to_json(r.chi_square),
+        "ks_marginals": [_gof_to_json(g) for g in r.ks_marginals],
+        "passed": r.passed,
+    },
+    qf.dynamics.DivergenceReport: lambda r: {
+        "times": r.times.tolist(),
+        "tv_distance": r.tv_distance.tolist(),
+        "tv_threshold": r.tv_threshold,
+        "tv_passed": r.tv_passed,
+        "bohm_mean_step": r.bohm_mean_step,
+        "rdmp_mean_step": r.rdmp_mean_step,
+    },
+    qf.onticmodels.PbrOutcome: lambda r: {
+        "derivable": r.derivable,
+        "reason": r.reason,
+        "witness": list(r.witness) if r.witness else None,
+        "common_support_size": r.common_support_size,
+        "response_sum_bound": r.response_sum_bound,
+    },
+    qf.onticmodels.DistinctnessReport: lambda r: {
+        "pairs": [list(p) for p in r.pairs],
+        "worst_overlap": r.worst_overlap,
+        "tol": r.tol,
+        "passed": r.passed,
+    },
+    qf.conditional.AutonomyReport: lambda r: {
+        "times": r.times.tolist(),
+        "distances": r.distances.tolist(),
+        "branch_index": r.branch_index,
+        "max_distance": r.max_distance,
+    },
+    qf.experiments.Finding: lambda r: {"severity": r.severity, "field": r.field,
+                                       "message": r.message},
+    qf.experiments.RunManifest: lambda r: {
+        "spec_hash": r.spec_hash,
+        "tool_version": r.tool_version,
+        "wall_clock_seconds": r.wall_clock_seconds,
+        "tests": r.tests,
+        "artifacts": r.artifacts,
+        "passed": r.passed,
+    },
+}
+
+
+def _records(tmp_path):
+    """Real instances of every record type in _OLD_TO_JSON."""
+    ax = qf.uniform_axis(-8.0, 8.0, 64)
+    w0 = qf.gaussian_packet((ax,), [0.0], [1.0], [0.5])
+    frames = qf.evolve_frames(w0, Potential.free(), 0.01, 20)
+    times = [0.1, 0.2]
+    bohm = qf.run_bohm_ensemble(frames, qf.born_sample_many(w0, 120, 1))
+    rdmp = qf.rdmp_ensemble(frames, times, 120, 2)
+    yield qf.equivariance_test(bohm, frames.wavefunction(20), 0.2)
+    yield qf.chi_square_gof(rdmp.positions_at(0.1), frames.wavefunction(10))
+    yield qf.compare_bohm_rdmp(frames, times, bohm, rdmp)
+
+    model = qf.random_epistemic_model(overlap=0.25, seed=3)
+    trivial = qf.build_trivial_ontic_model(dict(model.catalog), dict(model.measurements))
+    revised = qf.build_revised_overlap_model(dict(model.catalog), dict(model.measurements))
+    yield from (qf.pbr_contradiction(m) for m in (model, trivial, revised))
+    yield qf.orthogonal_distinctness_check(model)
+    yield qf.orthogonal_distinctness_check(trivial)
+
+    joint, (_, ay), _, g = two_branch_state(nx=64, ny=64)
+    y_path = qf.run_bohm_ensemble(
+        qf.evolve_frames(qf.GridWaveFunction((ay,), g[1]), Potential.free(), 0.01, 5), [[5.0]])
+    yield qf.schrodinger_autonomy_check(
+        qf.evolve_frames(joint, Potential.free(), 0.01, 5), qf.SubsystemSplit((0,), (1,)),
+        y_path, Potential.free())
+
+    spec = qf.preset("pbr").with_overrides(out_dir=tmp_path)
+    yield from qf.validate(replace(spec, grid={"lo": [0.0]}, tolerances={"misspelt": 1.0}))
+    yield qf.run(spec)
+
+
+def test_records_keep_the_bytes_of_their_old_to_json(tmp_path):
+    records = list(_records(tmp_path))
+    assert {type(r) for r in records} == set(_OLD_TO_JSON)
+    for r in records:
+        assert canonical_json(r) == canonical_json(_OLD_TO_JSON[type(r)](r)), type(r).__name__
 
 
 def test_spec_hash_stable_under_key_order_and_out_dir():

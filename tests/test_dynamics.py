@@ -450,14 +450,17 @@ def test_batched_node_fallback_is_the_scalar_fallback(monkeypatch, case):
     member-steps halve and recover and some freeze.  An underflowed member
     leaves its batch at once: kept in, it walks every branch of its step
     down to depth MAX_HALVINGS, and the 2-D march at 0.9 makes thousands
-    more velocity calls than its 1,400."""
+    more velocity calls than its 1,400.  A frozen member leaves the march's
+    batch too: kept in, it costs four velocity points on every later step,
+    and the 2-D march at 0.9 evaluates 19,948 points instead of 9,828."""
     frames, q0 = node_fallback_case(case)
-    calls = collections.Counter()
+    calls, points = collections.Counter(), collections.Counter()
     velocity = qf.VelocityField.velocity
 
-    def counted(self, *args):
+    def counted(self, pts, t):
         calls[factor] += 1
-        return velocity(self, *args)
+        points[factor] += len(pts)
+        return velocity(self, pts, t)
 
     for factor in (0.05, 0.3, 0.9):
         monkeypatch.setattr(qf.VelocityField.__init__, "__defaults__", (factor,))
@@ -471,6 +474,7 @@ def test_batched_node_fallback_is_the_scalar_fallback(monkeypatch, case):
         assert outcomes["recovered"] > 0 and outcomes["frozen"] > 0, (factor, outcomes)
     if case == "box":
         assert calls[0.9] <= 1700, calls
+        assert points[0.9] <= 10_000, points
 
 
 # ---------------------------------------------------------------------------

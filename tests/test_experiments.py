@@ -8,7 +8,7 @@ import pytest
 
 import qflab as qf
 import qflab.dynamics as dyn
-from qflab.artifacts import read_json
+from qflab.artifacts import canonical_json, read_json
 from qflab.experiments import SpecValidationError
 
 
@@ -219,7 +219,7 @@ class TestRun:
         assert rep.tv_passed
         assert rep.rdmp_mean_step > rep.bohm_mean_step
         qf.run(spec)
-        assert read_json(tmp_path / "tiny" / "bohm_vs_rdmp.json") == rep.to_json()
+        assert read_json(tmp_path / "tiny" / "bohm_vs_rdmp.json") == json.loads(canonical_json(rep))
 
     def test_run_builds_each_object_once(self, tmp_path, monkeypatch):
         calls = Counter()

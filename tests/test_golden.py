@@ -7,8 +7,11 @@ wave pipeline was streamed through frame chunks.  The golden-box digests
 were recorded when stationary states moved from a dense ``eig`` of the
 one-step propagator to a Rayleigh-quotient solve: its eigenvector, and
 so every file built from it but ``spec.json`` and ``rdmp_positions.csv``,
-changed in the last digits.  Every artifact except ``manifest.json`` (it
-holds the wall-clock time) must keep them.
+changed in the last digits.  The golden-pbr and golden-nomological
+digests, the ``pbr`` and ``box-nomological`` presets under other names,
+were recorded before the finite-model records lost their own ``to_json``
+methods to the one rule of ``artifacts``.  Every artifact except
+``manifest.json`` (it holds the wall-clock time) must keep them.
 
 FFTs (which also give the spline coefficients) and libm may round
 differently in other numpy or scipy releases, so the test runs only with
@@ -59,6 +62,20 @@ SLIT = {
     "time": {"dt": 0.002, "t_end": 0.4, "store_every": 2, "sample_times": [0.0, 0.2, 0.4]},
 }
 
+# the pbr and box-nomological presets
+PBR = {
+    "name": "golden-pbr",
+    "kind": "pbr",
+    "seed": 3,
+    "params": {"overlap": 0.25, "n_shared": 4, "n_exclusive": 6},
+}
+
+NOMOLOGICAL = {
+    "name": "golden-nomological",
+    "kind": "ontic-model-check",
+    "params": {"n_cells": 64, "levels": [1, 2]},
+}
+
 DIGESTS = {
     "golden-box": {
         "bohm_positions.csv": "d23a58c3c2a0eadac565b798995daecd50f9ce0b9f1853c6e20b929130721062",
@@ -77,6 +94,21 @@ DIGESTS = {
         "spec.json": "3ff1ffb9cdc39a5942e3d40a2049f7748df8cd1e852f9f47402f25a5b6a82e7e",
         "wave_frames.bin": "a0ef4f504fb3e82fff520dc7c2b1f6abfaebb4e9b16bf77d40d24c2792cca0b5",
     },
+    "golden-pbr": {
+        "contradiction.json": "0a9f537096ae68f24f57b04ae1c59777bf8d50156ef05c8c4b4c421dd7fb194a",
+        "pbr_structure.json": "e7c1411271958c443c9e333fb4e3ace617421c5bc03f9adc5145aa6604b116c9",
+        "random_model.json": "8d87d09147779bf0c65968d8bcb187d304416eac728ae4dee7f45d6f978c16e2",
+        "spec.json": "dea1effc23d8a586ca5eb7d666ecc907e24833abb6e65436a57998efbe86b8f7",
+    },
+    "golden-nomological": {
+        "box_model.json": "124628debf12b79a68d0c520125e9a2e74172ab7a8e48ca4f8bde8ea470e2aa3",
+        "classification.json": "2bbc6296e822d8835f21009d8058952ec1c08baae774190887e2212071f13696",
+        "consistency.json": "bf5144c753cec9819ec9e26eda7e30f2485c4b1e347c18b0ee20c518ea7e3ccd",
+        "contradiction.json": "7c361c58c71fb0cff2f1ecc87ad5780ed411d4b199a5325f5c40f1c083e0f9f6",
+        "double_sum.json": "3f00fab6ccc4fe86c4c1512a5d31e50f2bf4095ddb454d96a4ed30f62eef2e99",
+        "projection_consistency.json": "6d0621fed5ffb02deb18bad5033e45b2be262460dd369420730dd54397fa6288",
+        "spec.json": "cb4e2c08c2513fba04400130c05cc21ec485e8c1531ada516ad2ef8fc354b1f6",
+    },
 }
 
 
@@ -88,7 +120,7 @@ DIGESTS = {
         "floating-point results may differ in the last bit"
     ),
 )
-@pytest.mark.parametrize("body", [BOX, SLIT], ids=lambda b: b["name"])
+@pytest.mark.parametrize("body", [BOX, SLIT, PBR, NOMOLOGICAL], ids=lambda b: b["name"])
 def test_artifact_digests_pinned(body, tmp_path):
     # out_dir stays null in spec.json; the run root comes from the environment
     spec = tmp_path / "spec.json"
