@@ -11,9 +11,8 @@ differently when it runs threaded.
 
 Records are written by one rule: an object with a ``to_json`` method is
 written as what it returns, and any other dataclass as the dict of its
-fields, ``{f.name: getattr(obj, f.name) for f in fields(obj)}``.  A record
-defines ``to_json`` only when its JSON differs from its fields or other
-code reads that dict.
+fields, ``record_dict(obj)``.  A record defines ``to_json`` only when its
+JSON differs from its fields or other code reads that dict.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ FRAME_FORMAT = "wave-frames-v1"
 
 __all__ = [
     "canonical_json",
+    "record_dict",
     "sha256_of_json",
     "spec_hash",
     "write_json",
@@ -57,6 +57,11 @@ def _str_keys(obj):
     return obj
 
 
+def record_dict(obj) -> dict:
+    """A dataclass record as the dict of its fields, the JSON a record gets."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _json_default(obj):
     """The Python value json writes for a numpy array or real scalar, or a record."""
     if isinstance(obj, np.ndarray):
@@ -66,7 +71,7 @@ def _json_default(obj):
     if hasattr(obj, "to_json"):
         return _str_keys(obj.to_json())
     if is_dataclass(obj):
-        return _str_keys({f.name: getattr(obj, f.name) for f in fields(obj)})
+        return _str_keys(record_dict(obj))
     raise TypeError(f"{type(obj).__name__} is not JSON serializable; complex values must be "
                     "split into [re, im] before writing")
 

@@ -829,20 +829,14 @@ def run_bohm_ensemble(
     lo, length = _periods(frames.axes)
     for i in range(frames.n_frames - 1):
         t, h = float(frames.times[i]), float(frames.times[i + 1] - frames.times[i])
-        if frozen.any():  # frozen members leave the batch
-            live = np.flatnonzero(~frozen)
-            new_pos = pos.copy()
-            new_pos[live], touched = _rk4_batch(field, pos[live], t, h)
-            j = live[touched]
-        else:
-            new_pos, touched = _rk4_batch(field, pos, t, h)
-            j = np.flatnonzero(touched)
+        live = np.flatnonzero(~frozen)  # frozen members leave the batch
+        new_pos = pos.copy()
+        new_pos[live], touched = _rk4_batch(field, pos[live], t, h)
+        j = live[touched]
         if j.size:
             new_pos[j], under = _halve(field, pos[j], t, h)
-            frozen_at[j[under]] = i
-            frozen = frozen_at >= 0
-        if frozen.any():
-            new_pos[frozen] = pos[frozen]
+            k = j[under]  # underflowed: frozen in place from this step
+            new_pos[k], frozen_at[k], frozen[k] = pos[k], i, True
         r = slot.get(i + 1)
         pos = _wrap_positions(new_pos, lo, length, out=new_pos if r is None else kept[r])
         if head:

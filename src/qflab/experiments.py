@@ -79,7 +79,7 @@ class ExperimentSpec:
         return float(self.tolerances.get(key, default)) * scale
 
     def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return art.record_dict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentSpec":
@@ -621,7 +621,7 @@ def _wave_pipeline(
                 frames.wavefunction(i),
                 significance=spec.tolerance("significance", dyn.CHI2_SIGNIFICANCE),
             )
-            gofs.append({"time": t, **vars(gof)})
+            gofs.append({"time": t, **art.record_dict(gof)})
         files.append(art.write_json(out / "rdmp_marginals.json", gofs))
         tests["rdmp-marginals"] = all(g["passed"] for g in gofs)
 

@@ -8,6 +8,7 @@ import qflab as qf
 from qflab.artifacts import (
     canonical_json,
     read_frames,
+    record_dict,
     read_json,
     spec_hash,
     write_ensemble_csv,
@@ -203,7 +204,9 @@ def test_records_keep_the_bytes_of_their_old_to_json(tmp_path):
     records = list(_records(tmp_path))
     assert {type(r) for r in records} == set(_OLD_TO_JSON)
     for r in records:
-        assert canonical_json(r) == canonical_json(_OLD_TO_JSON[type(r)](r)), type(r).__name__
+        old = canonical_json(_OLD_TO_JSON[type(r)](r))
+        assert canonical_json(r) == old, type(r).__name__
+        assert canonical_json(record_dict(r)) == old, type(r).__name__
 
 
 def test_spec_hash_stable_under_key_order_and_out_dir():
