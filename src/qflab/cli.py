@@ -69,14 +69,54 @@ def _print_tests(tests: dict, spec_hash):
 
 def _run_and_report(spec: experiments.ExperimentSpec, args) -> int:
     spec = spec.with_overrides(args.seed, args.out_dir, args.tolerance_scale)
-    try:
-        manifest = experiments.run(spec)
-    except experiments.SpecValidationError as exc:
-        _print_findings(exc.findings)
-        return EXIT_INVALID
+    manifest = experiments.run(spec)
     _print_tests(manifest.tests, manifest.spec_hash)
     print(f"artifacts in {experiments._out_dir_for(spec)}")
     return EXIT_PASS if manifest.passed else EXIT_FAILURE
+
+
+def _run(args) -> int:
+    return _run_and_report(_load_spec(args.spec), args)
+
+
+def _preset(args) -> int:
+    try:
+        spec = experiments.preset(args.name)
+    except ValueError as exc:
+        print(f"ERROR   name: {exc}")
+        return EXIT_INVALID
+    if args.emit:
+        print(canonical_json(spec.to_json()))
+        return EXIT_PASS
+    return _run_and_report(spec, args)
+
+
+def _validate(args) -> int:
+    findings = experiments.validate(_load_spec(args.spec))
+    _print_findings(findings)
+    if any(f.severity == "error" for f in findings):
+        return EXIT_INVALID
+    print("spec is runnable")
+    return EXIT_PASS
+
+
+def _report(args) -> int:
+    try:
+        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"ERROR   manifest: {exc}")
+        return EXIT_INVALID
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("tests", {}), dict)):
+        print(f"ERROR   manifest: {args.manifest} is not a run manifest (a JSON object)")
+        return EXIT_INVALID
+    _print_tests(manifest.get("tests", {}), manifest.get("spec_hash"))
+    print(f"tool version {manifest.get('tool_version')}")
+    wall = manifest.get("wall_clock_seconds")
+    if isinstance(wall, (int, float)):
+        print(f"wall clock {wall:.3f} s")
+    for name in manifest.get("artifacts", []):
+        print(f"artifact {name}")
+    return EXIT_PASS if manifest.get("passed") else EXIT_FAILURE
 
 
 def main(argv=None) -> int:
@@ -89,6 +129,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a spec file")
     p_run.add_argument("spec", help="path to a spec JSON document")
     _add_common_flags(p_run)
+    p_run.set_defaults(handler=_run)
 
     p_preset = sub.add_parser("preset", help="run (or emit) a canonical experiment")
     p_preset.add_argument(
@@ -99,67 +140,22 @@ def main(argv=None) -> int:
         help="print the preset's spec JSON instead of running it",
     )
     _add_common_flags(p_preset)
+    p_preset.set_defaults(handler=_preset)
 
     p_val = sub.add_parser("validate", help="check a spec file without running it")
     p_val.add_argument("spec", help="path to a spec JSON document")
+    p_val.set_defaults(handler=_validate)
 
     p_rep = sub.add_parser("report", help="summarize a run manifest")
     p_rep.add_argument("manifest", help="path to a manifest.json")
+    p_rep.set_defaults(handler=_report)
 
     args = parser.parse_args(argv)
-
-    if args.command == "run":
-        try:
-            spec = _load_spec(args.spec)
-        except experiments.SpecValidationError as exc:
-            _print_findings(exc.findings)
-            return EXIT_INVALID
-        return _run_and_report(spec, args)
-
-    if args.command == "preset":
-        try:
-            spec = experiments.preset(args.name)
-        except ValueError as exc:
-            print(f"ERROR   name: {exc}")
-            return EXIT_INVALID
-        if args.emit:
-            print(canonical_json(spec.to_json()))
-            return EXIT_PASS
-        return _run_and_report(spec, args)
-
-    if args.command == "validate":
-        try:
-            spec = _load_spec(args.spec)
-        except experiments.SpecValidationError as exc:
-            _print_findings(exc.findings)
-            return EXIT_INVALID
-        findings = experiments.validate(spec)
-        _print_findings(findings)
-        if any(f.severity == "error" for f in findings):
-            return EXIT_INVALID
-        print("spec is runnable")
-        return EXIT_PASS
-
-    if args.command == "report":
-        try:
-            manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"ERROR   manifest: {exc}")
-            return EXIT_INVALID
-        if not (isinstance(manifest, dict) and isinstance(manifest.get("tests", {}), dict)):
-            print(f"ERROR   manifest: {args.manifest} is not a run manifest (a JSON object)")
-            return EXIT_INVALID
-        _print_tests(manifest.get("tests", {}), manifest.get("spec_hash"))
-        print(f"tool version {manifest.get('tool_version')}")
-        wall = manifest.get("wall_clock_seconds")
-        if isinstance(wall, (int, float)):
-            print(f"wall clock {wall:.3f} s")
-        for name in manifest.get("artifacts", []):
-            print(f"artifact {name}")
-        return EXIT_PASS if manifest.get("passed") else EXIT_FAILURE
-
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_INVALID
+    try:
+        return args.handler(args)
+    except experiments.SpecValidationError as exc:
+        _print_findings(exc.findings)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -5,7 +5,11 @@ x-subsystem at actual environment configuration Y is the slice
 
     psi^A(x) = Psi(x, Y),
 
-normalized on the x-grid.  When Psi decomposes into branches
+normalized on the x-grid.  The split into x and y coordinates is always
+given by the caller, and the slice is read off the cubic spline of Psi
+along the environment coordinates, on the grid and off it alike: at a grid
+Y the spline gives back the samples to roundoff.  When Psi decomposes into
+branches
 
     Psi(x, y) = sum_j w_j f_j(x) g_j(y) + residual
 
@@ -28,11 +32,12 @@ import numpy as np
 
 from .dynamics import Ensemble, FrameSource, Potential, WaveFrames
 from .interpolation import CubicGridInterpolator
-from .states import GridWaveFunction, born_density, grid_norm, l2_distance
+from .states import GridWaveFunction, born_density, cell_volume, grid_norm, l2_distance
 
 EPS_SUPPORT = 1e-6
-EPS_ZERO_SLICE = 1e-12
-WEIGHT_THRESHOLD = 1e-10
+EPS_ZERO_SLICE = 1e-12  # slice norm below which Psi(., Y) has no conditional
+WEIGHT_THRESHOLD = 1e-10  # squared Schmidt weight below which a mode is dust
+N_AUTONOMY_CHECKS = 8
 
 __all__ = [
     "SubsystemSplit",
@@ -70,16 +75,6 @@ class SubsystemSplit:
         if sorted(self.x_coords + self.y_coords) != list(range(n)):
             raise ValueError("split must cover each grid coordinate exactly once")
 
-    @classmethod
-    def from_labels(cls, labels) -> "SubsystemSplit":
-        labels = tuple(labels)
-        if set(labels) - {"x", "y"}:
-            raise ValueError("labels must be 'x' or 'y'")
-        return cls(
-            tuple(i for i, s in enumerate(labels) if s == "x"),
-            tuple(i for i, s in enumerate(labels) if s == "y"),
-        )
-
     def validate(self, w: GridWaveFunction):
         if len(self.x_coords) + len(self.y_coords) != w.ndim:
             raise ValueError(
@@ -93,72 +88,37 @@ class SubsystemSplit:
         return tuple(w.axes[i] for i in self.y_coords)
 
 
-def _split_for(w: GridWaveFunction, split: SubsystemSplit | None) -> SubsystemSplit:
-    if split is not None:
-        split.validate(w)
-        return split
-    if w.particle_partition is None:
-        raise ValueError("no split given and the grid carries no particle partition")
-    return SubsystemSplit.from_labels(w.particle_partition)
-
-
 def conditional_wavefunction(
-    w: GridWaveFunction,
-    split: SubsystemSplit | None,
-    y_value,
-    normalize: bool = True,
-    zero_tol: float = EPS_ZERO_SLICE,
+    w: GridWaveFunction, split: SubsystemSplit, y_value
 ) -> GridWaveFunction:
     """Slice Psi at environment configuration Y, normalized on the x-grid.
 
-    On-grid Y slices the array directly; off-grid Y interpolates along the
-    environment coordinates with the same cubic scheme trajectories use.
-    Raises ZeroConditional when the slice norm falls below ``zero_tol``.
+    The slice comes from the cubic spline trajectories use, at any Y.
+    Raises ZeroConditional when the slice norm falls below EPS_ZERO_SLICE.
     """
-    split = _split_for(w, split)
+    split.validate(w)
     y_value = np.atleast_1d(np.asarray(y_value, dtype=float))
     if y_value.size != len(split.y_coords):
         raise ValueError(
             f"Y has {y_value.size} coordinates, split expects {len(split.y_coords)}"
         )
 
-    on_grid = []
-    for c, ax_i in zip(y_value, split.y_coords):
-        a = w.axes[ax_i]
-        j = int(np.argmin(np.abs(a - c)))
-        on_grid.append(j if abs(a[j] - c) <= 1e-9 * max(1.0, abs(c)) else None)
-
     x_grid = split.x_grid(w)
-    if all(j is not None for j in on_grid):
-        index = [slice(None)] * w.ndim
-        for j, ax_i in zip(on_grid, split.y_coords):
-            index[ax_i] = j
-        values = w.amplitudes[tuple(index)]
-        # surviving axes keep grid order; realign them to the split's x order
-        survivors = [i for i in range(w.ndim) if i in split.x_coords]
-        values = np.transpose(values, [survivors.index(i) for i in split.x_coords])
-    else:
-        mesh = np.meshgrid(*x_grid, indexing="ij")
-        pts = np.empty((mesh[0].size, w.ndim))
-        for d, ax_i in enumerate(split.x_coords):
-            pts[:, ax_i] = mesh[d].ravel()
-        for c, ax_i in zip(y_value, split.y_coords):
-            pts[:, ax_i] = c
-        values = CubicGridInterpolator(w.axes, w.amplitudes)(pts).reshape(
-            tuple(a.size for a in x_grid)
-        )
-
-    sliced = GridWaveFunction(x_grid, values, normalize=False)
-    if grid_norm(sliced) < zero_tol:
-        raise ZeroConditional(f"slice norm below {zero_tol} at Y={y_value.tolist()}")
-    if normalize:
-        return GridWaveFunction(x_grid, values)
-    return sliced
+    mesh = np.meshgrid(*x_grid, indexing="ij")
+    pts = np.empty((mesh[0].size, w.ndim))
+    for d, ax_i in enumerate(split.x_coords):
+        pts[:, ax_i] = mesh[d].ravel()
+    for c, ax_i in zip(y_value, split.y_coords):
+        pts[:, ax_i] = c
+    values = CubicGridInterpolator(w.axes, w.amplitudes)(pts).reshape(mesh[0].shape)
+    if grid_norm(GridWaveFunction(x_grid, values, normalize=False)) < EPS_ZERO_SLICE:
+        raise ZeroConditional(f"slice norm below {EPS_ZERO_SLICE} at Y={y_value.tolist()}")
+    return GridWaveFunction(x_grid, values)
 
 
-def mass_overlap(density_a: np.ndarray, density_b: np.ndarray, cell_volume: float) -> float:
-    """Min-sum overlap of two densities: the mass they can share."""
-    return float(np.minimum(density_a, density_b).sum() * cell_volume)
+def mass_overlap(density_a: np.ndarray, density_b: np.ndarray, d_v: float) -> float:
+    """Min-sum overlap of two densities on cells of volume d_v: the mass they can share."""
+    return float(np.minimum(density_a, density_b).sum() * d_v)
 
 
 @dataclass(frozen=True)
@@ -188,8 +148,6 @@ class BranchDecomposition:
     branches: tuple
     residual: GridWaveFunction
     all_weights: np.ndarray
-    eps_support: float
-    weight_threshold: float
 
     @property
     def n_branches(self) -> int:
@@ -204,29 +162,8 @@ class BranchDecomposition:
             acc += _joint_product(b, self.split)
         return GridWaveFunction(self.residual.axes, acc, normalize=False)
 
-    def overlap_matrix(self) -> np.ndarray:
-        """Pairwise environment mass overlaps of the emitted branches."""
-        n = self.n_branches
-        d_vy = float(np.prod([a[1] - a[0] for a in self.branches[0].y_factor.axes])) if n else 0.0
-        out = np.zeros((n, n))
-        dens = [born_density(b.y_factor) for b in self.branches]
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = mass_overlap(dens[i], dens[j], d_vy)
-        return out
-
     def residual_mass(self) -> float:
         return float(grid_norm(self.residual) ** 2)
-
-    def to_json(self) -> dict:
-        return {
-            "weights": [[float(np.real(b.weight)), float(np.imag(b.weight))] for b in self.branches],
-            "all_weights": self.all_weights.tolist(),
-            "overlap_matrix": self.overlap_matrix().tolist(),
-            "residual_mass": self.residual_mass(),
-            "eps_support": self.eps_support,
-            "weight_threshold": self.weight_threshold,
-        }
 
 
 def _joint_product(branch: Branch, split: SubsystemSplit) -> np.ndarray:
@@ -237,32 +174,28 @@ def _joint_product(branch: Branch, split: SubsystemSplit) -> np.ndarray:
 
 
 def branch_decompose(
-    w: GridWaveFunction,
-    split: SubsystemSplit | None = None,
-    eps_support: float = EPS_SUPPORT,
-    weight_threshold: float = WEIGHT_THRESHOLD,
+    w: GridWaveFunction, split: SubsystemSplit, eps_support: float = EPS_SUPPORT
 ) -> BranchDecomposition:
     """Schmidt-decompose Psi across the split and emit the disjoint modes.
 
-    Modes with squared weight above ``weight_threshold`` are candidates,
+    Modes with squared weight above WEIGHT_THRESHOLD are candidates,
     taken in descending weight order; a candidate is emitted as a branch
     only if its environment density overlaps every already-emitted branch
     by less than ``eps_support``.  The residual absorbs everything else.
     """
-    split = _split_for(w, split)
+    split.validate(w)
     x_grid, y_grid = split.x_grid(w), split.y_grid(w)
     n_x = int(np.prod([a.size for a in x_grid]))
     n_y = int(np.prod([a.size for a in y_grid]))
     matrix = np.transpose(w.amplitudes, split.x_coords + split.y_coords).reshape(n_x, n_y)
     u, s, vh = np.linalg.svd(matrix, full_matrices=False)
 
-    d_vx = float(np.prod([a[1] - a[0] for a in x_grid]))
-    d_vy = float(np.prod([a[1] - a[0] for a in y_grid]))
+    d_vx, d_vy = cell_volume(x_grid), cell_volume(y_grid)
     all_weights = s * np.sqrt(d_vx * d_vy)
     x_shape = tuple(a.size for a in x_grid)
     y_shape = tuple(a.size for a in y_grid)
 
-    candidates = np.flatnonzero(all_weights**2 > weight_threshold)
+    candidates = np.flatnonzero(all_weights**2 > WEIGHT_THRESHOLD)
     branches = []
     kept_densities = []
     for j in candidates:  # svd returns descending s, so this is weight order
@@ -283,14 +216,7 @@ def branch_decompose(
     for b in branches:
         residual_amps -= _joint_product(b, split)
     residual = GridWaveFunction(w.axes, residual_amps, normalize=False)
-    return BranchDecomposition(
-        split=split,
-        branches=tuple(branches),
-        residual=residual,
-        all_weights=all_weights,
-        eps_support=eps_support,
-        weight_threshold=weight_threshold,
-    )
+    return BranchDecomposition(split, tuple(branches), residual, all_weights)
 
 
 @dataclass(frozen=True)
@@ -316,15 +242,10 @@ class EffectiveResult:
 
 
 def detect_effective(
-    w: GridWaveFunction,
-    split: SubsystemSplit | None,
-    y_value,
-    eps_support: float = EPS_SUPPORT,
-    weight_threshold: float = WEIGHT_THRESHOLD,
+    w: GridWaveFunction, split: SubsystemSplit, y_value, eps_support: float = EPS_SUPPORT
 ) -> EffectiveResult:
     """Decide whether the conditional wave function at Y is effective."""
-    split = _split_for(w, split)
-    decomp = branch_decompose(w, split, eps_support, weight_threshold)
+    decomp = branch_decompose(w, split, eps_support)
     y_value = np.atleast_1d(np.asarray(y_value, dtype=float))
 
     # a mass tolerance of eps corresponds to an amplitude scale sqrt(eps),
@@ -337,15 +258,13 @@ def detect_effective(
         if abs(amp) > claim_factor * np.max(np.abs(mode.amplitudes)):
             claims.append(idx)
 
-    if len(claims) == 1:
-        idx = claims[0]
+    idx = claims[0] if len(claims) == 1 else None
+    res_overlap = float("nan")
+    if idx is not None:
         b = decomp.branches[idx]
-        d_vy = float(np.prod([a[1] - a[0] for a in b.y_factor.axes]))
         x_first = split.x_coords + split.y_coords
-        res_density = np.abs(
-            np.transpose(decomp.residual.amplitudes, x_first)
-        ) ** 2
-        d_vx = float(np.prod([a[1] - a[0] for a in split.x_grid(w)]))
+        res_density = np.abs(np.transpose(decomp.residual.amplitudes, x_first)) ** 2
+        d_vx, d_vy = cell_volume(split.x_grid(w)), cell_volume(split.y_grid(w))
         res_marginal = res_density.sum(axis=tuple(range(len(split.x_coords)))) * d_vx
         res_overlap = mass_overlap(born_density(b.y_factor), res_marginal, d_vy)
         if res_overlap < eps_support:
@@ -356,16 +275,13 @@ def detect_effective(
                 weight=b.weight,
                 residual_overlap=res_overlap,
             )
-    else:
-        res_overlap = float("nan")
 
-    cond = conditional_wavefunction(w, split, y_value)
     return EffectiveResult(
         status="conditional-only",
-        wavefunction=cond,
-        branch_index=claims[0] if len(claims) == 1 else None,
+        wavefunction=conditional_wavefunction(w, split, y_value),
+        branch_index=idx,
         weight=None,
-        residual_overlap=res_overlap if len(claims) == 1 else float("nan"),
+        residual_overlap=res_overlap,
     )
 
 
@@ -398,8 +314,6 @@ def schrodinger_autonomy_check(
     split: SubsystemSplit,
     y_path: Ensemble,
     potential_x: Potential,
-    n_checks: int = 8,
-    eps_support: float = EPS_SUPPORT,
 ) -> AutonomyReport:
     """Does the effective wave function obey its own Schrodinger equation?
 
@@ -409,18 +323,18 @@ def schrodinger_autonomy_check(
     frame times.  The effective wave function is extracted once at the
     first frame, evolved independently under V(x) with the frame spacing
     as its own dt, keeping only the frames it is compared at, and compared
-    at ``n_checks`` times with the conditional wave function sliced at Y(t).
+    at N_AUTONOMY_CHECKS times with the conditional wave function sliced at Y(t).
     """
     ys = y_path.positions[:, 0]
     w0 = frames.wavefunction(0)
-    eff = detect_effective(w0, split, ys[0], eps_support)
+    eff = detect_effective(w0, split, ys[0])
     if not eff.effective:
         raise ValueError("initial wave is not in effective form at Y(0)")
 
     dt = float(frames.times[1] - frames.times[0])
     t_span = float(y_path.times[-1] - y_path.times[0])
     check_ids = np.unique(
-        np.linspace(0, y_path.times.size - 1, n_checks).round().astype(int)
+        np.linspace(0, y_path.times.size - 1, N_AUTONOMY_CHECKS).round().astype(int)
     )
     sub_frames = FrameSource(
         eff.wavefunction, potential_x, dt, int(round(t_span / dt)), keep=y_path.times[check_ids]

@@ -439,10 +439,6 @@ class WaveFrames:
     def n_frames(self) -> int:
         return self.times.size
 
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod([a[1] - a[0] for a in self.axes]))
-
     def wavefunction(self, i: int) -> GridWaveFunction:
         return GridWaveFunction(self.axes, self.amplitudes[i], normalize=False)
 
@@ -831,12 +827,13 @@ def run_bohm_ensemble(
         t, h = float(frames.times[i]), float(frames.times[i + 1] - frames.times[i])
         live = np.flatnonzero(~frozen)  # frozen members leave the batch
         new_pos = pos.copy()
-        new_pos[live], touched = _rk4_batch(field, pos[live], t, h)
-        j = live[touched]
-        if j.size:
-            new_pos[j], under = _halve(field, pos[j], t, h)
-            k = j[under]  # underflowed: frozen in place from this step
-            new_pos[k], frozen_at[k], frozen[k] = pos[k], i, True
+        if live.size:  # a step with every member frozen asks no velocity
+            new_pos[live], touched = _rk4_batch(field, pos[live], t, h)
+            j = live[touched]
+            if j.size:
+                new_pos[j], under = _halve(field, pos[j], t, h)
+                k = j[under]  # underflowed: frozen in place from this step
+                new_pos[k], frozen_at[k], frozen[k] = pos[k], i, True
         r = slot.get(i + 1)
         pos = _wrap_positions(new_pos, lo, length, out=new_pos if r is None else kept[r])
         if head:

@@ -30,13 +30,27 @@ OUT_DIR_ENV = "QFLAB_OUT"
 KINDS = ("double-slit", "box", "free-gaussian", "pbr", "ontic-model-check", "custom")
 WAVE_KINDS = ("double-slit", "box", "free-gaussian", "custom")
 DYNAMICS = ("bohm", "rdmp", "both", "none")
-_INITIAL_KINDS = ("gaussian", "two-lobe", "stationary", "plane-wave")
+# the keys each initial-state kind reads
+_INITIAL_STATE_KEYS = {
+    "gaussian": ("kind", "centers", "sigmas", "momenta"),
+    "two-lobe": ("kind", "separation", "sigma", "momenta"),
+    "stationary": ("kind", "level"),
+    "plane-wave": ("kind", "mode"),
+}
+_GRID_KEYS = ("lo", "hi", "points")
+_TIME_KEYS = ("t_end", "dt", "sample_times", "store_every")
 # the parameters each potential kind reads, all required
 _POTENTIAL_PARAMS = {
     "free": (),
     "box": ("inner_lo", "inner_hi", "height"),
     "slit-barrier": ("wall_lo", "wall_hi", "slit_centers", "slit_width", "height"),
     "table": ("values",),
+}
+# the params each kind reads
+_PARAMS = {
+    "pbr": ("overlap", "n_shared", "n_exclusive"),
+    "ontic-model-check": ("n_cells", "levels"),
+    **dict.fromkeys(WAVE_KINDS, ()),
 }
 # the tolerances each kind reads
 _TOLERANCES = {
@@ -253,8 +267,7 @@ def _build_initial(spec: ExperimentSpec, axes, potential) -> GridWaveFunction:
         if len(axes) != 1:
             raise ValueError("stationary initial state is one-dimensional")
         # eigenstate of the run's own step map, so the run holds it still
-        dt = spec.time["dt"] if spec.time else None
-        return dyn.stationary_state(axes[0], potential, st.get("level", 0), dt=dt)
+        return dyn.stationary_state(axes[0], potential, st.get("level", 0), dt=spec.time["dt"])
     if kind == "plane-wave":
         if len(axes) != 1:
             raise ValueError("plane-wave initial state is one-dimensional")
@@ -306,6 +319,13 @@ def _check(spec: ExperimentSpec):
     def warning(field, message):
         findings.append(Finding("warning", field, message))
 
+    def unread(section, obj, known, readers):
+        """An error for each key of ``obj`` that nothing would read."""
+        for key in obj:
+            if key not in known:
+                error(f"{section}.{key}",
+                      f"{readers} read no {key!r}; known: {', '.join(known) or 'none'}")
+
     if spec.kind not in KINDS:
         error("kind", f"unknown kind {spec.kind!r}; known: {', '.join(KINDS)}")
         return findings, None
@@ -326,21 +346,23 @@ def _check(spec: ExperimentSpec):
     if not isinstance(spec.tolerances, dict):
         error("tolerances", "must be a JSON object")
     else:
+        unread("tolerances", spec.tolerances, _TOLERANCES[spec.kind], f"{spec.kind} experiments")
         for key, value in spec.tolerances.items():
-            if key not in _TOLERANCES[spec.kind]:
-                error(f"tolerances.{key}", f"{spec.kind} experiments read no tolerance {key!r}; "
-                      f"known: {', '.join(_TOLERANCES[spec.kind])}")
-            elif not _is_number(value):
+            if key in _TOLERANCES[spec.kind] and not _is_number(value):
                 error(f"tolerances.{key}", f"must be a finite number, got {value!r}")
+    if not isinstance(spec.params, dict):
+        error("params", "must be a JSON object")
+    else:
+        unread("params", spec.params, _PARAMS[spec.kind], f"{spec.kind} experiments")
 
     if spec.kind in ("pbr", "ontic-model-check"):
         if spec.dynamics != "none":
             error("dynamics", f"{spec.kind} experiments have no particle dynamics")
         if spec.grid is not None or spec.time is not None:
             warning("grid", f"{spec.kind} experiments ignore grid and time fields")
-        if not isinstance(spec.params, dict):
-            error("params", "must be a JSON object")
-        elif spec.kind == "pbr":
+        if not isinstance(spec.params, dict):  # reported above
+            return findings, None
+        if spec.kind == "pbr":
             overlap = spec.params.get("overlap", 0.25)
             try:
                 in_range = 0 < float(overlap) <= 0.5
@@ -377,6 +399,7 @@ def _check(spec: ExperimentSpec):
     if spec.grid is None:
         error("grid", "wave experiments need a grid")
     else:
+        unread("grid", spec.grid, _GRID_KEYS, "wave experiments")
         lo, hi, pts = spec.grid.get("lo"), spec.grid.get("hi"), spec.grid.get("points")
         if not (isinstance(lo, list) and isinstance(hi, list) and isinstance(pts, list)
                 and len(lo) == len(hi) == len(pts) and len(lo) > 0):
@@ -393,6 +416,7 @@ def _check(spec: ExperimentSpec):
     if spec.time is None:
         error("time", "wave experiments need t_end and dt")
     else:
+        unread("time", spec.time, _TIME_KEYS, "wave experiments")
         t_end = spec.time.get("t_end", 0.0)
         dt = spec.time.get("dt", 0.0)
         t_end_ok = _is_number(t_end) and t_end > 0
@@ -433,17 +457,22 @@ def _check(spec: ExperimentSpec):
 
     if spec.initial_state is None:
         error("initial_state", "wave experiments need an initial state")
-    elif spec.initial_state.get("kind") not in _INITIAL_KINDS:
-        error(
-            "initial_state",
-            f"unknown kind {spec.initial_state.get('kind')!r}; known: {', '.join(_INITIAL_KINDS)}",
-        )
+    else:
+        kind = spec.initial_state.get("kind")
+        if not isinstance(kind, str) or kind not in _INITIAL_STATE_KEYS:
+            error("initial_state",
+                  f"unknown kind {kind!r}; known: {', '.join(_INITIAL_STATE_KEYS)}")
+        else:
+            unread("initial_state", spec.initial_state, _INITIAL_STATE_KEYS[kind],
+                   f"{kind} initial states")
 
     if spec.potential is not None:
         kind = spec.potential.get("kind")
         if not isinstance(kind, str) or kind not in _POTENTIAL_PARAMS:
             error("potential", f"unknown potential kind {kind!r}")
         else:
+            unread("potential", spec.potential, ("kind",) + _POTENTIAL_PARAMS[kind],
+                   f"{kind} potentials")
             for name in _POTENTIAL_PARAMS[kind]:
                 if name not in spec.potential:
                     error(f"potential.{name}", f"a {kind} potential needs {name}")

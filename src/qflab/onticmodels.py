@@ -86,9 +86,6 @@ class OnticSpace:
     def size(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
 
 def _as_distribution(values, size, what, tol=DIST_TOL) -> np.ndarray:
     arr = np.asarray(values, dtype=float)

@@ -33,6 +33,7 @@ __all__ = [
     "grid_norm",
     "born_density",
     "uniform_axis",
+    "cell_volume",
     "fix_global_phase",
     "l2_distance",
 ]
@@ -132,10 +133,6 @@ class ProjectiveMeasurement:
     def dimension(self) -> int:
         return self.basis[0].dimension
 
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.basis)
-
     def gram_deviation(self) -> float:
         mat = np.array([s.amplitudes for s in self.basis])
         gram = mat.conj() @ mat.T
@@ -156,6 +153,11 @@ def uniform_axis(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (hi - lo) / n * np.arange(n)
 
 
+def cell_volume(axes) -> float:
+    """Volume of one cell of the uniform grid spanned by ``axes``."""
+    return float(np.prod([a[1] - a[0] for a in axes]))
+
+
 def _check_axis(axis: np.ndarray) -> float:
     """Validate strict monotonicity + uniform spacing; return the spacing."""
     diffs = np.diff(axis)
@@ -171,18 +173,16 @@ class GridWaveFunction:
     """Complex amplitudes over a uniform configuration-space grid.
 
     ``axes`` is one 1-D coordinate array per configuration coordinate;
-    ``amplitudes`` has shape ``(len(axes[0]), ..., len(axes[-1]))``.  The
-    optional ``particle_partition`` labels each coordinate ``"x"``
-    (subsystem) or ``"y"`` (environment).
+    ``amplitudes`` has shape ``(len(axes[0]), ..., len(axes[-1]))``.
 
     By default construction normalizes to unit discrete L2 norm and rejects
     all-zero input.  ``normalize=False`` keeps the raw amplitudes; that form
     carries branch residuals and other intermediates that are not states.
     """
 
-    __slots__ = ("axes", "amplitudes", "particle_partition")
+    __slots__ = ("axes", "amplitudes")
 
-    def __init__(self, axes, amplitudes, particle_partition=None, normalize=True):
+    def __init__(self, axes, amplitudes, normalize=True):
         axes = tuple(np.asarray(a, dtype=float) for a in axes)
         amps = np.asarray(amplitudes, dtype=complex)
         if amps.shape != tuple(a.size for a in axes):
@@ -192,15 +192,8 @@ class GridWaveFunction:
             )
         for a in axes:
             _check_axis(a)
-        if particle_partition is not None:
-            particle_partition = tuple(particle_partition)
-            if len(particle_partition) != len(axes):
-                raise ValueError("partition must label every coordinate")
-            if any(lbl not in ("x", "y") for lbl in particle_partition):
-                raise ValueError("partition labels must be 'x' or 'y'")
         if normalize:
-            dv = float(np.prod([a[1] - a[0] for a in axes]))
-            norm = np.sqrt(np.sum(np.abs(amps) ** 2) * dv)
+            norm = np.sqrt(np.sum(np.abs(amps) ** 2) * cell_volume(axes))
             if norm < 1e-15:
                 raise ValueError("zero grid function cannot be normalized")
             amps = amps / norm
@@ -210,7 +203,6 @@ class GridWaveFunction:
             a.setflags(write=False)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "particle_partition", particle_partition)
 
     def __setattr__(self, name, value):
         raise AttributeError("GridWaveFunction is immutable")
@@ -229,7 +221,7 @@ class GridWaveFunction:
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacings))
+        return cell_volume(self.axes)
 
     @property
     def bounds(self) -> tuple:
@@ -239,9 +231,7 @@ class GridWaveFunction:
         )
 
     def with_amplitudes(self, amplitudes, normalize=True) -> "GridWaveFunction":
-        return GridWaveFunction(
-            self.axes, amplitudes, self.particle_partition, normalize=normalize
-        )
+        return GridWaveFunction(self.axes, amplitudes, normalize=normalize)
 
     def norm(self) -> float:
         return grid_norm(self)

@@ -219,6 +219,20 @@ PROBES = {
         {**FINITE, "kind": "ontic-model-check", "params": {"levels": [2, 2]}},
         "params.levels",
     ),
+    # keys that nothing reads: a misspelt or stray key would be dropped silently
+    "pbr-n-shared-misspelt": (
+        {**FINITE, "kind": "pbr", "params": {"n_sharde": 4}}, "params.n_sharde",
+    ),
+    "ontic-n-cells-misspelt": (
+        {**FINITE, "kind": "ontic-model-check", "params": {"n_cell": 64}}, "params.n_cell",
+    ),
+    "params-on-a-wave-spec": ({"params": {"overlap": 0.25}}, "params.overlap"),
+    "gaussian-momentum-misspelt": (
+        {"initial_state.momentum": [1.0]}, "initial_state.momentum",
+    ),
+    "sample-times-misspelt": ({"time.sample_time": [0.01]}, "time.sample_time"),
+    "grid-periodic": ({"grid.periodic": True}, "grid.periodic"),
+    "free-potential-height": ({"potential.height": 1.0}, "potential.height"),
 }
 
 

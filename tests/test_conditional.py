@@ -35,10 +35,6 @@ SPLIT = qf.SubsystemSplit((0,), (1,))
 
 
 class TestSubsystemSplit:
-    def test_from_labels(self):
-        s = qf.SubsystemSplit.from_labels(("x", "y", "x"))
-        assert s.x_coords == (0, 2) and s.y_coords == (1,)
-
     def test_incomplete_cover_rejected(self):
         with pytest.raises(ValueError):
             qf.SubsystemSplit((0,), (2,))
@@ -86,16 +82,6 @@ class TestConditional:
         w = qf.GridWaveFunction((ax, ay), np.outer(gauss(ax, 0, 1), gy))
         with pytest.raises(qf.ZeroConditional):
             qf.conditional_wavefunction(w, SPLIT, [ay[5]])
-
-    def test_partition_default_split(self):
-        ax = qf.uniform_axis(-4, 4, 32)
-        w = qf.GridWaveFunction(
-            (ax, ax),
-            np.outer(gauss(ax, 0, 1), gauss(ax, 1, 0.7)),
-            particle_partition=("x", "y"),
-        )
-        cond = qf.conditional_wavefunction(w, None, [0.5])
-        assert cond.ndim == 1
 
 
 class TestBranchDecomposition:

@@ -450,16 +450,19 @@ def test_batched_node_fallback_is_the_scalar_fallback(monkeypatch, case):
     member-steps halve and recover and some freeze.  An underflowed member
     leaves its batch at once: kept in, it walks every branch of its step
     down to depth MAX_HALVINGS, and the 2-D march at 0.9 makes thousands
-    more velocity calls than its 1,400.  A frozen member leaves the march's
+    more velocity calls than its 1,360.  A frozen member leaves the march's
     batch too: kept in, it costs four velocity points on every later step,
-    and the 2-D march at 0.9 evaluates 19,948 points instead of 9,828."""
+    and the 2-D march at 0.9 evaluates 19,948 points instead of 9,828.  Once
+    every member is frozen a step asks no velocity: stepped anyway, the 2-D
+    march at 0.9 makes 40 calls on zero points."""
     frames, q0 = node_fallback_case(case)
-    calls, points = collections.Counter(), collections.Counter()
+    calls, points, empty = collections.Counter(), collections.Counter(), collections.Counter()
     velocity = qf.VelocityField.velocity
 
     def counted(self, pts, t):
         calls[factor] += 1
         points[factor] += len(pts)
+        empty[factor] += not len(pts)
         return velocity(self, pts, t)
 
     for factor in (0.05, 0.3, 0.9):
@@ -472,6 +475,7 @@ def test_batched_node_fallback_is_the_scalar_fallback(monkeypatch, case):
         assert np.array_equal(as_bits(ensemble.positions), as_bits(positions)), factor
         assert np.array_equal(ensemble.frozen_at, frozen_at), factor
         assert outcomes["recovered"] > 0 and outcomes["frozen"] > 0, (factor, outcomes)
+    assert sum(empty.values()) == 0, empty
     if case == "box":
         assert calls[0.9] <= 1700, calls
         assert points[0.9] <= 10_000, points
