@@ -11,18 +11,22 @@ Wave evolution is second-order symmetric split-step on a periodic grid:
 Particle velocities follow the probability current, v = Im(grad psi / psi),
 evaluated off-grid by separable cubic interpolation of psi and its spectral
 gradient.  Trajectories integrate that field with RK4 against wave frames
-stored on a fixed dt grid (linear interpolation in time between frames).
-The members whose step touches a node (|psi| < 1e-8 max|psi|) take it again
-as two half steps, together; those that touch one again are halved again,
-and a member that still does at dt / 2**10 is frozen.  One RK4 formula,
-``_rk4_batch``, serves every step and every half step.
+stored on a fixed dt grid.  Each step spans two stored frames, so that its
+stages fall on frames, at their stored times: the march is fourth order in
+time and reads no field between frames.  Only a one-frame step (before a
+shorter last gap, or to a kept frame inside a two-frame step) and the
+halves of the node fallback blend two frames linearly for their middle
+stages.  The members whose step touches a node (|psi| < 1e-8 max|psi|)
+take it again as two half steps, together; those that touch one again are
+halved again, and a member that still does at dt / 2**10 is frozen.  One
+RK4 formula, ``_rk4_batch``, serves every step and every half step.
 
 Frames stream: a FrameSource evolves _CHUNK stored frames at a time, each
 in place in its slot of the chunk (the step's multiplies and FFTs write
 there).  The velocity field takes the spline coefficients of psi and its
 gradient for a chunk from one batched FFT, divided by the B-spline symbol,
-and one batched inverse FFT; the march holds one chunk's coefficients and a
-copy of the previous chunk's last frame.  Only the frames a caller asks to
+and one batched inverse FFT; the march holds one chunk's coefficients and
+copies of the two frames before it.  Only the frames a caller asks to
 keep (a run keeps t = 0 and its sample times) outlive their chunk, copied
 into one array sized up front.  ``evolve_frames`` drains the same source
 and keeps every frame.
@@ -582,12 +586,15 @@ class VelocityField:
 
     ``frames`` is a WaveFrames or a FrameSource.  Frames are read _CHUNK at
     a time; the spline coefficients of psi and its gradient are one stack
-    per chunk.  Only the current chunk's stack is held, with a copy of the
-    previous chunk's last frame, which is all a forward march reads of it.
+    per chunk.  Only the current chunk's stack is held, with copies of the
+    two frames before it: a frame-pair step of the march that starts there
+    reads them again after its last stage has loaded the chunk (its node
+    fallback does, and so does a one-frame step to its kept middle frame).
     Any time can be asked of WaveFrames (a chunk read again is rebuilt); a
-    FrameSource only moves forward.  Evaluation at intermediate times
-    blends the bracketing frames linearly (blending commutes with spline
-    evaluation), once per time; points are evaluated _BLOCK at a time.
+    FrameSource only moves forward.  At a stored time the field is that
+    frame's; between stored times it blends the bracketing frames linearly
+    (blending commutes with spline evaluation), once per time.  Points are
+    evaluated _BLOCK at a time.
     """
 
     def __init__(self, frames: WaveFrames | FrameSource, node_factor: float = EPS_NODE_FACTOR):
@@ -595,21 +602,21 @@ class VelocityField:
         self.node_factor = node_factor
         self._times = frames.times.tolist()  # bisect on a list is cheaper than searchsorted
         self._chunk = None  # (chunk index, per-frame interpolators, max |psi| per frame)
-        self._last = None  # (chunk index, interpolator, max |psi|) of a chunk's last frame
+        self._held = {}  # frame index: (interpolator, max |psi|), copied, before the chunk
         self._cache_t = self._cache = None  # the last time asked and its interpolator
 
     def _frame(self, i: int):
         """Interpolator of (psi, grad psi) at stored frame i, and max |psi| there."""
+        if i in self._held:
+            return self._held[i]
         c, j = divmod(i, _CHUNK)
-        if self._last is not None and (c, j) == (self._last[0], _CHUNK - 1):
-            return self._last[1:]
         if self._chunk is None or self._chunk[0] != c:
             self._load(c)
         _, interps, max_abs = self._chunk
         return interps[j], max_abs[j]
 
     def _load(self, c: int):
-        self._last = self._last_frame_of(c - 1)
+        self._held = self._held_before(c)
         # the old stack goes before the new one is built: nothing may hold a
         # view of it, the cached interpolator included
         self._chunk = self._cache_t = self._cache = None
@@ -622,12 +629,16 @@ class VelocityField:
             np.max(np.abs(amps), axis=tuple(range(1, amps.ndim))),
         )
 
-    def _last_frame_of(self, c: int):
-        """(c, interpolator, max |psi|) of held chunk c's last frame, copied; else None."""
-        if self._chunk is None or self._chunk[0] != c:
-            return None
-        _, interps, max_abs = self._chunk
-        return c, interps[-1]._on_grid(interps[-1].coefficients.copy()), max_abs[-1]
+    def _held_before(self, c: int) -> dict:
+        """The two frames before chunk c, where the held frames or chunk have them, copied."""
+        held = {}
+        for i in range(max(c * _CHUNK - 2, 0), c * _CHUNK):
+            if i in self._held:
+                held[i] = self._held[i]
+            elif self._chunk is not None and self._chunk[0] == i // _CHUNK:
+                interp, max_abs = self._chunk[1][i % _CHUNK], self._chunk[2][i % _CHUNK]
+                held[i] = interp._on_grid(interp.coefficients.copy()), max_abs
+        return held
 
     def _interpolators_at(self, t: float):
         if self._cache_t is not None and t == self._cache_t:
@@ -704,39 +715,104 @@ def _wrap_positions(positions, lo, length, out=None):
     return np.add(np.mod(out, length, out=out), lo, out=out)
 
 
-def _rk4_batch(field: VelocityField, pos, t, h):
-    """One RK4 step for the whole batch; returns (new_pos, touched_node)."""
-    v1, m1 = field.velocity(pos, t)
-    v2, m2 = field.velocity(pos + 0.5 * h * v1, t + 0.5 * h)
-    v3, m3 = field.velocity(pos + 0.5 * h * v2, t + 0.5 * h)
-    v4, m4 = field.velocity(pos + h * v3, t + h)
-    return pos + (h / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4), m1 | m2 | m3 | m4
+def _rk4_batch(field: VelocityField, pos, stages, h):
+    """One RK4 step of h for the whole batch; returns (new_pos, touched_node).
 
-
-def _halve(field, pos, t, h, depth=1):
-    """Two RK4 half steps of h for members (n, D) whose step from t touched a node.
-
-    Inside each half step the members that touch a node again are halved
-    again; one that still touches a node at depth MAX_HALVINGS underflows
-    and leaves the batch at once.  Overwrites pos and returns it with the
-    (n,) underflow mask; the march discards an underflowed member's row.
+    ``stages`` are the times (t0, tm, t1) of the first stage, of the two
+    middle ones and of the last.  The step is pos + (h/6)(v1 + 2 v2 + 2 v3
+    + v4), summed in that order in one buffer, and the stage points share
+    another.
     """
+    t0, tm, t1 = stages
+    v1, touched = field.velocity(pos, t0)
+    x = np.multiply(v1, 0.5 * h)
+    x += pos
+    v2, mask = field.velocity(x, tm)
+    touched |= mask
+    total = np.multiply(v2, 2.0)
+    total += v1
+    np.multiply(v2, 0.5 * h, out=x)
+    x += pos
+    v3, mask = field.velocity(x, tm)
+    touched |= mask
+    np.multiply(v3, 2.0, out=x)
+    total += x
+    np.multiply(v3, h, out=x)
+    x += pos
+    v4, mask = field.velocity(x, t1)
+    touched |= mask
+    total += v4
+    total *= h / 6.0
+    total += pos
+    return total, touched
+
+
+def _halve(field, pos, stages, h, depth=1):
+    """Two RK4 half steps of h for members (n, D) whose step touched a node.
+
+    The halves split the step at its middle stage time: a frame-pair step
+    at its stored middle frame.  Inside each half step the members that
+    touch a node again are halved again; one that still touches a node at
+    depth MAX_HALVINGS underflows and leaves the batch at once.  Overwrites
+    pos and returns it with the (n,) underflow mask; the march discards an
+    underflowed member's row.
+    """
+    t0, tm, t1 = stages
     h = h / 2
     under = np.zeros(len(pos), dtype=bool)
-    for s in (t, t + h):
+    for s0, s1 in ((t0, tm), (tm, t1)):
         live = np.flatnonzero(~under)
         if not live.size:
             break
-        new, touched = _rk4_batch(field, pos[live], s, h)
+        half = (s0, s0 + 0.5 * h, s1)
+        new, touched = _rk4_batch(field, pos[live], half, h)
         if touched.any():
             j = live[touched]
             if depth == MAX_HALVINGS:
                 under[j] = True
             else:
-                new[touched], u = _halve(field, pos[j], s, h, depth + 1)
+                new[touched], u = _halve(field, pos[j], half, h, depth + 1)
                 under[j[u]] = True
         pos[live] = new
     return pos, under
+
+
+def _step(field, pos, live, stages, h):
+    """The RK4 step of the ``live`` members of pos (n, D); the others hold.
+
+    Members that touch a node take the step as halves (_halve).  Returns
+    the new positions and the members whose halving underflowed, which
+    hold their positions too.
+    """
+    new = pos.copy()
+    if not live.size:  # a step with every member frozen asks no velocity
+        return new, live
+    new[live], touched = _rk4_batch(field, pos[live], stages, h)
+    j = live[touched]
+    if j.size:
+        new[j], under = _halve(field, pos[j], stages, h)
+        j = j[under]
+        new[j] = pos[j]
+    return new, j
+
+
+def _march_steps(times) -> list:
+    """(i, k): the stored frames each step of the march goes from and to.
+
+    From frame 0 on, a step spans two frames where their two gaps are equal
+    (to a relative 1e-9: stored times are i * dt, whose differences round
+    apart) and one frame elsewhere, such as before a shorter last gap.
+    """
+    steps, i, last = [], 0, len(times) - 1
+    while i < last:
+        k = i + 1
+        if k < last:
+            g0, g1 = times[k] - times[i], times[k + 1] - times[k]
+            if abs(g1 - g0) <= 1e-9 * max(g0, g1):
+                k += 1
+        steps.append((i, k))
+        i = k
+    return steps
 
 
 @dataclass(frozen=True)
@@ -744,19 +820,19 @@ class Ensemble:
     """Members on one shared time grid, one array per quantity.
 
     ``positions[i, j]`` is member j's configuration at ``times[i]``.
-    ``seeds[j]`` is member j's seed, and ``frozen_at[j]`` the stored step
-    at which its halved step underflowed (it holds its position from
+    ``seeds[j]`` is member j's seed, and ``frozen_at[j]`` the stored frame
+    from which its halved step underflowed (it holds its position from
     there on), or -1 if it never did.  A march can also record its first
-    members' full paths (``head``) and ``max_drift`` (see
-    run_bohm_ensemble); ``take`` drops them.
+    members' paths over the frames its steps end on (``head``) and
+    ``max_drift`` (see run_bohm_ensemble); ``take`` drops them.
     """
 
     times: np.ndarray  # (T,)
     positions: np.ndarray  # (T, N, D)
     seeds: np.ndarray  # (N,)
     frozen_at: np.ndarray  # (N,)
-    head: Ensemble | None = None  # the first members at every stored step
-    max_drift: float | None = None  # largest |Q_j(t) - Q_j(0)| over every stored step
+    head: Ensemble | None = None  # the first members at every step of the march
+    max_drift: float | None = None  # largest |Q_j(t) - Q_j(0)| over the march's steps
 
     @property
     def size(self) -> int:
@@ -767,7 +843,7 @@ class Ensemble:
         return self.positions[_index_at(self.times, t, tol)]
 
     def take(self, steps) -> "Ensemble":
-        """These stored steps of every member; frozen_at still counts steps of the full grid."""
+        """These stored steps of every member; frozen_at still counts frames of the full grid."""
         return Ensemble(self.times[steps], self.positions[steps], self.seeds, self.frozen_at)
 
 
@@ -797,25 +873,35 @@ def run_bohm_ensemble(
 
     ``frames`` is stored (WaveFrames) or streamed (FrameSource); the march
     reads a stream once, forward, and its kept frames are then drained from
-    it.  All members advance together.  The members whose RK4 stages touch a
-    node redo that step as a batch of two half steps, halving again where a
-    half step touches a node (see _halve).  A member whose step underflows
-    dt / 2**MAX_HALVINGS is frozen in place (keeping the shared time grid),
-    its step is recorded in ``frozen_at``, and it leaves the batch.
+    it.  All members advance together, by RK4 steps that each span two
+    stored frames i, i + 1, i + 2 (see _march_steps): the stages fall on
+    those frames, at their stored times, so no step blends frames.  Where
+    the two gaps differ (a shorter last gap) the step spans one frame and
+    its middle stages blend.  The members whose stages touch a node redo
+    the step as a batch of two half steps, split at the middle frame, and
+    halve again where a half step touches a node (see _halve).  A member
+    whose step underflows dt / 2**MAX_HALVINGS is frozen in place (keeping
+    the shared time grid), the frame the step started from is recorded in
+    ``frozen_at``, and it leaves the batch.
 
     The march holds the members' current positions, not their paths.  The
     ensemble keeps the rows at the ``keep`` times (every row when keep is
-    None); ``head`` > 0 also keeps the first ``head`` members at every step,
-    as ``Ensemble.head``, and ``drift`` records the largest distance of any
-    member from its start over every step as ``Ensemble.max_drift``.
-    ``frozen_at`` counts steps of the full grid either way.
+    None).  A kept frame that a step spans, not ends on, is reached by a
+    one-frame step from the frame the step starts at, beside the march: it
+    does not feed back, so the march and every row it gives are the same
+    whatever is kept.  ``head`` > 0 also keeps the first ``head`` members
+    at every frame a step ends on, as ``Ensemble.head``, and ``drift``
+    records the largest distance of any member from its start over those
+    frames as ``Ensemble.max_drift``.
     """
     field = VelocityField(frames)
+    times = frames.times.tolist()
     start = np.atleast_2d(np.asarray(positions0, dtype=float))
     rows = _kept_rows(frames.times, keep)
     slot = {i: r for r, i in enumerate(rows)}
     kept = np.empty((len(rows),) + start.shape)
-    paths = np.empty((frames.n_frames,) + start[:head].shape)
+    steps = _march_steps(times)
+    paths = np.empty((len(steps) + 1,) + start[:head].shape)
     paths[0] = start[:head]
     pos = start
     if 0 in slot:  # rows are sorted, so row 0 is the first kept
@@ -823,25 +909,29 @@ def run_bohm_ensemble(
     max_drift = _max_distance(pos, start) if drift else None
     frozen_at, frozen = np.full(len(pos), -1), np.zeros(len(pos), dtype=bool)
     lo, length = _periods(frames.axes)
-    for i in range(frames.n_frames - 1):
-        t, h = float(frames.times[i]), float(frames.times[i + 1] - frames.times[i])
-        live = np.flatnonzero(~frozen)  # frozen members leave the batch
-        new_pos = pos.copy()
-        if live.size:  # a step with every member frozen asks no velocity
-            new_pos[live], touched = _rk4_batch(field, pos[live], t, h)
-            j = live[touched]
-            if j.size:
-                new_pos[j], under = _halve(field, pos[j], t, h)
-                k = j[under]  # underflowed: frozen in place from this step
-                new_pos[k], frozen_at[k], frozen[k] = pos[k], i, True
-        r = slot.get(i + 1)
+    for n, (i, k) in enumerate(steps, 1):
+        t0, t1 = times[i], times[k]
+        mid = times[i + 1] if k == i + 2 else t0 + 0.5 * (t1 - t0)
+        # frozen members leave the batch
+        new_pos, under = _step(field, pos, np.flatnonzero(~frozen), (t0, mid, t1), t1 - t0)
+        frozen_at[under], frozen[under] = i, True
+        r = slot.get(i + 1) if k == i + 2 else None
+        if r is not None:
+            # the kept middle frame, beside the march: the members frozen from
+            # frame i on hold their place, as do those whose one-frame step
+            # underflows
+            h = mid - t0
+            side, _ = _step(field, pos, np.flatnonzero(~frozen), (t0, t0 + 0.5 * h, mid), h)
+            _wrap_positions(side, lo, length, out=kept[r])
+        r = slot.get(k)
         pos = _wrap_positions(new_pos, lo, length, out=new_pos if r is None else kept[r])
         if head:
-            paths[i + 1] = pos[:head]
+            paths[n] = pos[:head]
         if drift:
             max_drift = max(max_drift, _max_distance(pos, start))
     seeds = _member_seeds(seed, len(pos))
-    head_paths = Ensemble(frames.times, paths, seeds[:head], frozen_at[:head]) if head else None
+    marched = frames.times[[0] + [k for _, k in steps]]
+    head_paths = Ensemble(marched, paths, seeds[:head], frozen_at[:head]) if head else None
     return Ensemble(frames.times[rows], kept, seeds, frozen_at, head_paths, max_drift)
 
 

@@ -633,7 +633,7 @@ def _wave_pipeline(
         tests["equivariance"] = report.passed
 
         if is_box:
-            # every member at every step, as a running maximum of the march
+            # every member at every step of the march, as a running maximum
             tests["constant-trajectories"] = ensemble.max_drift <= spec.tolerance(
                 "constancy", 1e-6
             )

@@ -15,7 +15,7 @@ point.  The periodic mod leaves every fractional index in [+0, size], where
 truncation is the floor; the per-axis tap tables and shapes are set up once
 per grid and shared by every interpolator made from it.  Spline
 filtering is linear, so two interpolators over one grid can be blended
-coefficient-wise -- the velocity field uses that for linear-in-time frames.
+coefficient-wise -- the velocity field uses that between stored frames.
 """
 
 from __future__ import annotations

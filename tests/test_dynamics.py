@@ -325,6 +325,21 @@ def test_free_gaussian_trajectory_follows_scaling_law():
     assert abs(path[-1, 0] - expect) / expect < 0.01
 
 
+def test_march_meets_the_closed_form_free_gaussian_paths():
+    """A free Gaussian of position width sigma has the Bohm paths
+    x0 sqrt(1 + (t / 2 sigma^2)^2) (Holland, The Quantum Theory of Motion,
+    1993, section 4.7).  On the free-gaussian grid, with frames stored every
+    10 steps of 0.002, the march of frame pairs meets them at t = 2 within
+    2e-6 (2.7e-7 measured); a march whose middle stages blend two frames is
+    second order in time and errs by 2.1e-5."""
+    sigma0, t_end = 1.0, 2.0
+    frames = free_gaussian_frames(sigma0, t_end)
+    q0 = qf.born_sample_many(frames.wavefunction(0), 300, 12)
+    ensemble = qf.run_bohm_ensemble(frames, q0, keep=[t_end])
+    expect = q0 * np.sqrt(1 + (t_end / (2 * sigma0**2)) ** 2)
+    assert np.max(np.abs(ensemble.positions_at(t_end) - expect)) <= 2e-6
+
+
 def test_rk4_endpoint_matches_independent_integrator():
     # identical interpolated field; only the ODE integrator differs
     ax = qf.uniform_axis(-24, 24, 512)
@@ -385,45 +400,70 @@ def _velocity_strict(field, x, t):
     return vel[0]
 
 
-def _advance_adaptive(field, x, t, h, depth=0):
+def _advance_adaptive(field, x, stages, h, depth=0):
     """The per-member node fallback the march once had: an RK4 step of one
-    member that halves itself near nodes and underflows past MAX_HALVINGS."""
+    member, its stages at the times (t0, tm, t1), that halves itself at tm
+    near nodes and underflows past MAX_HALVINGS."""
+    t0, tm, t1 = stages
     try:
-        v1 = _velocity_strict(field, x, t)
-        v2 = _velocity_strict(field, x + 0.5 * h * v1, t + 0.5 * h)
-        v3 = _velocity_strict(field, x + 0.5 * h * v2, t + 0.5 * h)
-        v4 = _velocity_strict(field, x + h * v3, t + h)
+        v1 = _velocity_strict(field, x, t0)
+        v2 = _velocity_strict(field, x + 0.5 * h * v1, tm)
+        v3 = _velocity_strict(field, x + 0.5 * h * v2, tm)
+        v4 = _velocity_strict(field, x + h * v3, t1)
         return x + (h / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4)
     except qf.NodeProximity:
         if depth >= qf.dynamics.MAX_HALVINGS:
             raise _Underflow
-        mid = _advance_adaptive(field, x, t, h / 2, depth + 1)
-        return _advance_adaptive(field, mid, t + h / 2, h / 2, depth + 1)
+        h = h / 2
+        mid = _advance_adaptive(field, x, (t0, t0 + 0.5 * h, tm), h, depth + 1)
+        return _advance_adaptive(field, mid, (tm, tm + 0.5 * h, t1), h, depth + 1)
 
 
 def scalar_fallback_march(frames, q0, outcomes):
-    """Every row and frozen_at of a march whose touched members take the
-    per-member fallback one at a time; counts its member-steps that
-    recover and that freeze in ``outcomes``."""
+    """Every row, frozen_at and the frames the steps end on of a march whose
+    touched members take the per-member fallback one at a time; counts its
+    member-steps that recover and that underflow in ``outcomes``.  A step
+    spans two frames where their gaps are equal, with its middle stages at
+    the middle frame, and one frame before the shorter last gap.  The row
+    at a frame that a step spans is a one-frame step from the frame before
+    it, taken after that step: the members it froze hold their place, as
+    do those whose one-frame step underflows, which do not freeze."""
     field = qf.VelocityField(frames)
+    t = frames.times.tolist()
     pos = np.asarray(q0, dtype=float)
-    rows, frozen_at = [pos], np.full(len(pos), -1)
+    rows, frozen_at, ends = {0: pos}, np.full(len(pos), -1), {0}
     lo, length = qf.dynamics._periods(frames.axes)
-    for i in range(frames.n_frames - 1):
-        t, h = float(frames.times[i]), float(frames.times[i + 1] - frames.times[i])
-        new_pos, touched = qf.dynamics._rk4_batch(field, pos, t, h)
-        for j in np.flatnonzero(touched & (frozen_at < 0)):
+
+    def step(pos, stages, h):
+        new_pos, touched = qf.dynamics._rk4_batch(field, pos, stages, h)
+        hold = frozen_at >= 0
+        for j in np.flatnonzero(touched & ~hold):
             try:
-                new_pos[j] = _advance_adaptive(field, pos[j], t, h)
+                new_pos[j] = _advance_adaptive(field, pos[j], stages, h)
                 outcomes["recovered"] += 1
             except _Underflow:
-                frozen_at[j] = i
-                outcomes["frozen"] += 1
-        frozen = frozen_at >= 0
-        new_pos[frozen] = pos[frozen]
-        pos = qf.dynamics._wrap_positions(new_pos, lo, length)
-        rows.append(pos)
-    return np.array(rows), frozen_at
+                hold[j] = True
+                outcomes["underflowed"] += 1
+        under = hold & (frozen_at < 0)
+        new_pos[hold] = pos[hold]
+        return qf.dynamics._wrap_positions(new_pos, lo, length), under
+
+    i = 0
+    while i < len(t) - 1:
+        h = t[i + 1] - t[i]
+        if i + 2 < len(t) and np.isclose(t[i + 2] - t[i + 1], h):
+            new_pos, under = step(pos, (t[i], t[i + 1], t[i + 2]), t[i + 2] - t[i])
+            frozen_at[under] = i
+            rows[i + 1], _ = step(pos, (t[i], t[i] + 0.5 * h, t[i + 1]), h)
+            k = i + 2
+        else:
+            new_pos, under = step(pos, (t[i], t[i] + 0.5 * h, t[i + 1]), h)
+            frozen_at[under] = i
+            k = i + 1
+        pos = rows[k] = new_pos
+        ends.add(k)
+        i = k
+    return np.array([rows[i] for i in range(len(t))]), frozen_at, sorted(ends)
 
 
 def node_fallback_case(case):
@@ -447,14 +487,17 @@ def node_fallback_case(case):
 def test_batched_node_fallback_is_the_scalar_fallback(monkeypatch, case):
     """The march halves its touched members as a batch and gives the bits of
     the per-member fallback, with node_factor raised so that some
-    member-steps halve and recover and some freeze.  An underflowed member
-    leaves its batch at once: kept in, it walks every branch of its step
-    down to depth MAX_HALVINGS, and the 2-D march at 0.9 makes thousands
-    more velocity calls than its 1,360.  A frozen member leaves the march's
+    member-steps halve and recover and some underflow: in every row, and in
+    a march that keeps only the frames its steps end on.  That march is the
+    one whose velocity calls are counted (a kept frame inside a two-frame
+    step costs a one-frame step beside it).  An underflowed member leaves
+    its batch at once: kept in, it walks every branch of its step down to
+    depth MAX_HALVINGS, and the 2-D march at 0.9 makes thousands more
+    velocity calls than its 1,272.  A frozen member leaves the march's
     batch too: kept in, it costs four velocity points on every later step,
-    and the 2-D march at 0.9 evaluates 19,948 points instead of 9,828.  Once
-    every member is frozen a step asks no velocity: stepped anyway, the 2-D
-    march at 0.9 makes 40 calls on zero points."""
+    and the 2-D march at 0.9 evaluates 11,204 points instead of 9,780.
+    Once every member is frozen a step asks no velocity: stepped anyway,
+    the 2-D march at 0.9 makes 20 calls on zero points."""
     frames, q0 = node_fallback_case(case)
     calls, points, empty = collections.Counter(), collections.Counter(), collections.Counter()
     velocity = qf.VelocityField.velocity
@@ -468,13 +511,17 @@ def test_batched_node_fallback_is_the_scalar_fallback(monkeypatch, case):
     for factor in (0.05, 0.3, 0.9):
         monkeypatch.setattr(qf.VelocityField.__init__, "__defaults__", (factor,))
         outcomes = collections.Counter()
-        positions, frozen_at = scalar_fallback_march(frames, q0, outcomes)
+        positions, frozen_at, ends = scalar_fallback_march(frames, q0, outcomes)
         with monkeypatch.context() as m:
             m.setattr(qf.VelocityField, "velocity", counted)
             ensemble = qf.run_bohm_ensemble(frames, q0)
+            calls[factor] = points[factor] = 0
+            march = qf.run_bohm_ensemble(frames, q0, keep=frames.times[ends])
         assert np.array_equal(as_bits(ensemble.positions), as_bits(positions)), factor
+        assert np.array_equal(as_bits(march.positions), as_bits(positions[ends])), factor
         assert np.array_equal(ensemble.frozen_at, frozen_at), factor
-        assert outcomes["recovered"] > 0 and outcomes["frozen"] > 0, (factor, outcomes)
+        assert np.array_equal(march.frozen_at, frozen_at), factor
+        assert outcomes["recovered"] > 0 and outcomes["underflowed"] > 0, (factor, outcomes)
     assert sum(empty.values()) == 0, empty
     if case == "box":
         assert calls[0.9] <= 1700, calls
@@ -751,6 +798,37 @@ def test_streamed_march_matches_stored_frames(initial):
     assert np.array_equal(kept.amplitudes, frames.amplitudes[ids])
 
 
+@pytest.mark.parametrize("chunk", [2, 3])
+def test_streamed_fallback_reads_back_across_chunks(monkeypatch, chunk):
+    """The [odd] march of test_streamed_march_matches_stored_frames in
+    chunks of 2 and of 3 frames.  Member 0 starts on the node, so the first
+    frame-pair step (frames 0, 1, 2) halves.  In chunks of 2 its last stage
+    has loaded the chunk of frame 2 before its halves read frames 0 and 1
+    again, which the field holds.  The streamed march gives the bits of the
+    stored one in every row, the one-frame steps to the odd frames too."""
+    monkeypatch.setattr(qf.dynamics, "_CHUNK", chunk)
+    ax = qf.uniform_axis(-16, 16, 256)
+    w0 = odd_state(ax)
+    dt, n_steps, store_every = 0.002, 450, 3
+    frames = qf.evolve_frames(w0, Potential.free(), dt, n_steps, store_every)
+    q0 = np.concatenate([[[0.0]], qf.born_sample_many(w0, 30, 3)])
+    halved = []
+    halve = qf.dynamics._halve
+
+    def recorded(field, pos, stages, h, depth=1):
+        halved.append(stages)
+        return halve(field, pos, stages, h, depth)
+
+    monkeypatch.setattr(qf.dynamics, "_halve", recorded)
+    stored = qf.run_bohm_ensemble(frames, q0, seed=2)
+    source = qf.FrameSource(w0, Potential.free(), dt, n_steps, store_every, keep=())
+    streamed = qf.run_bohm_ensemble(source, q0, seed=2)
+    assert tuple(frames.times[:3]) in halved
+    assert np.array_equal(as_bits(streamed.positions), as_bits(stored.positions))
+    assert np.array_equal(streamed.frozen_at, stored.frozen_at)
+    assert streamed.frozen_at[0] == 0 and np.all(streamed.frozen_at[1:] == -1)
+
+
 @pytest.mark.skipif(
     (np.__version__, scipy.__version__) != (NUMPY_VERSION, SCIPY_VERSION),
     reason=f"digests recorded with numpy {NUMPY_VERSION} and scipy {SCIPY_VERSION}",
@@ -758,7 +836,9 @@ def test_streamed_march_matches_stored_frames(initial):
 def test_odd_march_bytes_pinned():
     """The [odd] march of test_streamed_march_matches_stored_frames, pinned
     across versions of qflab: the member started on the node freezes at the
-    first step, and every other member never touches it."""
+    first step, and every other member never touches it.  Re-pinned when
+    the march moved to frame pairs: no position moved by more than 8.8e-7,
+    and frozen_at kept its bytes."""
     ax = qf.uniform_axis(-16, 16, 256)
     w0 = odd_state(ax)
     frames = qf.evolve_frames(w0, Potential.free(), 0.002, 450, 3)
@@ -768,7 +848,7 @@ def test_odd_march_bytes_pinned():
     digests = [hashlib.sha256(a.tobytes()).hexdigest()
                for a in (ensemble.positions, ensemble.frozen_at)]
     assert digests == [
-        "198c2ca60795832c54f661585f91366bf57924e949e7ba11b8f04595e3ce6e22",
+        "f785765a64b8c7055fde19e5244ec0d845e6aad0a856bc59811e9c9f4e3b0cd4",
         "8275b5c35eae5df39bea7e173b3bcdf939a1988a133cb0cb254dd20484929391",
     ]
 
@@ -780,12 +860,15 @@ def as_bits(a):
 def test_kept_rows_are_the_full_march_rows(monkeypatch):
     """A march that keeps some rows, the head paths and the running drift
     gives the bits of the every-row march, for blocks of 7 members and of
-    all of them; the odd state's node freezes member 0 at the first step."""
+    all of them; the odd state's node freezes member 0 at the first step.
+    The march steps two frames at a time, so the head paths and the drift
+    are over the even frames, and the kept frame 51 is a one-frame step
+    from frame 50 in both marches."""
     ax = qf.uniform_axis(-16, 16, 256)
     w0 = odd_state(ax)
     dt, n_steps, store_every = 0.002, 450, 3
     q0 = np.concatenate([[[0.0]], qf.born_sample_many(w0, 30, 3)])
-    keep = [0.6, 0.0, 0.3, 0.3]
+    keep = [0.6, 0.0, 0.3, 0.306, 0.3]
 
     def march(**kwargs):
         source = qf.FrameSource(w0, Potential.free(), dt, n_steps, store_every, keep=())
@@ -799,18 +882,21 @@ def test_kept_rows_are_the_full_march_rows(monkeypatch):
     full, part = runs[len(q0)]
     assert full.frozen_at[0] == 0 and np.all(full.frozen_at[1:] == -1)
     assert full.head is None and full.max_drift is None
-    rows = [full.times.tolist().index(t) for t in (0.0, 0.3, 0.6)]
+    rows = [full.times.tolist().index(t) for t in (0.0, 0.3, 0.306, 0.6)]
+    assert rows == [0, 50, 51, 100]
     assert np.array_equal(part.times, full.times[rows])
     assert np.array_equal(as_bits(part.positions), as_bits(full.positions[rows]))
     assert np.array_equal(part.frozen_at, full.frozen_at)
     assert np.array_equal(part.seeds, full.seeds)
-    assert np.array_equal(part.head.times, full.times)
-    assert np.array_equal(as_bits(part.head.positions), as_bits(full.positions[:, :4]))
+    marched = np.arange(0, full.times.size, 2)
+    assert marched[-1] == full.times.size - 1
+    assert np.array_equal(part.head.times, full.times[marched])
+    assert np.array_equal(as_bits(part.head.positions), as_bits(full.positions[marched, :4]))
     assert np.array_equal(part.head.frozen_at, full.frozen_at[:4])
     assert np.array_equal(part.head.seeds, full.seeds[:4])
     start = full.positions[0]
     drifts = [float(np.max(np.linalg.norm(row - start, axis=1))) for row in full.positions]
-    assert part.max_drift == max(drifts)
+    assert part.max_drift == max(drifts[i] for i in marched)
     assert part.max_drift > max(drifts[i] for i in rows)  # it reads the rows not kept
     blocked_full, blocked_part = runs[7]
     for a, b in ((blocked_full, full), (blocked_part, part), (blocked_part.head, part.head)):
@@ -851,7 +937,7 @@ def test_kept_rows_march_holds_no_full_rows():
     finally:
         tracemalloc.stop()
     assert ensemble.positions.shape == (2, 2000, 1)
-    assert ensemble.head.positions.shape == (401, 10, 1)
+    assert ensemble.head.positions.shape == (201, 10, 1)  # the march steps two frames
     assert peak < full_rows / 3, (peak, full_rows)
 
 
@@ -877,8 +963,11 @@ def test_velocity_field_reads_chunks_backward():
 
 
 def test_march_work_counts(monkeypatch):
-    """A march with no nodes over n frames makes 4(n-1) velocity and kernel
-    calls and n-1 blends, each through the public method."""
+    """A march with no nodes over 2n + 1 frames that keeps only even frames
+    steps n frame pairs: 4n velocity and kernel calls, each through the
+    public method, and no blends.  The stored times are i * dt, whose gaps
+    differ in their last bits; a pair must not fall back to one-frame steps
+    over them."""
     calls = collections.Counter()
 
     def count(cls, name):
@@ -896,10 +985,12 @@ def test_march_work_counts(monkeypatch):
     ax = qf.uniform_axis(-8, 8, 64)
     w0 = qf.gaussian_packet((ax,), [0.5], [1.0], [1.0])
     frames = qf.evolve_frames(w0, Potential.free(), 0.002, 140)
-    assert frames.n_frames > qf.dynamics._CHUNK
-    qf.run_bohm_ensemble(frames, qf.born_sample_many(w0, 20, 1))
-    n = frames.n_frames
-    assert calls == {"velocity": 4 * (n - 1), "__call__": 4 * (n - 1), "blend": n - 1}
+    n = (frames.n_frames - 1) // 2
+    assert frames.n_frames == 2 * n + 1 and n > qf.dynamics._CHUNK
+    assert len(set(np.diff(frames.times).tolist())) > 1
+    qf.run_bohm_ensemble(frames, qf.born_sample_many(w0, 20, 1), keep=frames.times[::2],
+                         head=3, drift=True)
+    assert (calls["velocity"], calls["__call__"], calls["blend"]) == (4 * n, 4 * n, 0)
 
 
 def test_frame_source_streams_forward_only():

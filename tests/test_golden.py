@@ -10,8 +10,14 @@ so every file built from it but ``spec.json`` and ``rdmp_positions.csv``,
 changed in the last digits.  The golden-pbr and golden-nomological
 digests, the ``pbr`` and ``box-nomological`` presets under other names,
 were recorded before the finite-model records lost their own ``to_json``
-methods to the one rule of ``artifacts``.  Every artifact except
-``manifest.json`` (it holds the wall-clock time) must keep them.
+methods to the one rule of ``artifacts``.  The Bohm files of golden-box
+and golden-slit (positions, head paths, ``bohm_vs_rdmp.json`` and the
+slit's ``equivariance.json``) were recorded again when the march moved to
+RK4 steps over frame pairs: every verdict stayed the same, no position
+moved by more than 2e-15 in the box or 1.2e-6 in the slit, and the head
+paths kept every other row, the frames the march steps to.  Every
+artifact except ``manifest.json`` (it holds the wall-clock time) must
+keep them.
 
 FFTs (which also give the spline coefficients) and libm may round
 differently in other numpy or scipy releases, so the test runs only with
@@ -78,9 +84,9 @@ NOMOLOGICAL = {
 
 DIGESTS = {
     "golden-box": {
-        "bohm_positions.csv": "d23a58c3c2a0eadac565b798995daecd50f9ce0b9f1853c6e20b929130721062",
-        "bohm_trajectories_head.csv": "2dfbe9fa3b60baa848051cdad261fb9b712f59b74db7f08a69a16b0a3b575155",
-        "bohm_vs_rdmp.json": "87c184defd9a774a9d401d19191323d4adb42bfe97a61bf6e101858eff58c4a9",
+        "bohm_positions.csv": "14d7457044f74a536157d6f0f25e3ee36437383945b78ac8856e939315237863",
+        "bohm_trajectories_head.csv": "0424c7f321be314a8f1f6ee4f2fbe34e3815880a69db94c09479135042bc0c5d",
+        "bohm_vs_rdmp.json": "e99bdb70baae941cda59c56677fda0918ac2b3b08b00533fe6312b446a810476",
         "equivariance.json": "ce98f7ccbdbe82dc0fa78b5568abc68ffa209893348f6d174a76a897f574a5ec",
         "rdmp_marginals.json": "822cb8ed35505bb5bf64a0aff6982f12f52d9a74a2f11f2ece014c164a96b0fe",
         "rdmp_positions.csv": "9d2925beb95a788b4b05e533eb76a4a74c24f44c77b8a717151a9b9f07cf0cbe",
@@ -88,9 +94,9 @@ DIGESTS = {
         "wave_frames.bin": "b71116d226657b482da73a63e8abb28d47e542bfbdf7278d38bddbf050c73f62",
     },
     "golden-slit": {
-        "bohm_positions.csv": "9a367f732442eebddc4a429f34ec629c3fd3868e6440b4fb7e56cd1a50090e15",
-        "bohm_trajectories_head.csv": "d447411f4c779bc5072d2b5470a56bbda99599d7d3c6f763bf9a7d4383a7f6c1",
-        "equivariance.json": "2864179fe310c3e2c9701801d0051b081c40b3f609786e55b07ce73367d67654",
+        "bohm_positions.csv": "37de6e2cffd5b816975515fcc91c019851b40dedea287d8231976f3e6b34171d",
+        "bohm_trajectories_head.csv": "e53d5e86146c3fe3d2d06186b743246ccd88194d07063a16843c997a1cbb74a4",
+        "equivariance.json": "ab4dc127527504edb1b867232ce49f17006e60de656f93a87e1867334de9595c",
         "spec.json": "3ff1ffb9cdc39a5942e3d40a2049f7748df8cd1e852f9f47402f25a5b6a82e7e",
         "wave_frames.bin": "a0ef4f504fb3e82fff520dc7c2b1f6abfaebb4e9b16bf77d40d24c2792cca0b5",
     },
