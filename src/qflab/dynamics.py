@@ -14,12 +14,13 @@ gradient.  Trajectories integrate that field with RK4 against wave frames
 stored on a fixed dt grid.  Each step spans two stored frames, so that its
 stages fall on frames, at their stored times: the march is fourth order in
 time and reads no field between frames.  Only a one-frame step (before a
-shorter last gap, or to a kept frame inside a two-frame step) and the
-halves of the node fallback blend two frames linearly for their middle
-stages.  The members whose step touches a node (|psi| < 1e-8 max|psi|)
-take it again as two half steps, together; those that touch one again are
-halved again, and a member that still does at dt / 2**10 is frozen.  One
-RK4 formula, ``_rk4_batch``, serves every step and every half step.
+shorter last gap) and the halves of the node fallback blend two frames
+linearly for their middle stages.  A kept frame inside a two-frame step is
+read off that step, at no velocity call.  The members whose step touches
+a node (|psi| < 1e-8 max|psi|) take it again as two half steps, together;
+those that touch one again are halved again, and a member that still does
+after 10 halvings is frozen.  One RK4 formula, ``_rk4_batch``,
+serves every step and every half step.
 
 Frames stream: a FrameSource evolves _CHUNK stored frames at a time, each
 in place in its slot of the chunk (the step's multiplies and FFTs write
@@ -587,9 +588,9 @@ class VelocityField:
     ``frames`` is a WaveFrames or a FrameSource.  Frames are read _CHUNK at
     a time; the spline coefficients of psi and its gradient are one stack
     per chunk.  Only the current chunk's stack is held, with copies of the
-    two frames before it: a frame-pair step of the march that starts there
-    reads them again after its last stage has loaded the chunk (its node
-    fallback does, and so does a one-frame step to its kept middle frame).
+    two frames before it: the node fallback of a frame-pair step of the
+    march that starts there reads them again after the step's last stage
+    has loaded the chunk.
     Any time can be asked of WaveFrames (a chunk read again is rebuilt); a
     FrameSource only moves forward.  At a stored time the field is that
     frame's; between stored times it blends the bracketing frames linearly
@@ -716,12 +717,13 @@ def _wrap_positions(positions, lo, length, out=None):
 
 
 def _rk4_batch(field: VelocityField, pos, stages, h):
-    """One RK4 step of h for the whole batch; returns (new_pos, touched_node).
+    """One RK4 step of h for the whole batch; returns (new_pos, touched_node, v1, v4).
 
     ``stages`` are the times (t0, tm, t1) of the first stage, of the two
     middle ones and of the last.  The step is pos + (h/6)(v1 + 2 v2 + 2 v3
     + v4), summed in that order in one buffer, and the stage points share
-    another.
+    another.  The first and last stage velocities are returned too, for
+    the step's middle position (_step).
     """
     t0, tm, t1 = stages
     v1, touched = field.velocity(pos, t0)
@@ -744,7 +746,7 @@ def _rk4_batch(field: VelocityField, pos, stages, h):
     total += v4
     total *= h / 6.0
     total += pos
-    return total, touched
+    return total, touched, v1, v4
 
 
 def _halve(field, pos, stages, h, depth=1):
@@ -754,43 +756,58 @@ def _halve(field, pos, stages, h, depth=1):
     at its stored middle frame.  Inside each half step the members that
     touch a node again are halved again; one that still touches a node at
     depth MAX_HALVINGS underflows and leaves the batch at once.  Overwrites
-    pos and returns it with the (n,) underflow mask; the march discards an
-    underflowed member's row.
+    pos and returns it with the (n,) underflow mask, and a copy of it at the
+    end of the first half; the march discards an underflowed member's rows.
     """
     t0, tm, t1 = stages
     h = h / 2
     under = np.zeros(len(pos), dtype=bool)
+    first = None
     for s0, s1 in ((t0, tm), (tm, t1)):
         live = np.flatnonzero(~under)
         if not live.size:
             break
         half = (s0, s0 + 0.5 * h, s1)
-        new, touched = _rk4_batch(field, pos[live], half, h)
+        new, touched, _, _ = _rk4_batch(field, pos[live], half, h)
         if touched.any():
             j = live[touched]
             if depth == MAX_HALVINGS:
                 under[j] = True
             else:
-                new[touched], u = _halve(field, pos[j], half, h, depth + 1)
+                new[touched], u, _ = _halve(field, pos[j], half, h, depth + 1)
                 under[j[u]] = True
         pos[live] = new
-    return pos, under
+        if first is None:
+            first = pos.copy()
+    return pos, under, first
 
 
-def _step(field, pos, live, stages, h):
+def _step(field, pos, live, stages, h, middle=None):
     """The RK4 step of the ``live`` members of pos (n, D); the others hold.
 
     Members that touch a node take the step as halves (_halve).  Returns
     the new positions and the members whose halving underflowed, which
-    hold their positions too.
+    hold their positions too.  ``middle`` (n, D), if given, gets the
+    positions at the middle stage time, which costs no velocity: a halved
+    member's from the end of its first half, any other's by cubic Hermite
+    interpolation between the step's ends with v1 and v4 as their slopes,
+    (pos + new) / 2 + (h / 8)(v1 - v4).  Members that hold, hold there too.
     """
     new = pos.copy()
+    if middle is not None:
+        middle[...] = pos
     if not live.size:  # a step with every member frozen asks no velocity
         return new, live
-    new[live], touched = _rk4_batch(field, pos[live], stages, h)
+    new[live], touched, v1, v4 = _rk4_batch(field, pos[live], stages, h)
+    if middle is not None:
+        v1 -= v4
+        v1 *= h / 8.0
+        middle[live] = 0.5 * (pos[live] + new[live]) + v1
     j = live[touched]
     if j.size:
-        new[j], under = _halve(field, pos[j], stages, h)
+        new[j], under, first = _halve(field, pos[j], stages, h)
+        if middle is not None:
+            middle[j] = np.where(under[:, None], pos[j], first)
         j = j[under]
         new[j] = pos[j]
     return new, j
@@ -880,19 +897,19 @@ def run_bohm_ensemble(
     its middle stages blend.  The members whose stages touch a node redo
     the step as a batch of two half steps, split at the middle frame, and
     halve again where a half step touches a node (see _halve).  A member
-    whose step underflows dt / 2**MAX_HALVINGS is frozen in place (keeping
-    the shared time grid), the frame the step started from is recorded in
-    ``frozen_at``, and it leaves the batch.
+    that still touches one after MAX_HALVINGS halvings is frozen in place
+    (keeping the shared time grid), the frame the step started from is
+    recorded in ``frozen_at``, and it leaves the batch.
 
     The march holds the members' current positions, not their paths.  The
     ensemble keeps the rows at the ``keep`` times (every row when keep is
-    None).  A kept frame that a step spans, not ends on, is reached by a
-    one-frame step from the frame the step starts at, beside the march: it
-    does not feed back, so the march and every row it gives are the same
-    whatever is kept.  ``head`` > 0 also keeps the first ``head`` members
-    at every frame a step ends on, as ``Ensemble.head``, and ``drift``
-    records the largest distance of any member from its start over those
-    frames as ``Ensemble.max_drift``.
+    None).  A kept frame that a step spans, not ends on, is read off that
+    step (see _step): it costs no velocity call and does not feed back, so
+    the march and every row it gives are the same whatever is kept; a
+    member the step froze holds its place there too.  ``head`` > 0 also
+    keeps the first ``head`` members at every frame a step ends on, as
+    ``Ensemble.head``, and ``drift`` records the largest distance of any
+    member from its start over those frames as ``Ensemble.max_drift``.
     """
     field = VelocityField(frames)
     times = frames.times.tolist()
@@ -912,17 +929,13 @@ def run_bohm_ensemble(
     for n, (i, k) in enumerate(steps, 1):
         t0, t1 = times[i], times[k]
         mid = times[i + 1] if k == i + 2 else t0 + 0.5 * (t1 - t0)
-        # frozen members leave the batch
-        new_pos, under = _step(field, pos, np.flatnonzero(~frozen), (t0, mid, t1), t1 - t0)
-        frozen_at[under], frozen[under] = i, True
         r = slot.get(i + 1) if k == i + 2 else None
-        if r is not None:
-            # the kept middle frame, beside the march: the members frozen from
-            # frame i on hold their place, as do those whose one-frame step
-            # underflows
-            h = mid - t0
-            side, _ = _step(field, pos, np.flatnonzero(~frozen), (t0, t0 + 0.5 * h, mid), h)
-            _wrap_positions(side, lo, length, out=kept[r])
+        middle = None if r is None else kept[r]
+        # frozen members leave the batch
+        new_pos, under = _step(field, pos, np.flatnonzero(~frozen), (t0, mid, t1), t1 - t0, middle)
+        frozen_at[under], frozen[under] = i, True
+        if middle is not None:
+            _wrap_positions(middle, lo, length, out=middle)
         r = slot.get(k)
         pos = _wrap_positions(new_pos, lo, length, out=new_pos if r is None else kept[r])
         if head:

@@ -329,15 +329,17 @@ def test_march_meets_the_closed_form_free_gaussian_paths():
     """A free Gaussian of position width sigma has the Bohm paths
     x0 sqrt(1 + (t / 2 sigma^2)^2) (Holland, The Quantum Theory of Motion,
     1993, section 4.7).  On the free-gaussian grid, with frames stored every
-    10 steps of 0.002, the march of frame pairs meets them at t = 2 within
-    2e-6 (2.7e-7 measured); a march whose middle stages blend two frames is
-    second order in time and errs by 2.1e-5."""
+    10 steps of 0.002, the march of frame pairs meets them up to t = 2
+    within 2e-6, on the odd frames read off its steps too (2.9e-7
+    measured); a march whose middle stages blend two frames is second order
+    in time and errs by 2.2e-5."""
     sigma0, t_end = 1.0, 2.0
     frames = free_gaussian_frames(sigma0, t_end)
     q0 = qf.born_sample_many(frames.wavefunction(0), 300, 12)
-    ensemble = qf.run_bohm_ensemble(frames, q0, keep=[t_end])
-    expect = q0 * np.sqrt(1 + (t_end / (2 * sigma0**2)) ** 2)
-    assert np.max(np.abs(ensemble.positions_at(t_end) - expect)) <= 2e-6
+    ensemble = qf.run_bohm_ensemble(frames, q0)
+    assert ensemble.times[-1] == t_end
+    expect = q0 * np.sqrt(1 + (ensemble.times / (2 * sigma0**2)) ** 2)[:, None, None]
+    assert np.max(np.abs(ensemble.positions - expect)) <= 2e-6
 
 
 def test_rk4_endpoint_matches_independent_integrator():
@@ -420,50 +422,60 @@ def _advance_adaptive(field, x, stages, h, depth=0):
 
 
 def scalar_fallback_march(frames, q0, outcomes):
-    """Every row, frozen_at and the frames the steps end on of a march whose
-    touched members take the per-member fallback one at a time; counts its
-    member-steps that recover and that underflow in ``outcomes``.  A step
-    spans two frames where their gaps are equal, with its middle stages at
-    the middle frame, and one frame before the shorter last gap.  The row
-    at a frame that a step spans is a one-frame step from the frame before
-    it, taken after that step: the members it froze hold their place, as
-    do those whose one-frame step underflows, which do not freeze."""
+    """Every row and frozen_at of a march whose touched members take the
+    per-member fallback one at a time; counts in ``outcomes`` its
+    member-steps that recover and that underflow, by the number of frames
+    the step spans.  A step spans two
+    frames where their gaps agree to a relative 1e-9, with its middle
+    stages at the middle frame, and one frame before the shorter last gap.
+    The row at the middle frame of a two-frame step is the end of a halved
+    member's first half, the cubic Hermite midpoint (x0 + x1)/2 +
+    (h/8)(v1 - v4) of any other member's step, and the start of a member
+    that holds: no step of its own."""
     field = qf.VelocityField(frames)
     t = frames.times.tolist()
     pos = np.asarray(q0, dtype=float)
-    rows, frozen_at, ends = {0: pos}, np.full(len(pos), -1), {0}
+    rows, frozen_at = {0: pos}, np.full(len(pos), -1)
     lo, length = qf.dynamics._periods(frames.axes)
 
-    def step(pos, stages, h):
-        new_pos, touched = qf.dynamics._rk4_batch(field, pos, stages, h)
+    def wrap(x):
+        return qf.dynamics._wrap_positions(x, lo, length)
+
+    def step(pos, stages, h, span):
+        t0, tm, t1 = stages
+        v1, m1 = field.velocity(pos, t0)
+        v2, m2 = field.velocity(pos + 0.5 * h * v1, tm)
+        v3, m3 = field.velocity(pos + 0.5 * h * v2, tm)
+        v4, m4 = field.velocity(pos + h * v3, t1)
+        end = pos + (h / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4)
+        middle = 0.5 * (pos + end) + (h / 8.0) * (v1 - v4)
         hold = frozen_at >= 0
-        for j in np.flatnonzero(touched & ~hold):
+        for j in np.flatnonzero((m1 | m2 | m3 | m4) & ~hold):
+            half = h / 2
             try:
-                new_pos[j] = _advance_adaptive(field, pos[j], stages, h)
-                outcomes["recovered"] += 1
+                middle[j] = _advance_adaptive(field, pos[j], (t0, t0 + 0.5 * half, tm), half, 1)
+                end[j] = _advance_adaptive(field, middle[j], (tm, tm + 0.5 * half, t1), half, 1)
+                outcomes[span, "recovered"] += 1
             except _Underflow:
                 hold[j] = True
-                outcomes["underflowed"] += 1
-        under = hold & (frozen_at < 0)
-        new_pos[hold] = pos[hold]
-        return qf.dynamics._wrap_positions(new_pos, lo, length), under
+                outcomes[span, "underflowed"] += 1
+        end[hold] = middle[hold] = pos[hold]
+        return wrap(end), wrap(middle), hold & (frozen_at < 0)
 
     i = 0
     while i < len(t) - 1:
-        h = t[i + 1] - t[i]
-        if i + 2 < len(t) and np.isclose(t[i + 2] - t[i + 1], h):
-            new_pos, under = step(pos, (t[i], t[i + 1], t[i + 2]), t[i + 2] - t[i])
-            frozen_at[under] = i
-            rows[i + 1], _ = step(pos, (t[i], t[i] + 0.5 * h, t[i + 1]), h)
+        g0 = t[i + 1] - t[i]
+        g1 = t[i + 2] - t[i + 1] if i + 2 < len(t) else 0.0
+        if abs(g1 - g0) <= 1e-9 * max(g0, g1):
+            pos, rows[i + 1], under = step(pos, (t[i], t[i + 1], t[i + 2]), t[i + 2] - t[i], 2)
             k = i + 2
         else:
-            new_pos, under = step(pos, (t[i], t[i] + 0.5 * h, t[i + 1]), h)
-            frozen_at[under] = i
+            pos, _, under = step(pos, (t[i], t[i] + 0.5 * g0, t[i + 1]), g0, 1)
             k = i + 1
-        pos = rows[k] = new_pos
-        ends.add(k)
+        frozen_at[under] = i
+        rows[k] = pos
         i = k
-    return np.array([rows[i] for i in range(len(t))]), frozen_at, sorted(ends)
+    return np.array([rows[i] for i in range(len(t))]), frozen_at
 
 
 def node_fallback_case(case):
@@ -483,21 +495,37 @@ def node_fallback_case(case):
     return qf.evolve_frames(w0, potential, 0.01, 200, 15), qf.born_sample_many(w0, 200, 4)
 
 
+# member-steps of the reference march at each node_factor that recover and
+# that underflow, by the number of frames their step spans
+FALLBACK_OUTCOMES = {
+    "odd": {
+        0.05: {(2, "recovered"): 4, (2, "underflowed"): 3},
+        0.3: {(2, "recovered"): 25, (2, "underflowed"): 31},
+        0.9: {(2, "recovered"): 28, (2, "underflowed"): 277},
+    },
+    "box": {
+        0.05: {(2, "recovered"): 11, (1, "underflowed"): 1},
+        0.3: {(2, "recovered"): 7, (2, "underflowed"): 51, (1, "underflowed"): 5},
+        0.9: {(2, "underflowed"): 200},
+    },
+}
+
+
 @pytest.mark.parametrize("case", ["odd", "box"])
 def test_batched_node_fallback_is_the_scalar_fallback(monkeypatch, case):
     """The march halves its touched members as a batch and gives the bits of
-    the per-member fallback, with node_factor raised so that some
-    member-steps halve and recover and some underflow: in every row, and in
-    a march that keeps only the frames its steps end on.  That march is the
-    one whose velocity calls are counted (a kept frame inside a two-frame
-    step costs a one-frame step beside it).  An underflowed member leaves
-    its batch at once: kept in, it walks every branch of its step down to
-    depth MAX_HALVINGS, and the 2-D march at 0.9 makes thousands more
-    velocity calls than its 1,272.  A frozen member leaves the march's
-    batch too: kept in, it costs four velocity points on every later step,
-    and the 2-D march at 0.9 evaluates 11,204 points instead of 9,780.
-    Once every member is frozen a step asks no velocity: stepped anyway,
-    the 2-D march at 0.9 makes 20 calls on zero points."""
+    the per-member fallback in every row, with node_factor raised so that
+    member-steps halve and recover and underflow (FALLBACK_OUTCOMES).  The
+    frame-pair steps of the 1-D march do both at every factor.  In the 2-D
+    box the one underflow at 0.05 is in the one-frame last step, and at 0.9
+    no step recovers: every member underflows in a frame-pair step.  An
+    underflowed member leaves its batch at once: kept in, it walks every
+    branch of its step down to depth MAX_HALVINGS, and the 2-D march at 0.9
+    makes thousands more velocity calls than its 1,272.  A frozen member
+    leaves the march's batch too: kept in, it costs four velocity points on
+    every later step, and the 2-D march at 0.9 evaluates 11,204 points
+    instead of 9,780.  Once every member is frozen a step asks no velocity:
+    stepped anyway, the 2-D march at 0.9 makes 20 calls on zero points."""
     frames, q0 = node_fallback_case(case)
     calls, points, empty = collections.Counter(), collections.Counter(), collections.Counter()
     velocity = qf.VelocityField.velocity
@@ -511,17 +539,13 @@ def test_batched_node_fallback_is_the_scalar_fallback(monkeypatch, case):
     for factor in (0.05, 0.3, 0.9):
         monkeypatch.setattr(qf.VelocityField.__init__, "__defaults__", (factor,))
         outcomes = collections.Counter()
-        positions, frozen_at, ends = scalar_fallback_march(frames, q0, outcomes)
+        positions, frozen_at = scalar_fallback_march(frames, q0, outcomes)
         with monkeypatch.context() as m:
             m.setattr(qf.VelocityField, "velocity", counted)
             ensemble = qf.run_bohm_ensemble(frames, q0)
-            calls[factor] = points[factor] = 0
-            march = qf.run_bohm_ensemble(frames, q0, keep=frames.times[ends])
         assert np.array_equal(as_bits(ensemble.positions), as_bits(positions)), factor
-        assert np.array_equal(as_bits(march.positions), as_bits(positions[ends])), factor
         assert np.array_equal(ensemble.frozen_at, frozen_at), factor
-        assert np.array_equal(march.frozen_at, frozen_at), factor
-        assert outcomes["recovered"] > 0 and outcomes["underflowed"] > 0, (factor, outcomes)
+        assert outcomes == FALLBACK_OUTCOMES[case][factor], (factor, outcomes)
     assert sum(empty.values()) == 0, empty
     if case == "box":
         assert calls[0.9] <= 1700, calls
@@ -805,7 +829,7 @@ def test_streamed_fallback_reads_back_across_chunks(monkeypatch, chunk):
     frame-pair step (frames 0, 1, 2) halves.  In chunks of 2 its last stage
     has loaded the chunk of frame 2 before its halves read frames 0 and 1
     again, which the field holds.  The streamed march gives the bits of the
-    stored one in every row, the one-frame steps to the odd frames too."""
+    stored one in every row, the odd frames inside the pair steps too."""
     monkeypatch.setattr(qf.dynamics, "_CHUNK", chunk)
     ax = qf.uniform_axis(-16, 16, 256)
     w0 = odd_state(ax)
@@ -837,8 +861,9 @@ def test_odd_march_bytes_pinned():
     """The [odd] march of test_streamed_march_matches_stored_frames, pinned
     across versions of qflab: the member started on the node freezes at the
     first step, and every other member never touches it.  Re-pinned when
-    the march moved to frame pairs: no position moved by more than 8.8e-7,
-    and frozen_at kept its bytes."""
+    the march moved to frame pairs, whose odd frames are read off the pair
+    steps: no position moved by more than 8.8e-7, and frozen_at kept its
+    bytes."""
     ax = qf.uniform_axis(-16, 16, 256)
     w0 = odd_state(ax)
     frames = qf.evolve_frames(w0, Potential.free(), 0.002, 450, 3)
@@ -848,7 +873,7 @@ def test_odd_march_bytes_pinned():
     digests = [hashlib.sha256(a.tobytes()).hexdigest()
                for a in (ensemble.positions, ensemble.frozen_at)]
     assert digests == [
-        "f785765a64b8c7055fde19e5244ec0d845e6aad0a856bc59811e9c9f4e3b0cd4",
+        "7467dfd1eb7a980c019f577561a61e50965c14ca50daad0c8cb77bdcee22807a",
         "8275b5c35eae5df39bea7e173b3bcdf939a1988a133cb0cb254dd20484929391",
     ]
 
@@ -862,13 +887,13 @@ def test_kept_rows_are_the_full_march_rows(monkeypatch):
     gives the bits of the every-row march, for blocks of 7 members and of
     all of them; the odd state's node freezes member 0 at the first step.
     The march steps two frames at a time, so the head paths and the drift
-    are over the even frames, and the kept frame 51 is a one-frame step
-    from frame 50 in both marches."""
+    are over the even frames; the kept odd frames 1 and 51 are read off the
+    steps over them, and member 0 holds its start at frame 1."""
     ax = qf.uniform_axis(-16, 16, 256)
     w0 = odd_state(ax)
     dt, n_steps, store_every = 0.002, 450, 3
     q0 = np.concatenate([[[0.0]], qf.born_sample_many(w0, 30, 3)])
-    keep = [0.6, 0.0, 0.3, 0.306, 0.3]
+    keep = [0.6, 0.0, 0.3, 0.306, 0.006, 0.3]
 
     def march(**kwargs):
         source = qf.FrameSource(w0, Potential.free(), dt, n_steps, store_every, keep=())
@@ -882,12 +907,14 @@ def test_kept_rows_are_the_full_march_rows(monkeypatch):
     full, part = runs[len(q0)]
     assert full.frozen_at[0] == 0 and np.all(full.frozen_at[1:] == -1)
     assert full.head is None and full.max_drift is None
-    rows = [full.times.tolist().index(t) for t in (0.0, 0.3, 0.306, 0.6)]
-    assert rows == [0, 50, 51, 100]
+    rows = [full.times.tolist().index(t) for t in (0.0, 0.006, 0.3, 0.306, 0.6)]
+    assert rows == [0, 1, 50, 51, 100]
     assert np.array_equal(part.times, full.times[rows])
     assert np.array_equal(as_bits(part.positions), as_bits(full.positions[rows]))
     assert np.array_equal(part.frozen_at, full.frozen_at)
     assert np.array_equal(part.seeds, full.seeds)
+    # member 0's first step, over frames 0, 1, 2, underflowed: it holds from frame 0 on
+    assert np.all(full.positions[:3, 0] == q0[0]) and not np.all(full.positions[:3, 1] == q0[1])
     marched = np.arange(0, full.times.size, 2)
     assert marched[-1] == full.times.size - 1
     assert np.array_equal(part.head.times, full.times[marched])
@@ -967,7 +994,8 @@ def test_march_work_counts(monkeypatch):
     steps n frame pairs: 4n velocity and kernel calls, each through the
     public method, and no blends.  The stored times are i * dt, whose gaps
     differ in their last bits; a pair must not fall back to one-frame steps
-    over them."""
+    over them.  The default march, which keeps every frame, reads the odd
+    ones off its pair steps and makes the same calls."""
     calls = collections.Counter()
 
     def count(cls, name):
@@ -988,9 +1016,11 @@ def test_march_work_counts(monkeypatch):
     n = (frames.n_frames - 1) // 2
     assert frames.n_frames == 2 * n + 1 and n > qf.dynamics._CHUNK
     assert len(set(np.diff(frames.times).tolist())) > 1
-    qf.run_bohm_ensemble(frames, qf.born_sample_many(w0, 20, 1), keep=frames.times[::2],
-                         head=3, drift=True)
-    assert (calls["velocity"], calls["__call__"], calls["blend"]) == (4 * n, 4 * n, 0)
+    q0 = qf.born_sample_many(w0, 20, 1)
+    for keep in (frames.times[::2], None):
+        calls.clear()
+        qf.run_bohm_ensemble(frames, q0, keep=keep, head=3, drift=True)
+        assert (calls["velocity"], calls["__call__"], calls["blend"]) == (4 * n, 4 * n, 0), keep
 
 
 def test_frame_source_streams_forward_only():
