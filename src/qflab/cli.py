@@ -8,6 +8,7 @@ failed, 3 the spec (or invocation) was invalid.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -119,7 +120,10 @@ def _report(args) -> int:
     return EXIT_PASS if manifest.get("passed") else EXIT_FAILURE
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a run of many specs
+    in one process calls main once per spec."""
     parser = argparse.ArgumentParser(
         prog="qflab",
         description="wave-function experiments, particle dynamics, and finite ontological models",
@@ -149,8 +153,11 @@ def main(argv=None) -> int:
     p_rep = sub.add_parser("report", help="summarize a run manifest")
     p_rep.add_argument("manifest", help="path to a manifest.json")
     p_rep.set_defaults(handler=_report)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except experiments.SpecValidationError as exc:

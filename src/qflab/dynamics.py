@@ -11,23 +11,32 @@ Wave evolution is second-order symmetric split-step on a periodic grid:
 Particle velocities follow the probability current, v = Im(grad psi / psi),
 evaluated off-grid by separable cubic interpolation of psi and its spectral
 gradient.  Trajectories integrate that field with RK4 against wave frames
-stored on a fixed dt grid.  Each step spans two stored frames, so that its
-stages fall on frames, at their stored times: the march is fourth order in
-time and reads no field between frames.  Only a one-frame step (before a
-shorter last gap) and the halves of the node fallback blend two frames
-linearly for their middle stages.  A kept frame inside a two-frame step is
-read off that step, at no velocity call.  The members whose step touches
-a node (|psi| < 1e-8 max|psi|) take it again as two half steps, together;
-those that touch one again are halved again, and a member that still does
-after 10 halvings is frozen.  One RK4 formula, ``_rk4_batch``,
-serves every step and every half step.
+stored on a fixed dt grid.  A step spans 2m stored frames, its stages on
+frames i, i + m, i + m and i + 2m at their stored times: the march is
+fourth order in time and reads no field between frames.  The march picks
+m.  The velocity at a step's new positions is the next step's first stage,
+so the step gets an error estimate at no extra call: against the embedded
+third-order formula on (v1, v2, v3, v(t1, y1)), e = (h/6) max |v4 -
+v(t1, y1)| (Hairer, Norsett & Wanner, Solving ODEs I, section II.4).  A
+step at m > 1 with e > MARCH_TOL, or with a member on a node, is taken
+again at half the stride; after a step with e < MARCH_TOL / 16, m doubles,
+up to a span of a quarter of a chunk (16 frames).  A step at m = 1, a
+frame pair, is never taken again: the members whose step touches a node
+(|psi| < 1e-8 max|psi|) take it again as two half steps, together; those
+that touch one again are halved again, and a member that still does after
+10 halvings is frozen.  Only a one-frame step (before a shorter last gap)
+and the halves of the node fallback blend two frames linearly for their
+middle stages.  A kept frame inside a step is read off that step, at no
+velocity call, by cubic Hermite interpolation between its ends.  One RK4
+formula, ``_rk4_batch``, serves every step and every half step.
 
 Frames stream: a FrameSource evolves _CHUNK stored frames at a time, each
 in place in its slot of the chunk (the step's multiplies and FFTs write
 there).  The velocity field takes the spline coefficients of psi and its
 gradient for a chunk from one batched FFT, divided by the B-spline symbol,
 and one batched inverse FFT; the march holds one chunk's coefficients and
-copies of the two frames before it.  Only the frames a caller asks to
+copies of the frames before it from the current step's start (at most 16),
+which a step taken again reads back.  Only the frames a caller asks to
 keep (a run keeps t = 0 and its sample times) outlive their chunk, copied
 into one array sized up front.  ``evolve_frames`` drains the same source
 and keeps every frame.
@@ -64,6 +73,8 @@ from .states import GridWaveFunction, born_density, fix_global_phase
 
 EPS_NODE_FACTOR = 1e-8
 MAX_HALVINGS = 10
+# the largest error estimate of a step the Bohm march takes at a stride over a frame pair
+MARCH_TOL = 1e-8
 WALL_HEIGHT = 1e4
 CHI2_SIGNIFICANCE = 1e-3
 _MASK64 = (1 << 64) - 1
@@ -82,6 +93,7 @@ _RQI_RESTARTS = 2
 __all__ = [
     "Potential",
     "Ensemble",
+    "MarchRecord",
     "WaveFrames",
     "FrameSource",
     "VelocityField",
@@ -588,9 +600,10 @@ class VelocityField:
     ``frames`` is a WaveFrames or a FrameSource.  Frames are read _CHUNK at
     a time; the spline coefficients of psi and its gradient are one stack
     per chunk.  Only the current chunk's stack is held, with copies of the
-    two frames before it: the node fallback of a frame-pair step of the
-    march that starts there reads them again after the step's last stage
-    has loaded the chunk.
+    frames before it from ``step_start`` on, at most a step's span
+    (_max_span): a step of the march that starts there, taken again at a
+    shorter stride or through its node fallback, reads them again after
+    its last stage has loaded the chunk.
     Any time can be asked of WaveFrames (a chunk read again is rebuilt); a
     FrameSource only moves forward.  At a stored time the field is that
     frame's; between stored times it blends the bracketing frames linearly
@@ -604,6 +617,7 @@ class VelocityField:
         self._times = frames.times.tolist()  # bisect on a list is cheaper than searchsorted
         self._chunk = None  # (chunk index, per-frame interpolators, max |psi| per frame)
         self._held = {}  # frame index: (interpolator, max |psi|), copied, before the chunk
+        self.step_start = 0  # the first frame the march's current step reads
         self._cache_t = self._cache = None  # the last time asked and its interpolator
 
     def _frame(self, i: int):
@@ -631,9 +645,9 @@ class VelocityField:
         )
 
     def _held_before(self, c: int) -> dict:
-        """The two frames before chunk c, where the held frames or chunk have them, copied."""
+        """The frames before chunk c from step_start on, at most _max_span(), copied."""
         held = {}
-        for i in range(max(c * _CHUNK - 2, 0), c * _CHUNK):
+        for i in range(max(self.step_start, c * _CHUNK - _max_span()), c * _CHUNK):
             if i in self._held:
                 held[i] = self._held[i]
             elif self._chunk is not None and self._chunk[0] == i // _CHUNK:
@@ -716,21 +730,23 @@ def _wrap_positions(positions, lo, length, out=None):
     return np.add(np.mod(out, length, out=out), lo, out=out)
 
 
-def _rk4_batch(field: VelocityField, pos, stages, h):
+def _rk4_batch(field: VelocityField, pos, stages, h, first=None):
     """One RK4 step of h for the whole batch; returns (new_pos, touched_node, v1, v4).
 
     ``stages`` are the times (t0, tm, t1) of the first stage, of the two
-    middle ones and of the last.  The step is pos + (h/6)(v1 + 2 v2 + 2 v3
-    + v4), summed in that order in one buffer, and the stage points share
+    middle ones and of the last.  ``first``, if given, is the first stage's
+    (velocities, node mask), already evaluated: the march's last call of
+    the step before.  The step is pos + (h/6)(v1 + 2 v2 + 2 v3 + v4),
+    summed in that order in one buffer, and the stage points share
     another.  The first and last stage velocities are returned too, for
-    the step's middle position (_step).
+    the march's error estimate and for the frames it reads off the step.
     """
     t0, tm, t1 = stages
-    v1, touched = field.velocity(pos, t0)
+    v1, touched = field.velocity(pos, t0) if first is None else first
     x = np.multiply(v1, 0.5 * h)
     x += pos
     v2, mask = field.velocity(x, tm)
-    touched |= mask
+    touched = touched | mask  # not in place: a step taken again reuses ``first``
     total = np.multiply(v2, 2.0)
     total += v1
     np.multiply(v2, 0.5 * h, out=x)
@@ -782,54 +798,74 @@ def _halve(field, pos, stages, h, depth=1):
     return pos, under, first
 
 
-def _step(field, pos, live, stages, h, middle=None):
-    """The RK4 step of the ``live`` members of pos (n, D); the others hold.
+def _max_span() -> int:
+    """The most stored frames one step of the march spans: a quarter of a chunk, so
+    that a step reads at most two chunks (16 frames; at least a frame pair)."""
+    return max(2, _CHUNK // 4)
 
-    Members that touch a node take the step as halves (_halve).  Returns
-    the new positions and the members whose halving underflowed, which
-    hold their positions too.  ``middle`` (n, D), if given, gets the
-    positions at the middle stage time, which costs no velocity: a halved
-    member's from the end of its first half, any other's by cubic Hermite
-    interpolation between the step's ends with v1 and v4 as their slopes,
-    (pos + new) / 2 + (h / 8)(v1 - v4).  Members that hold, hold there too.
+
+def _stride(times, i: int, m: int) -> int:
+    """Half the span of the march's step from frame i, asked to span 2m frames.
+
+    That is the largest m' <= m, halving, whose step ends by the last frame
+    and has two halves of equal length, compared to a relative 1e-9 (stored
+    times are i * dt, whose differences round apart); or 0, a one-frame
+    step, where there is none, as before a shorter last gap.
     """
-    new = pos.copy()
-    if middle is not None:
-        middle[...] = pos
-    if not live.size:  # a step with every member frozen asks no velocity
-        return new, live
-    new[live], touched, v1, v4 = _rk4_batch(field, pos[live], stages, h)
-    if middle is not None:
-        v1 -= v4
-        v1 *= h / 8.0
-        middle[live] = 0.5 * (pos[live] + new[live]) + v1
-    j = live[touched]
-    if j.size:
-        new[j], under, first = _halve(field, pos[j], stages, h)
-        if middle is not None:
-            middle[j] = np.where(under[:, None], pos[j], first)
-        j = j[under]
-        new[j] = pos[j]
-    return new, j
-
-
-def _march_steps(times) -> list:
-    """(i, k): the stored frames each step of the march goes from and to.
-
-    From frame 0 on, a step spans two frames where their two gaps are equal
-    (to a relative 1e-9: stored times are i * dt, whose differences round
-    apart) and one frame elsewhere, such as before a shorter last gap.
-    """
-    steps, i, last = [], 0, len(times) - 1
-    while i < last:
-        k = i + 1
-        if k < last:
-            g0, g1 = times[k] - times[i], times[k + 1] - times[k]
+    last = len(times) - 1
+    while m:
+        k = i + 2 * m
+        if k <= last:
+            g0, g1 = times[i + m] - times[i], times[k] - times[i + m]
             if abs(g1 - g0) <= 1e-9 * max(g0, g1):
-                k += 1
-        steps.append((i, k))
-        i = k
-    return steps
+                return m
+        m //= 2
+    return 0
+
+
+def _hermite(x0, x1, v0, v1, h, s):
+    """The cubic Hermite interpolant of a step of h from x0 to x1 with slopes v0 and v1.
+
+    It is read at s = 2 theta - 1, theta the fraction of the step, as
+    (x0 + x1)/2 + (h/8)(v0 - v1)(1 - s^2) + s ((x1 - x0)/2 + g (s^2 - 1)),
+    with g = (h/8)(v0 + v1) - (x1 - x0)/4.  At the middle, s = 0, the odd
+    part is left out: the middle is (x0 + x1)/2 + (h/8)(v0 - v1).
+    """
+    out = np.multiply(np.subtract(v0, v1), h / 8.0)
+    out *= 1.0 - s * s
+    out += 0.5 * (x0 + x1)
+    if s:
+        d = 0.5 * (x1 - x0)
+        g = np.multiply(np.add(v0, v1), h / 8.0)
+        g -= 0.5 * d
+        g *= s * s - 1.0
+        g += d
+        g *= s
+        out += g
+    return out
+
+
+@dataclass(frozen=True)
+class MarchRecord:
+    """What one Bohm march did (run_bohm_ensemble).
+
+    ``steps`` it took and ``steps_taken_again`` at half the stride (an
+    attempt that touched a node or whose error estimate passed
+    ``tolerance``, MARCH_TOL); the fewest and most stored frames a step
+    spanned; ``max_error``, the largest error estimate of a step taken
+    (None if no step had one); ``node_fallback_member_steps``, the members
+    of steps that took the node fallback, summed over the steps; and
+    ``frozen_members``, the members with ``frozen_at`` set.
+    """
+
+    steps: int
+    steps_taken_again: int
+    min_stride: int
+    max_stride: int
+    max_error: float | None
+    tolerance: float
+    node_fallback_member_steps: int
+    frozen_members: int
 
 
 @dataclass(frozen=True)
@@ -840,8 +876,9 @@ class Ensemble:
     ``seeds[j]`` is member j's seed, and ``frozen_at[j]`` the stored frame
     from which its halved step underflowed (it holds its position from
     there on), or -1 if it never did.  A march can also record its first
-    members' paths over the frames its steps end on (``head``) and
-    ``max_drift`` (see run_bohm_ensemble); ``take`` drops them.
+    members' paths over the frames its steps end on (``head``),
+    ``max_drift`` (see run_bohm_ensemble) and what it did (``march``);
+    ``take`` drops them.
     """
 
     times: np.ndarray  # (T,)
@@ -850,6 +887,7 @@ class Ensemble:
     frozen_at: np.ndarray  # (N,)
     head: Ensemble | None = None  # the first members at every step of the march
     max_drift: float | None = None  # largest |Q_j(t) - Q_j(0)| over the march's steps
+    march: MarchRecord | None = None
 
     @property
     def size(self) -> int:
@@ -890,62 +928,132 @@ def run_bohm_ensemble(
 
     ``frames`` is stored (WaveFrames) or streamed (FrameSource); the march
     reads a stream once, forward, and its kept frames are then drained from
-    it.  All members advance together, by RK4 steps that each span two
-    stored frames i, i + 1, i + 2 (see _march_steps): the stages fall on
-    those frames, at their stored times, so no step blends frames.  Where
-    the two gaps differ (a shorter last gap) the step spans one frame and
-    its middle stages blend.  The members whose stages touch a node redo
-    the step as a batch of two half steps, split at the middle frame, and
-    halve again where a half step touches a node (see _halve).  A member
-    that still touches one after MAX_HALVINGS halvings is frozen in place
-    (keeping the shared time grid), the frame the step started from is
-    recorded in ``frozen_at``, and it leaves the batch.
+    it.  All members advance together, by RK4 steps over 2m stored frames
+    i, i + m and i + 2m, at their stored times, so no step blends frames.
+    The march picks m.  It starts at 1, a frame pair.  After each step it
+    evaluates the velocity at the members' new positions, which is the
+    next step's first stage, and so costs no extra call.  With it the step
+    has a free error estimate, e = (h/6) max |v4 - v(t1, y1)|, the
+    difference from the embedded third-order formula with weights (1/6,
+    1/3, 1/3, 1/6) on (v1, v2, v3, v(t1, y1)) (Hairer, Norsett & Wanner,
+    Solving ODEs I, section II.4), over the members whose stages touched no
+    node.  A step at m > 1 is taken again at half the stride when e
+    exceeds MARCH_TOL or when any member touches a node; after a step with
+    e < MARCH_TOL / 16, m doubles, up to a span of _max_span() frames.  A
+    step never passes the last frame, and its halves must be of equal
+    length (see _stride); where even a frame pair does not fit, as before a
+    shorter last gap, the step spans one frame and its middle stages blend.
+
+    A step at m = 1, or of one frame, is never taken again.  Its members
+    whose stages touch a node redo it as a batch of two half steps, split
+    at the middle stage time, and halve again where a half step touches a
+    node (see _halve).  A member that still touches one after MAX_HALVINGS
+    halvings is frozen in place (keeping the shared time grid), the frame
+    the step started from is recorded in ``frozen_at``, and it leaves the
+    batch.
 
     The march holds the members' current positions, not their paths.  The
     ensemble keeps the rows at the ``keep`` times (every row when keep is
-    None).  A kept frame that a step spans, not ends on, is read off that
-    step (see _step): it costs no velocity call and does not feed back, so
-    the march and every row it gives are the same whatever is kept; a
-    member the step froze holds its place there too.  ``head`` > 0 also
-    keeps the first ``head`` members at every frame a step ends on, as
-    ``Ensemble.head``, and ``drift`` records the largest distance of any
-    member from its start over those frames as ``Ensemble.max_drift``.
+    None).  A kept frame inside a step is read off that step with no
+    velocity call, by cubic Hermite interpolation between the step's ends
+    with v1 and v4 as the slopes (Hairer, Norsett & Wanner, section II.6;
+    see _hermite); a member that halved the step is where its first half
+    ends, and a member the step froze holds its place.  It does not feed
+    back, so the steps, and every row they give, are the same whatever is
+    kept.  ``head`` > 0 also keeps the first ``head`` members at every
+    frame a step ends on, as ``Ensemble.head``, and ``drift`` records the
+    largest distance of any member from its start over those frames as
+    ``Ensemble.max_drift``.  ``Ensemble.march`` records what the march did.
     """
     field = VelocityField(frames)
     times = frames.times.tolist()
+    last, top = len(times) - 1, _max_span() // 2
     start = np.atleast_2d(np.asarray(positions0, dtype=float))
     rows = _kept_rows(frames.times, keep)
-    slot = {i: r for r, i in enumerate(rows)}
     kept = np.empty((len(rows),) + start.shape)
-    steps = _march_steps(times)
-    paths = np.empty((len(steps) + 1,) + start[:head].shape)
-    paths[0] = start[:head]
-    pos = start
-    if 0 in slot:  # rows are sorted, so row 0 is the first kept
-        kept[0] = pos
-    max_drift = _max_distance(pos, start) if drift else None
-    frozen_at, frozen = np.full(len(pos), -1), np.zeros(len(pos), dtype=bool)
+    row = 0  # the next kept row to fill
+    if rows and rows[0] == 0:
+        kept[0], row = start, 1
+    ends, paths = [0], [start[:head].copy()]
+    max_drift = _max_distance(start, start) if drift else None
+    frozen_at = np.full(len(start), -1)
     lo, length = _periods(frames.axes)
-    for n, (i, k) in enumerate(steps, 1):
+    pos, live = start, np.arange(len(start))
+    first = field.velocity(pos, times[0]) if live.size else None
+    spans, errors, retaken, fallback = [], [], 0, 0
+    i, m = 0, 1
+    while i < last:
+        field.step_start = i
+        half = _stride(times, i, m)
+        k = i + 2 * half if half else i + 1
         t0, t1 = times[i], times[k]
-        mid = times[i + 1] if k == i + 2 else t0 + 0.5 * (t1 - t0)
-        r = slot.get(i + 1) if k == i + 2 else None
-        middle = None if r is None else kept[r]
-        # frozen members leave the batch
-        new_pos, under = _step(field, pos, np.flatnonzero(~frozen), (t0, mid, t1), t1 - t0, middle)
-        frozen_at[under], frozen[under] = i, True
-        if middle is not None:
-            _wrap_positions(middle, lo, length, out=middle)
-        r = slot.get(k)
-        pos = _wrap_positions(new_pos, lo, length, out=new_pos if r is None else kept[r])
+        h = t1 - t0
+        x = pos[live]
+        new, under, err = x, np.zeros(len(x), dtype=bool), None
+        if live.size:
+            stages = (t0, times[i + half] if half else t0 + 0.5 * h, t1)
+            new, touched, v1, v4 = _rk4_batch(field, x, stages, h, first)
+            if half > 1 and touched.any():
+                m, retaken = half // 2, retaken + 1
+                continue
+            j = np.flatnonzero(touched)  # only at half <= 1: the node fallback
+            if j.size:
+                new[j], under[j], first_half = _halve(field, x[j], stages, h)
+                new[under] = x[under]
+                fallback += j.size
+        end = pos.copy()
+        end[live] = new
+        _wrap_positions(end, lo, length, out=end)
+        stay = live[~under]
+        if stay.size and (k < last or half > 1):
+            nxt = field.velocity(end[stay], t1)
+            ok = ~touched[~under] & ~nxt[1]
+            err = h / 6.0 * float(np.max(np.abs(v4[~under][ok] - nxt[0][ok]), initial=0.0))
+            if half > 1 and err > MARCH_TOL:
+                m, retaken = half // 2, retaken + 1
+                continue
+            first = nxt
+        # the kept frames inside the step: a frame pair's middle is the one
+        # a halved member has, where its first half ends
+        while row < len(rows) and rows[row] < k:
+            kept[row] = pos
+            if live.size:
+                s = (2 * (rows[row] - i) - (k - i)) / (k - i)
+                kept[row][live] = _hermite(x, new, v1, v4, h, s)
+                if j.size:
+                    kept[row][live[j]] = np.where(under[j, None], x[j], first_half)
+            _wrap_positions(kept[row], lo, length, out=kept[row])
+            row += 1
+        frozen_at[live[under]] = i
+        pos, live = end, stay
+        if row < len(rows) and rows[row] == k:
+            kept[row], row = pos, row + 1
         if head:
-            paths[n] = pos[:head]
+            ends.append(k)
+            paths.append(pos[:head].copy())
         if drift:
             max_drift = max(max_drift, _max_distance(pos, start))
+        spans.append(k - i)
+        if err is not None:
+            errors.append(err)
+        m = max(half, 1)
+        if err is not None and err < MARCH_TOL / 16:
+            m = min(2 * m, top)
+        i = k
     seeds = _member_seeds(seed, len(pos))
-    marched = frames.times[[0] + [k for _, k in steps]]
-    head_paths = Ensemble(marched, paths, seeds[:head], frozen_at[:head]) if head else None
-    return Ensemble(frames.times[rows], kept, seeds, frozen_at, head_paths, max_drift)
+    record = MarchRecord(
+        steps=len(spans),
+        steps_taken_again=retaken,
+        min_stride=min(spans, default=0),
+        max_stride=max(spans, default=0),
+        max_error=max(errors, default=None),
+        tolerance=MARCH_TOL,
+        node_fallback_member_steps=fallback,
+        frozen_members=int(np.count_nonzero(frozen_at >= 0)),
+    )
+    head_paths = Ensemble(frames.times[ends], np.array(paths), seeds[:head], frozen_at[:head]) \
+        if head else None
+    return Ensemble(frames.times[rows], kept, seeds, frozen_at, head_paths, max_drift, record)
 
 
 def _max_distance(pos: np.ndarray, start: np.ndarray) -> float:

@@ -621,6 +621,7 @@ def _wave_pipeline(
         files.append(art.write_ensemble_csv(out / "bohm_trajectories_head.csv", ensemble.head))
         rows = ensemble.take(steps=sample_ids)
         files.append(art.write_ensemble_csv(out / "bohm_positions.csv", rows))
+        files.append(art.write_json(out / "diagnostics.json", {"march": ensemble.march}))
 
         t_screen = snapped[-1]
         report = dyn.equivariance_test(

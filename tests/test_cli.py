@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -286,6 +289,24 @@ def test_report_on_json_that_is_no_manifest_exits_invalid(tmp_path, capsys):
         path.write_text(text)
         assert main(["report", str(path)]) == EXIT_INVALID
         assert "ERROR   manifest:" in capsys.readouterr().out
+
+
+def test_main_called_again_in_one_process_is_a_fresh_process(tmp_path, capsys):
+    """main builds its parser once per process.  Called again in the same
+    process, after other calls, it gives the exit code and the standard
+    output that the same arguments give in a fresh process."""
+    (tmp_path / "bad").mkdir()
+    bad = write_spec(tmp_path / "bad", params={"overlap": 2.0})
+    calls = [["run", str(write_spec(tmp_path))], ["validate", str(bad)], ["preset", "nope"]]
+    package_root = str(Path(qf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "qflab", *argv], env=env,
+                               capture_output=True, text=True)
+        for _ in range(2):
+            assert (main(argv), capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
+    assert [main(argv) for argv in calls] == [EXIT_PASS, EXIT_INVALID, EXIT_INVALID]
 
 
 # Small specs of every pipeline, each runnable as it stands: the wave spec

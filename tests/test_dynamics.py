@@ -1,6 +1,7 @@
 import collections
 import functools
 import hashlib
+import itertools
 import tracemalloc
 import warnings
 
@@ -329,10 +330,10 @@ def test_march_meets_the_closed_form_free_gaussian_paths():
     """A free Gaussian of position width sigma has the Bohm paths
     x0 sqrt(1 + (t / 2 sigma^2)^2) (Holland, The Quantum Theory of Motion,
     1993, section 4.7).  On the free-gaussian grid, with frames stored every
-    10 steps of 0.002, the march of frame pairs meets them up to t = 2
-    within 2e-6, on the odd frames read off its steps too (2.9e-7
-    measured); a march whose middle stages blend two frames is second order
-    in time and errs by 2.2e-5."""
+    10 steps of 0.002, the march meets them up to t = 2 within 2e-6, on the
+    frames read off its steps too (2.91e-7 measured, in 46 steps of 2 and 4
+    frames, where the frame-pair march errs by 2.86e-7); a march whose middle
+    stages blend two frames is second order in time and errs by 2.2e-5."""
     sigma0, t_end = 1.0, 2.0
     frames = free_gaussian_frames(sigma0, t_end)
     q0 = qf.born_sample_many(frames.wavefunction(0), 300, 12)
@@ -525,7 +526,12 @@ def test_batched_node_fallback_is_the_scalar_fallback(monkeypatch, case):
     leaves the march's batch too: kept in, it costs four velocity points on
     every later step, and the 2-D march at 0.9 evaluates 11,204 points
     instead of 9,780.  Once every member is frozen a step asks no velocity:
-    stepped anyway, the 2-D march at 0.9 makes 20 calls on zero points."""
+    stepped anyway, the 2-D march at 0.9 makes 20 calls on zero points.
+    The reference steps frame pairs, so the march runs at MARCH_TOL = 0,
+    where its stride never grows: its last call of a step is the next
+    step's first stage, so it makes no more calls than a march that
+    evaluates that stage at the start of the next step."""
+    monkeypatch.setattr(qf.dynamics, "MARCH_TOL", 0.0)
     frames, q0 = node_fallback_case(case)
     calls, points, empty = collections.Counter(), collections.Counter(), collections.Counter()
     velocity = qf.VelocityField.velocity
@@ -828,8 +834,10 @@ def test_streamed_fallback_reads_back_across_chunks(monkeypatch, chunk):
     chunks of 2 and of 3 frames.  Member 0 starts on the node, so the first
     frame-pair step (frames 0, 1, 2) halves.  In chunks of 2 its last stage
     has loaded the chunk of frame 2 before its halves read frames 0 and 1
-    again, which the field holds.  The streamed march gives the bits of the
-    stored one in every row, the odd frames inside the pair steps too."""
+    again, which the field holds.  A step spans at most a quarter of a
+    chunk, and at least a frame pair, so these marches step frame pairs
+    only.  The streamed march gives the bits of the stored one in every
+    row, the odd frames inside the pair steps too."""
     monkeypatch.setattr(qf.dynamics, "_CHUNK", chunk)
     ax = qf.uniform_axis(-16, 16, 256)
     w0 = odd_state(ax)
@@ -853,29 +861,153 @@ def test_streamed_fallback_reads_back_across_chunks(monkeypatch, chunk):
     assert streamed.frozen_at[0] == 0 and np.all(streamed.frozen_at[1:] == -1)
 
 
+def test_real_eigenstate_march_reaches_the_stride_cap():
+    """A real eigenstate guides no member, so every error estimate is about
+    1e-19: the stride doubles from a frame pair to the cap of 16 frames and
+    no step is taken again.  Over 401 frames the march takes steps of 2, 4,
+    8, then 24 of 16 frames and one last pair, and no member moves by more
+    than 1e-12."""
+    ax = qf.uniform_axis(-2, 2, 128)
+    potential = Potential.box([-1.0], [1.0], 1e4)
+    w0 = qf.stationary_state(ax, potential, 0, dt=0.0002)
+    q0 = np.linspace(-0.8, 0.8, 50)[:, None]
+    source = qf.FrameSource(w0, potential, 0.0002, 400, keep=())
+    ensemble = qf.run_bohm_ensemble(source, q0, head=3, drift=True)
+    march = ensemble.march
+    assert (march.steps, march.steps_taken_again) == (28, 0)
+    assert (march.min_stride, march.max_stride) == (2, qf.dynamics._max_span()) == (2, 16)
+    assert march.max_error < qf.dynamics.MARCH_TOL / 16
+    assert np.max(np.abs(ensemble.positions - q0)) <= 1e-12
+    assert ensemble.max_drift <= 1e-12
+
+
+def _record_strides(monkeypatch):
+    """(i, half) of every step the march tries, in order: a step taken again
+    is tried again from the same frame i."""
+    tried = []
+    stride = qf.dynamics._stride
+
+    def recorded(times, i, m):
+        tried.append((i, stride(times, i, m)))
+        return tried[-1][1]
+
+    monkeypatch.setattr(qf.dynamics, "_stride", recorded)
+    return tried
+
+
+def test_step_taken_again_reads_back_across_a_chunk(monkeypatch):
+    """A two-lobe march over 751 frames in chunks of 64 takes its step from
+    frame 122 at a stride of 8 frames again, at 4: the first try read frame
+    130, in the next chunk, and the second reads frame 126, in the chunk
+    before.  The field holds the frames from the step's start, so the
+    streamed march gives the bits of the stored one; held none, the stream
+    has no way back to that chunk."""
+    ax = qf.uniform_axis(-16, 16, 256)
+    w0 = qf.two_lobe_packet(ax, 7.0, 0.7)
+    dt, n_steps = 0.004, 750
+    frames = qf.evolve_frames(w0, Potential.free(), dt, n_steps)
+    q0 = qf.born_sample_many(w0, 100, 3)
+    stored = qf.run_bohm_ensemble(frames, q0)
+    tried = _record_strides(monkeypatch)
+    streamed = qf.run_bohm_ensemble(qf.FrameSource(w0, Potential.free(), dt, n_steps, keep=()), q0)
+    again = [(a, b) for a, b in zip(tried, tried[1:]) if a[0] == b[0]]
+    assert ((122, 4), (122, 2)) in again
+    assert streamed.march == stored.march and streamed.march.steps_taken_again == len(again)
+    assert np.array_equal(as_bits(streamed.positions), as_bits(stored.positions))
+    assert np.array_equal(streamed.frozen_at, stored.frozen_at)
+    monkeypatch.setattr(qf.VelocityField, "_held_before", lambda self, c: {})
+    with pytest.raises(ValueError, match="chunk 1 is gone"):
+        qf.run_bohm_ensemble(qf.FrameSource(w0, Potential.free(), dt, n_steps, keep=()), q0)
+
+
+def test_node_at_a_long_stride_is_taken_again_down_to_the_fallback(monkeypatch):
+    """An odd state whose lobes move onto its node, with node_factor raised
+    to 0.3: the members that come near the node touch it in steps of
+    several frame pairs.  Each such step is taken again at half the stride,
+    down to a frame pair, and only there do the touched members halve the
+    step and, past MAX_HALVINGS, freeze."""
+    monkeypatch.setattr(qf.VelocityField.__init__, "__defaults__", (0.3,))
+    ax = qf.uniform_axis(-16, 16, 256)
+    w0 = qf.GridWaveFunction((ax,), np.exp(-((ax - 5.0) ** 2) / 2 - 1j * ax)
+                             - np.exp(-((ax + 5.0) ** 2) / 2 + 1j * ax))
+    frames = qf.evolve_frames(w0, Potential.free(), 0.004, 1000, 2)
+    q0 = qf.born_sample_many(w0, 60, 3)
+    tried = _record_strides(monkeypatch)
+    attempts, halved = [], []
+    rk4, halve = qf.dynamics._rk4_batch, qf.dynamics._halve
+
+    def rk4_recorded(field, pos, stages, h, first=None):
+        out = rk4(field, pos, stages, h, first)
+        if first is not None:  # a step of the march, not of its fallback
+            attempts.append(bool(out[1].any()))
+        return out
+
+    def halve_recorded(field, pos, stages, h, depth=1):
+        if depth == 1:
+            halved.append(frames.index_at(stages[0]))
+        return halve(field, pos, stages, h, depth)
+
+    monkeypatch.setattr(qf.dynamics, "_rk4_batch", rk4_recorded)
+    monkeypatch.setattr(qf.dynamics, "_halve", halve_recorded)
+    ensemble = qf.run_bohm_ensemble(frames, q0)
+    assert len(attempts) == len(tried)  # some member is live to the end: every step tried runs
+    for n, ((i, half), touched) in enumerate(zip(tried, attempts)):
+        if touched and half > 1:
+            assert tried[n + 1] == (i, half // 2), (i, half)
+    # the fallback runs on the pair steps that touch a node, and only there
+    assert halved == [i for (i, half), touched in zip(tried, attempts) if touched and half <= 1]
+    long_touched = {i for (i, half), touched in zip(tried, attempts) if touched and half > 1}
+    assert long_touched & set(halved)
+    frozen = ensemble.frozen_at[ensemble.frozen_at >= 0]
+    assert set(frozen.tolist()) <= set(halved) and np.any(frozen > 0)
+    assert ensemble.march.node_fallback_member_steps > 0
+
+
+# sha256 of the positions, frozen_at, head times and head positions of the
+# [odd] march, and its max_drift, at MARCH_TOL = 0 and at the default
+ODD_MARCH_BYTES = {
+    0.0: ([
+        "7467dfd1eb7a980c019f577561a61e50965c14ca50daad0c8cb77bdcee22807a",
+        "8275b5c35eae5df39bea7e173b3bcdf939a1988a133cb0cb254dd20484929391",
+        "dca604e6abfa5660bfc823cac38ee24b35e38ad6efb284f02e72f72fbe62ff23",
+        "05c2038240a6d942bbd16e12a946f54164182751e9bbf184b4ea12436113454d",
+    ], 0.265856027310603),
+    qf.dynamics.MARCH_TOL: ([
+        "ad32652deddd01568bcab659605a1519c1c88d2b1b93633396a1c95a385c5e01",
+        "8275b5c35eae5df39bea7e173b3bcdf939a1988a133cb0cb254dd20484929391",
+        "497bcf93c08fe1dfc34134dfad955aaa4016d5569a5e0cc36851021bb2f919c0",
+        "e08382ad742b74f9a20bd8e2b3fa4d7500a94d5fba736bbd48f16c2dab464d42",
+    ], 0.2658560345397589),
+}
+
+
 @pytest.mark.skipif(
     (np.__version__, scipy.__version__) != (NUMPY_VERSION, SCIPY_VERSION),
     reason=f"digests recorded with numpy {NUMPY_VERSION} and scipy {SCIPY_VERSION}",
 )
-def test_odd_march_bytes_pinned():
-    """The [odd] march of test_streamed_march_matches_stored_frames, pinned
-    across versions of qflab: the member started on the node freezes at the
-    first step, and every other member never touches it.  Re-pinned when
-    the march moved to frame pairs, whose odd frames are read off the pair
-    steps: no position moved by more than 8.8e-7, and frozen_at kept its
-    bytes."""
+def test_odd_march_bytes_pinned(monkeypatch):
+    """The [odd] march of test_streamed_march_matches_stored_frames, with 4
+    head paths and the drift, pinned across versions of qflab: the member
+    started on the node freezes at the first step, and every other member
+    never touches it.  At MARCH_TOL = 0 every step spans a frame pair, and
+    the march gives the bits of the frame-pair march that came before the
+    stride control: every row, frozen_at, the head paths and max_drift.
+    The default march was pinned when the stride control came in; no
+    position moved by more than 1.5e-7 (in rows read off the middle of
+    16-frame steps, 7.2e-9 at the frames the steps end on), and frozen_at
+    kept its bytes.  It was pinned before that when the march moved to
+    frame pairs (8.8e-7)."""
     ax = qf.uniform_axis(-16, 16, 256)
     w0 = odd_state(ax)
     frames = qf.evolve_frames(w0, Potential.free(), 0.002, 450, 3)
     q0 = np.concatenate([[[0.0]], qf.born_sample_many(w0, 30, 3)])
-    ensemble = qf.run_bohm_ensemble(frames, q0, seed=2)
-    assert ensemble.frozen_at[0] >= 0
-    digests = [hashlib.sha256(a.tobytes()).hexdigest()
-               for a in (ensemble.positions, ensemble.frozen_at)]
-    assert digests == [
-        "7467dfd1eb7a980c019f577561a61e50965c14ca50daad0c8cb77bdcee22807a",
-        "8275b5c35eae5df39bea7e173b3bcdf939a1988a133cb0cb254dd20484929391",
-    ]
+    for tol, pinned in ODD_MARCH_BYTES.items():
+        monkeypatch.setattr(qf.dynamics, "MARCH_TOL", tol)
+        ensemble = qf.run_bohm_ensemble(frames, q0, seed=2, head=4, drift=True)
+        assert ensemble.frozen_at[0] >= 0
+        digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in (
+            ensemble.positions, ensemble.frozen_at, ensemble.head.times, ensemble.head.positions)]
+        assert (digests, ensemble.max_drift) == pinned, tol
 
 
 def as_bits(a):
@@ -886,9 +1018,17 @@ def test_kept_rows_are_the_full_march_rows(monkeypatch):
     """A march that keeps some rows, the head paths and the running drift
     gives the bits of the every-row march, for blocks of 7 members and of
     all of them; the odd state's node freezes member 0 at the first step.
-    The march steps two frames at a time, so the head paths and the drift
-    are over the even frames; the kept odd frames 1 and 51 are read off the
-    steps over them, and member 0 holds its start at frame 1."""
+    The head paths and the drift are over the frames the steps end on.  At
+    MARCH_TOL = 0 every step spans a frame pair, so those are the even
+    frames; at the default the stride grows to 16 frames.  Every stride is
+    even, so the kept odd frames 1 and 51 are read off the steps over them,
+    and member 0 holds its start at frame 1."""
+    for tol in (0.0, qf.dynamics.MARCH_TOL):
+        monkeypatch.setattr(qf.dynamics, "MARCH_TOL", tol)
+        kept_rows_case(monkeypatch, tol)
+
+
+def kept_rows_case(monkeypatch, tol):
     ax = qf.uniform_axis(-16, 16, 256)
     w0 = odd_state(ax)
     dt, n_steps, store_every = 0.002, 450, 3
@@ -907,6 +1047,7 @@ def test_kept_rows_are_the_full_march_rows(monkeypatch):
     full, part = runs[len(q0)]
     assert full.frozen_at[0] == 0 and np.all(full.frozen_at[1:] == -1)
     assert full.head is None and full.max_drift is None
+    assert part.march == full.march
     rows = [full.times.tolist().index(t) for t in (0.0, 0.006, 0.3, 0.306, 0.6)]
     assert rows == [0, 1, 50, 51, 100]
     assert np.array_equal(part.times, full.times[rows])
@@ -915,9 +1056,13 @@ def test_kept_rows_are_the_full_march_rows(monkeypatch):
     assert np.array_equal(part.seeds, full.seeds)
     # member 0's first step, over frames 0, 1, 2, underflowed: it holds from frame 0 on
     assert np.all(full.positions[:3, 0] == q0[0]) and not np.all(full.positions[:3, 1] == q0[1])
-    marched = np.arange(0, full.times.size, 2)
+    marched = [full.times.tolist().index(t) for t in part.head.times]
     assert marched[-1] == full.times.size - 1
-    assert np.array_equal(part.head.times, full.times[marched])
+    if tol == 0:
+        assert marched == list(range(0, full.times.size, 2))
+    else:
+        assert full.march.max_stride == 16 and len(marched) < full.times.size / 4
+    assert len(marched) == full.march.steps + 1
     assert np.array_equal(as_bits(part.head.positions), as_bits(full.positions[marched, :4]))
     assert np.array_equal(part.head.frozen_at, full.frozen_at[:4])
     assert np.array_equal(part.head.seeds, full.seeds[:4])
@@ -964,7 +1109,8 @@ def test_kept_rows_march_holds_no_full_rows():
     finally:
         tracemalloc.stop()
     assert ensemble.positions.shape == (2, 2000, 1)
-    assert ensemble.head.positions.shape == (201, 10, 1)  # the march steps two frames
+    # a head row at every frame a step ends on
+    assert ensemble.head.positions.shape == (ensemble.march.steps + 1, 10, 1)
     assert peak < full_rows / 3, (peak, full_rows)
 
 
@@ -991,11 +1137,16 @@ def test_velocity_field_reads_chunks_backward():
 
 def test_march_work_counts(monkeypatch):
     """A march with no nodes over 2n + 1 frames that keeps only even frames
-    steps n frame pairs: 4n velocity and kernel calls, each through the
-    public method, and no blends.  The stored times are i * dt, whose gaps
-    differ in their last bits; a pair must not fall back to one-frame steps
-    over them.  The default march, which keeps every frame, reads the odd
-    ones off its pair steps and makes the same calls."""
+    makes four velocity and kernel calls per step it takes or takes again,
+    each through the public method, and no blends: three stages, and the
+    velocity at the step's end, which is the next step's first stage.  The
+    first stage of the march adds one call, and the last step, a frame
+    pair here, makes none at its end.  At MARCH_TOL = 0 it steps n frame
+    pairs: 4n calls.  The stored times are i * dt, whose gaps differ in
+    their last bits; a pair must not fall back to one-frame steps over
+    them.  At the default the stride grows to 16 frames, and the march
+    makes under a fifth of those calls.  The default march, which keeps
+    every frame, reads the others off its steps and makes the same calls."""
     calls = collections.Counter()
 
     def count(cls, name):
@@ -1017,10 +1168,17 @@ def test_march_work_counts(monkeypatch):
     assert frames.n_frames == 2 * n + 1 and n > qf.dynamics._CHUNK
     assert len(set(np.diff(frames.times).tolist())) > 1
     q0 = qf.born_sample_many(w0, 20, 1)
-    for keep in (frames.times[::2], None):
+    for tol, keep in itertools.product((0.0, qf.dynamics.MARCH_TOL), (frames.times[::2], None)):
+        monkeypatch.setattr(qf.dynamics, "MARCH_TOL", tol)
         calls.clear()
-        qf.run_bohm_ensemble(frames, q0, keep=keep, head=3, drift=True)
-        assert (calls["velocity"], calls["__call__"], calls["blend"]) == (4 * n, 4 * n, 0), keep
+        march = qf.run_bohm_ensemble(frames, q0, keep=keep, head=3, drift=True).march
+        attempts = march.steps + march.steps_taken_again
+        assert (calls["velocity"], calls["__call__"], calls["blend"]) == \
+            (4 * attempts, 4 * attempts, 0), (tol, keep)
+        if tol == 0:
+            assert (march.steps, march.max_stride) == (n, 2)
+        else:
+            assert march.max_stride == 16 and 5 * calls["velocity"] < 4 * n
 
 
 def test_frame_source_streams_forward_only():

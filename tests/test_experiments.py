@@ -147,6 +147,7 @@ class TestRun:
             "rdmp_marginals.json",
             "equivariance.json",
             "bohm_vs_rdmp.json",
+            "diagnostics.json",
         ):
             assert (out / fname).exists(), fname
         # clean spec: no findings file
@@ -155,6 +156,10 @@ class TestRun:
         assert m["spec_hash"] == spec.spec_hash
         assert set(m["tests"]) >= {"equivariance", "rdmp-marginals", "tv-agreement"}
         assert all(m["tests"].values())
+        assert "diagnostics.json" in m["artifacts"]
+        march = read_json(out / "diagnostics.json")["march"]
+        assert march["tolerance"] == dyn.MARCH_TOL and march["frozen_members"] == 0
+        assert march["steps"] > 0 and 2 <= march["min_stride"] <= march["max_stride"] <= 16
 
     def test_pbr_run_artifacts(self, tmp_path):
         spec = qf.preset("pbr").with_overrides(out_dir=str(tmp_path))

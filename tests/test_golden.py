@@ -15,9 +15,19 @@ and golden-slit (positions, head paths, ``bohm_vs_rdmp.json`` and the
 slit's ``equivariance.json``) were recorded again when the march moved to
 RK4 steps over frame pairs: every verdict stayed the same, no position
 moved by more than 2e-15 in the box or 1.2e-6 in the slit, and the head
-paths kept every other row, the frames the march steps to.  Every
-artifact except ``manifest.json`` (it holds the wall-clock time) must
-keep them.
+paths kept every other row, the frames the march steps to.  They were
+recorded again, with the new ``diagnostics.json`` (the march's record),
+when the march came to pick its own stride: every verdict stayed the
+same.  In the box, whose field holds still, the stride reached 16
+frames; no position moved by more than 2.9e-15 in
+``bohm_positions.csv`` or 2.7e-15 in the head paths, which went from 51
+rows a member to 11.  In the slit the stride reached 8 frames, in 15
+steps (2 taken again); no position moved by more than 1.2e-8 in
+``bohm_positions.csv`` or 4.8e-9 in the head paths (51 rows a member to
+16).  ``equivariance.json`` moved in the last digits of its KS
+statistic, and the box's ``bohm_vs_rdmp.json`` in its Bohm mean step
+(7.3e-17 to 7.1e-16).  Every artifact except ``manifest.json`` (it
+holds the wall-clock time) must keep them.
 
 FFTs (which also give the spline coefficients) and libm may round
 differently in other numpy or scipy releases, so the test runs only with
@@ -84,19 +94,21 @@ NOMOLOGICAL = {
 
 DIGESTS = {
     "golden-box": {
-        "bohm_positions.csv": "14d7457044f74a536157d6f0f25e3ee36437383945b78ac8856e939315237863",
-        "bohm_trajectories_head.csv": "0424c7f321be314a8f1f6ee4f2fbe34e3815880a69db94c09479135042bc0c5d",
-        "bohm_vs_rdmp.json": "e99bdb70baae941cda59c56677fda0918ac2b3b08b00533fe6312b446a810476",
-        "equivariance.json": "ce98f7ccbdbe82dc0fa78b5568abc68ffa209893348f6d174a76a897f574a5ec",
+        "bohm_positions.csv": "3cc2d301b00b83fdffba26360d8a3553c78aca225cbb6644b6cfb55600dd733b",
+        "bohm_trajectories_head.csv": "1407f4a26b8f135929ebffe92e14bd783ad566757d50ae726b8d35649d048401",
+        "bohm_vs_rdmp.json": "90e9bc11ad5eee43b261f011654cb57d635b3af0278fd738d5f4acaa33272387",
+        "diagnostics.json": "23f34d19f34a90287e0b57624cfa4ef783a11e1e78bdfbfc0c411b155fc0db4d",
+        "equivariance.json": "4ee62eefcf2c01a442d12bb0a2dbc89ad75e3f8edabac9df09a263593e4d08c3",
         "rdmp_marginals.json": "822cb8ed35505bb5bf64a0aff6982f12f52d9a74a2f11f2ece014c164a96b0fe",
         "rdmp_positions.csv": "9d2925beb95a788b4b05e533eb76a4a74c24f44c77b8a717151a9b9f07cf0cbe",
         "spec.json": "71e9fd2dd7431ed4ad5e75f9667b7a9533290728402c9d04d2e9c913cd473d9c",
         "wave_frames.bin": "b71116d226657b482da73a63e8abb28d47e542bfbdf7278d38bddbf050c73f62",
     },
     "golden-slit": {
-        "bohm_positions.csv": "37de6e2cffd5b816975515fcc91c019851b40dedea287d8231976f3e6b34171d",
-        "bohm_trajectories_head.csv": "e53d5e86146c3fe3d2d06186b743246ccd88194d07063a16843c997a1cbb74a4",
-        "equivariance.json": "ab4dc127527504edb1b867232ce49f17006e60de656f93a87e1867334de9595c",
+        "bohm_positions.csv": "1aca68a61aa0159531afbbf02a3fa0254773a200131c2a6736c7d55db6ac2cc9",
+        "bohm_trajectories_head.csv": "9b53f8a5d054dd84fa6c044b4743bb0edb24ebac564fc4ac97ad550f0c7b3d76",
+        "diagnostics.json": "4b6d80b566f6995eb4fb2e9afe606b63d830ec79af1b357c77d76d0b0f3d6205",
+        "equivariance.json": "07ba9bd322b2be51f06f35fbcd995346b71a5130c3be3732994d8ef407dc3aeb",
         "spec.json": "3ff1ffb9cdc39a5942e3d40a2049f7748df8cd1e852f9f47402f25a5b6a82e7e",
         "wave_frames.bin": "a0ef4f504fb3e82fff520dc7c2b1f6abfaebb4e9b16bf77d40d24c2792cca0b5",
     },
