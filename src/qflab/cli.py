@@ -117,7 +117,28 @@ def _report(args) -> int:
         print(f"wall clock {wall:.3f} s")
     for name in manifest.get("artifacts", []):
         print(f"artifact {name}")
+    diagnostics = Path(args.manifest).parent / "diagnostics.json"
+    if diagnostics.exists():
+        _print_march(diagnostics)
     return EXIT_PASS if manifest.get("passed") else EXIT_FAILURE
+
+
+def _print_march(path: Path):
+    """The march record of a run's diagnostics.json, with a warning when its
+    largest error estimate is above its tolerance: the march accepts a
+    frame-pair step whatever its estimate."""
+    try:
+        march = json.loads(path.read_text(encoding="utf-8"))["march"]
+        error, tol = march["max_error"], march["tolerance"]
+        line = (f"march {march['steps']} steps, {march['steps_taken_again']} taken again, "
+                f"stride {march['min_stride']}-{march['max_stride']} frames, max error "
+                f"{'none' if error is None else format(error, '.1e')} (tolerance {tol:.1e})")
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        print(f"WARNING diagnostics: {path} holds no march record ({exc!r})")
+        return
+    print(line)
+    if error is not None and error > tol:
+        print(f"WARNING march: max error {error:.1e} is above the tolerance {tol:.1e}")
 
 
 @functools.cache

@@ -33,13 +33,14 @@ formula, ``_rk4_batch``, serves every step and every half step.
 Frames stream: a FrameSource evolves _CHUNK stored frames at a time, each
 in place in its slot of the chunk (the step's multiplies and FFTs write
 there).  The velocity field takes the spline coefficients of psi and its
-gradient for a chunk from one batched FFT, divided by the B-spline symbol,
-and one batched inverse FFT; the march holds one chunk's coefficients and
-copies of the frames before it from the current step's start (at most 16),
-which a step taken again reads back.  Only the frames a caller asks to
-keep (a run keeps t = 0 and its sample times) outlive their chunk, copied
-into one array sized up front.  ``evolve_frames`` drains the same source
-and keeps every frame.
+gradient for a frame the first time the march reads it, from one FFT,
+divided by the B-spline symbol, and one inverse FFT, so a march that
+strides over frames converts only the ones it reads.  It holds one chunk's
+amplitudes and the frames before it from the current step's start (at most
+16), built or as copies, which a step taken again reads back.  Only the
+frames a caller asks to keep (a run keeps t = 0 and its sample times)
+outlive their chunk, copied into one array sized up front.
+``evolve_frames`` drains the same source and keeps every frame.
 
 The march holds O(N) positions: the members' current ones, the rows it is
 asked to keep (every row by default), optionally the full paths of the
@@ -61,6 +62,7 @@ returns bit for bit, and this module imports only ``scipy.linalg`` and
 from __future__ import annotations
 
 import bisect
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -577,20 +579,42 @@ def evolve_frames(
 # ---------------------------------------------------------------------------
 
 
-def _psi_and_gradient(axes, amps: np.ndarray) -> np.ndarray:
-    """(k, 1+ndim, *grid) spline coefficients of psi and its spectral gradient for k frames."""
-    stack = np.empty((len(amps), 1 + len(axes)) + amps.shape[1:], dtype=complex)
-    spectrum = np.fft.fftn(amps, axes=tuple(range(1, amps.ndim)), out=stack[:, 0])
-    spectrum *= _inverse_symbol(amps.shape[1:])
-    for d, a in enumerate(axes):
-        k = 2 * np.pi * np.fft.fftfreq(a.size, d=a[1] - a[0])
-        if a.size % 2 == 0:
+@functools.lru_cache(maxsize=16)
+def _derivative_symbols(grid: tuple) -> tuple:
+    """The spectral derivative symbols i k_d on a periodic grid of (size, spacing) per axis,
+    each shaped to broadcast along its axis."""
+    symbols = []
+    for d, (n, spacing) in enumerate(grid):
+        k = 2 * np.pi * np.fft.fftfreq(n, d=spacing)
+        if n % 2 == 0:
             # unpaired Nyquist mode has no well-defined odd derivative;
             # keeping it would leak an imaginary part into grad of real data
-            k[a.size // 2] = 0.0
-        shape = [1] * len(axes)
-        shape[d] = a.size
-        np.multiply(1j * k.reshape(shape), spectrum, out=stack[:, 1 + d])
+            k[n // 2] = 0.0
+        shape = [1] * len(grid)
+        shape[d] = n
+        symbol = 1j * k.reshape(shape)
+        symbol.setflags(write=False)  # cached, so shared by every caller
+        symbols.append(symbol)
+    return tuple(symbols)
+
+
+def _psi_and_gradient(axes, amps: np.ndarray) -> np.ndarray:
+    """(k, 1+ndim, *grid) spline coefficients of psi and its spectral gradient for k frames.
+
+    Each frame is transformed on its own, so a frame gives the same bits
+    alone as in a batch.
+    """
+    stack = np.empty((len(amps), 1 + len(axes)) + amps.shape[1:], dtype=complex)
+    if len(axes) == 1:  # fft and ifft give fftn's bits and skip its axis bookkeeping
+        spectrum = np.fft.fft(amps, out=stack[:, 0])
+    else:
+        spectrum = np.fft.fftn(amps, axes=tuple(range(1, amps.ndim)), out=stack[:, 0])
+    spectrum *= _inverse_symbol(amps.shape[1:])
+    grid = tuple((a.size, float(a[1] - a[0])) for a in axes)
+    for d, symbol in enumerate(_derivative_symbols(grid)):
+        np.multiply(symbol, spectrum, out=stack[:, 1 + d])
+    if len(axes) == 1:
+        return np.fft.ifft(stack, out=stack)
     return np.fft.ifftn(stack, axes=tuple(range(2, stack.ndim)), out=stack)
 
 
@@ -598,13 +622,16 @@ class VelocityField:
     """Probability-current velocity Im(grad psi / psi) over stored frames.
 
     ``frames`` is a WaveFrames or a FrameSource.  Frames are read _CHUNK at
-    a time; the spline coefficients of psi and its gradient are one stack
-    per chunk.  Only the current chunk's stack is held, with copies of the
-    frames before it from ``step_start`` on, at most a step's span
-    (_max_span): a step of the march that starts there, taken again at a
-    shorter stride or through its node fallback, reads them again after
-    its last stage has loaded the chunk.
-    Any time can be asked of WaveFrames (a chunk read again is rebuilt); a
+    a time, but a frame's spline coefficients of psi and its gradient, and
+    its max |psi|, are built when the field first reads it, and kept while
+    its chunk is the current one: a march that strides over frames builds
+    only the ones it reads.  The field holds the current chunk's
+    amplitudes, and the frames before it from ``step_start`` on, at most a
+    step's span (_max_span), as the entries already built or as copies of
+    their amplitudes: a step of the march that starts there, taken again
+    at a shorter stride or through its node fallback, reads them again
+    after its last stage has loaded the chunk.
+    Any time can be asked of WaveFrames (a chunk read again is built again); a
     FrameSource only moves forward.  At a stored time the field is that
     frame's; between stored times it blends the bracketing frames linearly
     (blending commutes with spline evaluation), once per time.  Points are
@@ -615,45 +642,42 @@ class VelocityField:
         self.frames = frames
         self.node_factor = node_factor
         self._times = frames.times.tolist()  # bisect on a list is cheaper than searchsorted
-        self._chunk = None  # (chunk index, per-frame interpolators, max |psi| per frame)
-        self._held = {}  # frame index: (interpolator, max |psi|), copied, before the chunk
+        self._chunk = None  # (chunk index, its amplitudes)
+        self._built = {}  # frame index: (interpolator, max |psi|), in or held before the chunk
+        self._held = {}  # frame index: amplitudes, copied, of the frames held but not built
+        self._grid = None  # an interpolator whose grid set-up every frame's shares
         self.step_start = 0  # the first frame the march's current step reads
         self._cache_t = self._cache = None  # the last time asked and its interpolator
 
     def _frame(self, i: int):
         """Interpolator of (psi, grad psi) at stored frame i, and max |psi| there."""
-        if i in self._held:
-            return self._held[i]
-        c, j = divmod(i, _CHUNK)
-        if self._chunk is None or self._chunk[0] != c:
-            self._load(c)
-        _, interps, max_abs = self._chunk
-        return interps[j], max_abs[j]
+        entry = self._built.get(i)
+        if entry is None:
+            amp = self._held.pop(i, None)
+            if amp is None:
+                c, j = divmod(i, _CHUNK)
+                if self._chunk is None or self._chunk[0] != c:
+                    self._load(c)
+                amp = self._chunk[1][j]
+            coefficients = _psi_and_gradient(self.frames.axes, amp[None])[0]
+            self._grid = CubicGridInterpolator(self.frames.axes, coefficients=coefficients) \
+                if self._grid is None else self._grid._on_grid(coefficients)
+            entry = self._built[i] = self._grid, np.max(np.abs(amp))
+        return entry
 
     def _load(self, c: int):
-        self._held = self._held_before(c)
-        # the old stack goes before the new one is built: nothing may hold a
-        # view of it, the cached interpolator included
-        self._chunk = self._cache_t = self._cache = None
-        axes = self.frames.axes
-        amps = self.frames.chunk(c)
-        stack = CubicGridInterpolator(axes, coefficients=_psi_and_gradient(axes, amps))
-        self._chunk = (
-            c,
-            [stack._on_grid(k) for k in stack.coefficients],
-            np.max(np.abs(amps), axis=tuple(range(1, amps.ndim))),
-        )
-
-    def _held_before(self, c: int) -> dict:
-        """The frames before chunk c from step_start on, at most _max_span(), copied."""
-        held = {}
-        for i in range(max(self.step_start, c * _CHUNK - _max_span()), c * _CHUNK):
+        """Make chunk c the current one, holding the frames before it from step_start on."""
+        held = range(max(self.step_start, c * _CHUNK - _max_span()), c * _CHUNK)
+        built = {i: self._built[i] for i in held if i in self._built}
+        amps = {}
+        for i in held:
             if i in self._held:
-                held[i] = self._held[i]
-            elif self._chunk is not None and self._chunk[0] == i // _CHUNK:
-                interp, max_abs = self._chunk[1][i % _CHUNK], self._chunk[2][i % _CHUNK]
-                held[i] = interp._on_grid(interp.coefficients.copy()), max_abs
-        return held
+                amps[i] = self._held[i]
+            elif i not in built and self._chunk is not None and self._chunk[0] == i // _CHUNK:
+                amps[i] = self._chunk[1][i % _CHUNK].copy()
+        self._built, self._held = built, amps
+        self._chunk = None  # the old chunk goes before the new one is read
+        self._chunk = (c, self.frames.chunk(c))
 
     def _interpolators_at(self, t: float):
         if self._cache_t is not None and t == self._cache_t:

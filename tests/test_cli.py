@@ -291,6 +291,45 @@ def test_report_on_json_that_is_no_manifest_exits_invalid(tmp_path, capsys):
         assert "ERROR   manifest:" in capsys.readouterr().out
 
 
+def test_report_prints_the_march_and_warns_above_its_tolerance(tmp_path, capsys):
+    """A wave run with Bohm dynamics writes diagnostics.json beside its
+    manifest, and report prints its march record.  Two lobes at +-6 moving
+    toward each other at 1.5, on 256 points and stored every 2 steps of
+    0.004, make the march accept frame-pair steps whose error estimate is
+    far above MARCH_TOL: report warns, and its exit code is still that of
+    the run's tests.  A run with no diagnostics.json reports as before."""
+    calm = wave_spec(tmp_path, "calm")
+    lobes = wave_spec(
+        tmp_path, "lobes", **{"grid.points": [256]},
+        initial_state={"kind": "two-lobe", "separation": 12.0, "sigma": 1.0,
+                       "momenta": [1.5, -1.5]},
+        time={"dt": 0.004, "t_end": 4.0, "sample_times": [2.0, 4.0], "store_every": 2},
+    )
+    finite = write_spec(tmp_path)
+    for path, warned in ((calm, False), (lobes, True), (finite, None)):
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == EXIT_PASS
+        name = json.loads(path.read_text())["name"]
+        manifest = tmp_path / "runs" / name / "manifest.json"
+        capsys.readouterr()
+        assert main(["report", str(manifest)]) == EXIT_PASS
+        out = capsys.readouterr().out.splitlines()
+        if warned is None:
+            assert not (manifest.parent / "diagnostics.json").exists()
+            assert not [line for line in out if line.startswith(("march", "WARNING"))]
+            continue
+        march = json.loads((manifest.parent / "diagnostics.json").read_text())["march"]
+        error, tol = march["max_error"], march["tolerance"]
+        assert (error > tol) == warned
+        assert out[-1 - warned] == (
+            f"march {march['steps']} steps, {march['steps_taken_again']} taken again, "
+            f"stride {march['min_stride']}-{march['max_stride']} frames, "
+            f"max error {error:.1e} (tolerance {tol:.1e})"
+        )
+        warnings = [line for line in out if line.startswith("WARNING")]
+        assert warnings == ([f"WARNING march: max error {error:.1e} is above the tolerance "
+                             f"{tol:.1e}"] if warned else [])
+
+
 def test_main_called_again_in_one_process_is_a_fresh_process(tmp_path, capsys):
     """main builds its parser once per process.  Called again in the same
     process, after other calls, it gives the exit code and the standard

@@ -799,23 +799,63 @@ def test_stacked_field_matches_frame_by_frame_field(ndim, initial):
         ), t
 
 
+@pytest.mark.parametrize("shape", [(256,), (32, 24)], ids=["1-D", "2-D"])
+def test_coefficients_of_a_frame_alone_are_its_bits_in_a_batch(shape):
+    """The field builds a frame's coefficients the first time it reads it,
+    from that frame alone: on a 1-D grid of even size (its Nyquist mode
+    zeroed) and on a 2-D grid, every frame of a chunk gets the bits it
+    gets in a batch of the whole chunk."""
+    axes = tuple(qf.uniform_axis(-8, 8, n) for n in shape)
+    ones = [1.0] * len(axes)
+    w0 = qf.gaussian_packet(axes, [0.5] * len(axes), ones, ones)
+    amps = qf.evolve_frames(w0, Potential.free(), 0.01, qf.dynamics._CHUNK - 1).chunk(0)
+    assert len(amps) == qf.dynamics._CHUNK
+    batch = qf.dynamics._psi_and_gradient(axes, amps)
+    for j in range(len(amps)):
+        alone = qf.dynamics._psi_and_gradient(axes, amps[j : j + 1])[0]
+        assert np.array_equal(alone.view(np.uint64), batch[j].view(np.uint64)), j
+
+
+def _count_converted(monkeypatch) -> list:
+    """The number of frames of each call of _psi_and_gradient, in order."""
+    converted = []
+    build = qf.dynamics._psi_and_gradient
+
+    def counted(axes, amps):
+        converted.append(len(amps))
+        return build(axes, amps)
+
+    monkeypatch.setattr(qf.dynamics, "_psi_and_gradient", counted)
+    return converted
+
+
 def odd_state(ax):
     g = np.exp(-((ax - 3.0) ** 2) / 4) - np.exp(-((ax + 3.0) ** 2) / 4)
     return qf.GridWaveFunction((ax,), g.astype(complex))
 
 
 @pytest.mark.parametrize("initial", ["two-lobe", "odd"])
-def test_streamed_march_matches_stored_frames(initial):
+def test_streamed_march_matches_stored_frames(monkeypatch, initial):
+    """The stored and the streamed march give the same bits, and each
+    builds coefficients only for the frames it reads: at most two new
+    frames a step tried, and frame 0."""
     ax = qf.uniform_axis(-16, 16, 256)
     w0 = qf.two_lobe_packet(ax, 7.0, 0.7) if initial == "two-lobe" else odd_state(ax)
     dt, n_steps, store_every = 0.002, 450, 3
     frames = qf.evolve_frames(w0, Potential.free(), dt, n_steps, store_every)
     assert frames.n_frames > qf.dynamics._CHUNK
     q0 = np.concatenate([[[0.0]], qf.born_sample_many(w0, 30, 3)])
+    converted = _count_converted(monkeypatch)
     stored = qf.run_bohm_ensemble(frames, q0, seed=2)
+    stored_converted, converted[:] = sum(converted), []
     keep = [0.0, 0.3, 0.9]
     source = qf.FrameSource(w0, Potential.free(), dt, n_steps, store_every, keep=keep)
     streamed = qf.run_bohm_ensemble(source, q0, seed=2)
+    march = streamed.march
+    assert set(converted) == {1}
+    assert sum(converted) == stored_converted <= 2 * (march.steps + march.steps_taken_again) + 1
+    assert sum(converted) < frames.n_frames
+    assert streamed.march == stored.march
     assert np.array_equal(stored.times, streamed.times)
     assert np.array_equal(stored.positions, streamed.positions)
     assert np.array_equal(stored.frozen_at, streamed.frozen_at)
@@ -861,20 +901,26 @@ def test_streamed_fallback_reads_back_across_chunks(monkeypatch, chunk):
     assert streamed.frozen_at[0] == 0 and np.all(streamed.frozen_at[1:] == -1)
 
 
-def test_real_eigenstate_march_reaches_the_stride_cap():
+def test_real_eigenstate_march_reaches_the_stride_cap(monkeypatch):
     """A real eigenstate guides no member, so every error estimate is about
     1e-19: the stride doubles from a frame pair to the cap of 16 frames and
     no step is taken again.  Over 401 frames the march takes steps of 2, 4,
     8, then 24 of 16 frames and one last pair, and no member moves by more
-    than 1e-12."""
+    than 1e-12.  The field builds coefficients for the frames it reads
+    only."""
     ax = qf.uniform_axis(-2, 2, 128)
     potential = Potential.box([-1.0], [1.0], 1e4)
     w0 = qf.stationary_state(ax, potential, 0, dt=0.0002)
     q0 = np.linspace(-0.8, 0.8, 50)[:, None]
+    converted = _count_converted(monkeypatch)
     source = qf.FrameSource(w0, potential, 0.0002, 400, keep=())
     ensemble = qf.run_bohm_ensemble(source, q0, head=3, drift=True)
     march = ensemble.march
     assert (march.steps, march.steps_taken_again) == (28, 0)
+    # coefficients are built only for the frames the march reads: frame 0
+    # and two a step, 57 of the 401
+    assert set(converted) == {1}
+    assert sum(converted) <= 2 * (march.steps + march.steps_taken_again) + 1 == 57
     assert (march.min_stride, march.max_stride) == (2, qf.dynamics._max_span()) == (2, 16)
     assert march.max_error < qf.dynamics.MARCH_TOL / 16
     assert np.max(np.abs(ensemble.positions - q0)) <= 1e-12
@@ -915,7 +961,13 @@ def test_step_taken_again_reads_back_across_a_chunk(monkeypatch):
     assert streamed.march == stored.march and streamed.march.steps_taken_again == len(again)
     assert np.array_equal(as_bits(streamed.positions), as_bits(stored.positions))
     assert np.array_equal(streamed.frozen_at, stored.frozen_at)
-    monkeypatch.setattr(qf.VelocityField, "_held_before", lambda self, c: {})
+    load = qf.VelocityField._load
+
+    def load_holding_none(self, c):
+        load(self, c)
+        self._built, self._held = {}, {}  # neither the built frames before chunk c nor copies
+
+    monkeypatch.setattr(qf.VelocityField, "_load", load_holding_none)
     with pytest.raises(ValueError, match="chunk 1 is gone"):
         qf.run_bohm_ensemble(qf.FrameSource(w0, Potential.free(), dt, n_steps, keep=()), q0)
 
@@ -1095,8 +1147,8 @@ def test_evolve_frames_holds_each_frame_once():
 def test_kept_rows_march_holds_no_full_rows():
     # 2000 members over 401 stored steps: every row would be 6.4 MB of
     # positions; keeping two rows and ten members' paths the march's traced
-    # peak is about 1.3 MB (one 256-point chunk and its coefficient stack,
-    # and the batch's arrays)
+    # peak is at most about 1.3 MB (one 256-point chunk, the coefficients of
+    # the frames read from it, and the batch's arrays)
     ax = qf.uniform_axis(-16, 16, 256)
     w0 = qf.two_lobe_packet(ax, 7.0, 0.7)
     q0 = qf.born_sample_many(w0, 2000, 5)
