@@ -61,6 +61,19 @@ def _print_findings(findings):
         print(f"{f.severity.upper():7s} {f.field}: {f.message}")
 
 
+def _print_run_findings(out: Path):
+    """The findings a run recorded in its findings.json, if it wrote one."""
+    path = out / "findings.json"
+    if not path.exists():
+        return
+    try:
+        findings = [experiments.Finding(**f) for f in json.loads(path.read_text("utf-8"))]
+    except (OSError, ValueError, TypeError) as exc:
+        message = f"{path} holds no findings ({exc!r})"
+        findings = [experiments.Finding("warning", "findings", message)]
+    _print_findings(findings)
+
+
 def _print_tests(tests: dict, spec_hash):
     """PASS or FAIL for each test, by name, then the spec hash."""
     for name in sorted(tests):
@@ -71,8 +84,10 @@ def _print_tests(tests: dict, spec_hash):
 def _run_and_report(spec: experiments.ExperimentSpec, args) -> int:
     spec = spec.with_overrides(args.seed, args.out_dir, args.tolerance_scale)
     manifest = experiments.run(spec)
+    out = experiments._out_dir_for(spec)
+    _print_run_findings(out)
     _print_tests(manifest.tests, manifest.spec_hash)
-    print(f"artifacts in {experiments._out_dir_for(spec)}")
+    print(f"artifacts in {out}")
     return EXIT_PASS if manifest.passed else EXIT_FAILURE
 
 
@@ -120,13 +135,12 @@ def _report(args) -> int:
     diagnostics = Path(args.manifest).parent / "diagnostics.json"
     if diagnostics.exists():
         _print_march(diagnostics)
+    _print_run_findings(Path(args.manifest).parent)
     return EXIT_PASS if manifest.get("passed") else EXIT_FAILURE
 
 
 def _print_march(path: Path):
-    """The march record of a run's diagnostics.json, with a warning when its
-    largest error estimate is above its tolerance: the march accepts a
-    frame-pair step whatever its estimate."""
+    """The march record of a run's diagnostics.json."""
     try:
         march = json.loads(path.read_text(encoding="utf-8"))["march"]
         error, tol = march["max_error"], march["tolerance"]
@@ -137,8 +151,6 @@ def _print_march(path: Path):
         print(f"WARNING diagnostics: {path} holds no march record ({exc!r})")
         return
     print(line)
-    if error is not None and error > tol:
-        print(f"WARNING march: max error {error:.1e} is above the tolerance {tol:.1e}")
 
 
 @functools.cache

@@ -152,9 +152,8 @@ def derive_seed(seed: int, index: int) -> int:
 class Potential:
     """Real potential energy on the configuration grid.
 
-    Declarative kinds (free / box / slit-barrier / table) serialize to JSON
-    for experiment specs; ``custom`` wraps an arbitrary callable on the
-    coordinate meshgrid and is library-only.
+    Every kind (free / box / slit-barrier / table) serializes to JSON for
+    experiment specs.
     """
 
     kind: str
@@ -194,10 +193,6 @@ class Potential:
             },
         )
 
-    @classmethod
-    def custom(cls, fn):
-        return cls("custom", {"fn": fn})
-
     def on_grid(self, axes) -> np.ndarray:
         axes = tuple(np.asarray(a, dtype=float) for a in axes)
         shape = tuple(a.size for a in axes)
@@ -231,17 +226,9 @@ class Potential:
             v = np.zeros(shape)
             v[in_wall & ~open_slit] = p["height"]
             return v
-        if self.kind == "custom":
-            mesh = np.meshgrid(*axes, indexing="ij")
-            v = np.asarray(self.params["fn"](*mesh), dtype=float)
-            if v.shape != shape:
-                raise ValueError("custom potential returned wrong shape")
-            return v
         raise ValueError(f"unknown potential kind {self.kind!r}")
 
     def to_json(self) -> dict:
-        if self.kind == "custom":
-            raise ValueError("custom potentials are not serializable")
         return {"kind": self.kind, **self.params}
 
     @classmethod

@@ -13,7 +13,9 @@ wall-clock time, so it is the one file exempt from byte-identity.
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 import time as _time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -27,37 +29,122 @@ from .states import GridWaveFunction, born_density, uniform_axis
 
 TOOL_VERSION = "1.0.0"
 OUT_DIR_ENV = "QFLAB_OUT"
-KINDS = ("double-slit", "box", "free-gaussian", "pbr", "ontic-model-check", "custom")
+# four kind names that run one wave pipeline; spec.json records the name
 WAVE_KINDS = ("double-slit", "box", "free-gaussian", "custom")
 DYNAMICS = ("bohm", "rdmp", "both", "none")
-# the keys each initial-state kind reads
-_INITIAL_STATE_KEYS = {
-    "gaussian": ("kind", "centers", "sigmas", "momenta"),
-    "two-lobe": ("kind", "separation", "sigma", "momenta"),
-    "stationary": ("kind", "level"),
-    "plane-wave": ("kind", "mode"),
+
+
+_REQUIRED = object()  # the default of a key that has none
+
+
+class _Rule:
+    """A spec key's type, range and default: a finite number, an integer
+    when ``integer``, from ``lo`` to ``hi`` (an end is closed unless open),
+    or a list of them when ``shape`` is "axes" (one per grid axis), an int
+    (that many), "list" (any number) or "distinct" (one or more distinct);
+    "grid" leaves the value to the checks on the grid.  A plain class: a
+    dataclass would add about 2 ms to every import."""
+
+    def __init__(self, integer=False, lo=-math.inf, hi=math.inf, lo_open=False,
+                 hi_open=False, shape=None, default=_REQUIRED):
+        self.integer, self.lo, self.hi, self.lo_open = integer, lo, hi, lo_open
+        self.hi_open, self.shape, self.default = hi_open, shape, default
+
+    def _fits(self, x) -> bool:
+        types = (int, np.integer) if self.integer else (int, float, np.integer, np.floating)
+        return (isinstance(x, types) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+                and (self.lo < x if self.lo_open else self.lo <= x)
+                and (x < self.hi if self.hi_open else x <= self.hi))
+
+    def problem(self, value, n_axes):
+        """What is wrong with ``value``, or None.  ``n_axes`` is the number
+        of grid axes, None while the grid is unknown."""
+        count = n_axes if self.shape == "axes" else self.shape
+        if self.shape is None:
+            ok = self._fits(value)
+        else:
+            ok = self.shape == "grid" or (
+                isinstance(value, list) and (value or self.shape == "list")
+                and all(map(self._fits, value))
+                and (not isinstance(count, int) or len(value) == count)
+                and (self.shape != "distinct" or len(set(value)) == len(value)))
+        if ok:
+            return None
+        what = "an integer" if self.integer else "a finite number"
+        if self.hi < math.inf:
+            what += (f" in {'(' if self.lo_open else '['}{self.lo:g}, "
+                     f"{self.hi:g}{')' if self.hi_open else ']'}")
+        elif self.lo > -math.inf:
+            what += f" above {self.lo:g}" if self.lo_open else f" of at least {self.lo:g}"
+        if self.shape is not None:
+            entries = {"axes": f"one entry per grid axis ({count or 'one or more'})",
+                       "list": "entries", "distinct": "one or more distinct entries"}
+            what = f"a list of {entries.get(self.shape, f'{count} entries')}, each {what}"
+        return f"must be {what}, got {value!r}"
+
+
+_NUMBER, _POSITIVE, _PER_AXIS = _Rule(), _Rule(lo=0, lo_open=True), _Rule(shape="axes")
+_SCALE = _Rule(lo=0, lo_open=True, default=1.0)
+_EXACT = _Rule(lo=0, lo_open=True, default=1e-12)  # the finite models' tolerances
+
+# The keys each section of a spec reads, one entry per section and kind:
+# params and tolerances go by the experiment kind, initial_state and
+# potential by their own "kind" key.  A key set to null counts as absent.
+# The pipelines read their defaults from here.
+_FIELDS = {
+    ("params", "pbr"): {
+        "overlap": _Rule(lo=0, lo_open=True, hi=0.5, default=0.25),
+        # at most 1024 + 2 * 512 = 2048 ontic states: a run of about 0.2 s
+        # and 270 MB (4096 states take 0.9 GB)
+        "n_shared": _Rule(integer=True, lo=1, hi=1024, default=4),
+        "n_exclusive": _Rule(integer=True, lo=1, hi=512, default=6),
+    },
+    ("params", "ontic-model-check"): {
+        # 16 levels on 4096 cells run in about 0.5 s
+        "n_cells": _Rule(integer=True, lo=2, hi=4096, default=64),
+        "levels": _Rule(integer=True, lo=1, hi=16, shape="distinct", default=(1, 2)),
+    },
+    ("params", WAVE_KINDS): {},
+    ("tolerances", "pbr"): {"scale": _SCALE, "structure": _EXACT},
+    ("tolerances", "ontic-model-check"): {"scale": _SCALE, "consistency": _EXACT},
+    ("tolerances", WAVE_KINDS): {
+        "scale": _SCALE,
+        "significance": _Rule(lo=0, lo_open=True, hi=1, hi_open=True,
+                              default=dyn.CHI2_SIGNIFICANCE),
+        "stationary_density": _Rule(lo=0, lo_open=True, default=1e-6),
+        "constancy": _Rule(lo=0, lo_open=True, default=1e-6),
+    },
+    ("grid", None): {
+        "lo": _PER_AXIS, "hi": _PER_AXIS, "points": _Rule(integer=True, lo=8, shape="axes"),
+    },
+    ("time", None): {
+        "t_end": _POSITIVE, "dt": _POSITIVE, "store_every": _Rule(integer=True, lo=1, default=1),
+        "sample_times": _Rule(shape="list", default=()),  # none: t_end alone
+    },
+    ("initial_state", "gaussian"): {
+        "centers": _PER_AXIS, "sigmas": _Rule(lo=0, lo_open=True, shape="axes"),
+        "momenta": _Rule(shape="axes", default=None),  # none: at rest
+    },
+    ("initial_state", "two-lobe"): {
+        "separation": _NUMBER, "sigma": _POSITIVE, "momenta": _Rule(shape=2, default=(0.0, 0.0)),
+    },
+    ("initial_state", "stationary"): {"level": _Rule(integer=True, lo=0, default=0)},
+    # a fractional mode is no periodic wave on the grid
+    ("initial_state", "plane-wave"): {"mode": _Rule(integer=True)},
+    ("potential", "free"): {},
+    ("potential", "box"): {"inner_lo": _PER_AXIS, "inner_hi": _PER_AXIS, "height": _NUMBER},
+    ("potential", "slit-barrier"): {
+        "wall_lo": _NUMBER, "wall_hi": _NUMBER, "slit_centers": _Rule(shape="list"),
+        "slit_width": _NUMBER, "height": _NUMBER,
+    },
+    ("potential", "table"): {"values": _Rule(shape="grid")},
 }
-_GRID_KEYS = ("lo", "hi", "points")
-_TIME_KEYS = ("t_end", "dt", "sample_times", "store_every")
-# the parameters each potential kind reads, all required
-_POTENTIAL_PARAMS = {
-    "free": (),
-    "box": ("inner_lo", "inner_hi", "height"),
-    "slit-barrier": ("wall_lo", "wall_hi", "slit_centers", "slit_width", "height"),
-    "table": ("values",),
-}
-# the params each kind reads
-_PARAMS = {
-    "pbr": ("overlap", "n_shared", "n_exclusive"),
-    "ontic-model-check": ("n_cells", "levels"),
-    **dict.fromkeys(WAVE_KINDS, ()),
-}
-# the tolerances each kind reads
-_TOLERANCES = {
-    "pbr": ("scale", "structure"),
-    "ontic-model-check": ("scale", "consistency"),
-    **dict.fromkeys(WAVE_KINDS, ("scale", "significance", "stationary_density", "constancy")),
-}
+_ENTRIES = {(section, kind): entry for (section, kinds), entry in _FIELDS.items()
+            for kind in (kinds if isinstance(kinds, tuple) else (kinds,))}
+KINDS = tuple(kind for section, kind in _ENTRIES if section == "params")
+_WAVE_SECTIONS = ("grid", "time", "initial_state", "potential")
+_KINDED = ("initial_state", "potential")  # sections whose "kind" key picks their entry
+_COUNT = _Rule(integer=True, lo=0)  # seed and ensemble_size
 
 __all__ = [
     "ExperimentSpec",
@@ -88,9 +175,8 @@ class ExperimentSpec:
     tolerances: dict = field(default_factory=dict)
     out_dir: str | None = None
 
-    def tolerance(self, key: str, default: float) -> float:
-        scale = float(self.tolerances.get("scale", 1.0))
-        return float(self.tolerances.get(key, default)) * scale
+    def tolerance(self, key: str) -> float:
+        return float(_read(self, "tolerances", key)) * float(_read(self, "tolerances", "scale"))
 
     def to_json(self) -> dict:
         return art.record_dict(self)
@@ -114,10 +200,9 @@ class ExperimentSpec:
             spec = replace(spec, seed=int(seed))
         if out_dir is not None:
             spec = replace(spec, out_dir=str(out_dir))
-        if tolerance_scale is not None:
-            tol = dict(spec.tolerances)
-            tol["scale"] = float(tolerance_scale)
-            spec = replace(spec, tolerances=tol)
+        if tolerance_scale is not None and isinstance(spec.tolerances, dict):
+            # tolerances that are no object are reported by validation
+            spec = replace(spec, tolerances={**spec.tolerances, "scale": float(tolerance_scale)})
         return spec
 
 
@@ -237,42 +322,28 @@ def preset(name: str) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-def _build_axes(grid: dict) -> tuple:
-    return tuple(
-        uniform_axis(lo, hi, n)
-        for lo, hi, n in zip(grid["lo"], grid["hi"], grid["points"])
-    )
-
-
 def _build_potential(spec: ExperimentSpec) -> dyn.Potential:
-    if spec.potential is None:
-        return dyn.Potential.free()
-    return dyn.Potential.from_json(spec.potential)
+    return dyn.Potential.from_json(spec.potential or {"kind": "free"})
 
 
 def _build_initial(spec: ExperimentSpec, axes, potential) -> GridWaveFunction:
     st = spec.initial_state
     kind = st["kind"]
     if kind == "gaussian":
-        return dyn.gaussian_packet(
-            axes, st["centers"], st["sigmas"], st.get("momenta")
-        )
+        momenta = _read(spec, "initial_state", "momenta")
+        return dyn.gaussian_packet(axes, st["centers"], st["sigmas"], momenta)
+    if len(axes) != 1:
+        raise ValueError(f"{kind} initial state is one-dimensional")
     if kind == "two-lobe":
-        if len(axes) != 1:
-            raise ValueError("two-lobe initial state is one-dimensional")
-        return dyn.two_lobe_packet(
-            axes[0], st["separation"], st["sigma"], tuple(st.get("momenta", (0.0, 0.0)))
-        )
+        momenta = tuple(_read(spec, "initial_state", "momenta"))
+        return dyn.two_lobe_packet(axes[0], st["separation"], st["sigma"], momenta)
     if kind == "stationary":
-        if len(axes) != 1:
-            raise ValueError("stationary initial state is one-dimensional")
+        level = _read(spec, "initial_state", "level")
+        if level >= axes[0].size:
+            raise ValueError(f"level must be an integer in [0, {axes[0].size}), got {level!r}")
         # eigenstate of the run's own step map, so the run holds it still
-        return dyn.stationary_state(axes[0], potential, st.get("level", 0), dt=spec.time["dt"])
-    if kind == "plane-wave":
-        if len(axes) != 1:
-            raise ValueError("plane-wave initial state is one-dimensional")
-        return dyn.plane_wave(axes[0], st["mode"])
-    raise ValueError(f"unknown initial state kind {kind!r}")
+        return dyn.stationary_state(axes[0], potential, level, dt=spec.time["dt"])
+    return dyn.plane_wave(axes[0], st["mode"])
 
 
 def _interior_zero_risk(w: GridWaveFunction) -> bool:
@@ -289,16 +360,19 @@ def _interior_zero_risk(w: GridWaveFunction) -> bool:
     return False
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _entry(spec: ExperimentSpec, section: str):
+    """A section's table entry, None for a kind the table lacks."""
+    if section in ("params", "tolerances"):
+        return _ENTRIES.get((section, spec.kind))
+    obj = getattr(spec, section)
+    kind = obj.get("kind") if section in _KINDED and isinstance(obj, dict) else None
+    return _ENTRIES.get((section, kind)) if kind is None or isinstance(kind, str) else None
 
 
-def _is_number(value) -> bool:
-    return (
-        isinstance(value, (int, float, np.integer, np.floating))
-        and not isinstance(value, bool)
-        and bool(np.isfinite(value))
-    )
+def _read(spec: ExperimentSpec, section: str, key: str):
+    """The spec's value of ``section.key``, or its default from the table."""
+    value = (getattr(spec, section) or {}).get(key)
+    return _entry(spec, section)[key].default if value is None else value
 
 
 def validate(spec: ExperimentSpec) -> list:
@@ -307,264 +381,127 @@ def validate(spec: ExperimentSpec) -> list:
 
 
 def _check(spec: ExperimentSpec):
-    """(findings, w0): validate's findings plus the initial state it built.
-
-    w0 is None for finite-model kinds and for specs with errors.
-    """
+    """(findings, w0): validate's findings plus the initial state it built,
+    None for finite-model kinds and for specs with errors.  The table checks
+    each section's keys; the checks across fields and on the grid follow."""
     findings = []
 
     def error(field, message):
         findings.append(Finding("error", field, message))
 
-    def warning(field, message):
-        findings.append(Finding("warning", field, message))
+    for name, known in (("kind", KINDS), ("dynamics", DYNAMICS)):
+        if getattr(spec, name) not in known:
+            error(name, f"unknown {name} {getattr(spec, name)!r}; known: {', '.join(known)}")
+            return findings, None
 
-    def unread(section, obj, known, readers):
-        """An error for each key of ``obj`` that nothing would read."""
-        for key in obj:
-            if key not in known:
-                error(f"{section}.{key}",
-                      f"{readers} read no {key!r}; known: {', '.join(known) or 'none'}")
-
-    if spec.kind not in KINDS:
-        error("kind", f"unknown kind {spec.kind!r}; known: {', '.join(KINDS)}")
-        return findings, None
-    if spec.dynamics not in DYNAMICS:
-        error("dynamics", f"unknown dynamics {spec.dynamics!r}")
-        return findings, None
-
-    for key, value in spec.to_json().items():
-        try:
-            art.canonical_json(value)
-        except (TypeError, ValueError) as exc:
-            error(key, f"cannot be recorded in spec.json: {exc}")
+    record = spec.to_json()
+    try:
+        art.canonical_json(record)
+    except (TypeError, ValueError):  # find the fields at fault
+        for key, value in record.items():
+            try:
+                art.canonical_json(value)
+            except (TypeError, ValueError) as exc:
+                error(key, f"cannot be recorded in spec.json: {exc}")
     if not (isinstance(spec.name, str) and spec.name not in ("", "..")
             and Path(spec.name).name == spec.name):
         error("name", f"must be usable as one directory name, got {spec.name!r}")
-    if not (_is_int(spec.seed) and spec.seed >= 0):
-        error("seed", f"must be a non-negative integer, got {spec.seed!r}")
-    if not isinstance(spec.tolerances, dict):
-        error("tolerances", "must be a JSON object")
-    else:
-        unread("tolerances", spec.tolerances, _TOLERANCES[spec.kind], f"{spec.kind} experiments")
-        for key, value in spec.tolerances.items():
-            if key in _TOLERANCES[spec.kind] and not _is_number(value):
-                error(f"tolerances.{key}", f"must be a finite number, got {value!r}")
-    if not isinstance(spec.params, dict):
-        error("params", "must be a JSON object")
-    else:
-        unread("params", spec.params, _PARAMS[spec.kind], f"{spec.kind} experiments")
-
-    if spec.kind in ("pbr", "ontic-model-check"):
+    if problem := _COUNT.problem(spec.seed, None):
+        error("seed", problem)
+    wave = spec.kind in WAVE_KINDS
+    if not wave:
         if spec.dynamics != "none":
             error("dynamics", f"{spec.kind} experiments have no particle dynamics")
         if spec.grid is not None or spec.time is not None:
-            warning("grid", f"{spec.kind} experiments ignore grid and time fields")
-        if not isinstance(spec.params, dict):  # reported above
-            return findings, None
-        if spec.kind == "pbr":
-            overlap = spec.params.get("overlap", 0.25)
-            try:
-                in_range = 0 < float(overlap) <= 0.5
-            except (TypeError, ValueError):
-                in_range = False
-            if not in_range:
-                error("params.overlap", f"overlap must lie in (0, 0.5], got {overlap!r}")
-            for name in ("n_shared", "n_exclusive"):
-                value = spec.params.get(name)
-                if name in spec.params and not (_is_int(value) and value >= 1):
-                    error(f"params.{name}", f"must be a positive integer, got {value!r}")
-        else:
-            n_cells = spec.params.get("n_cells", 64)
-            if not (_is_int(n_cells) and n_cells >= 2):
-                error("params.n_cells", f"must be an integer of at least 2, got {n_cells!r}")
-            levels = spec.params.get("levels", [1, 2])
-            if not (
-                isinstance(levels, list) and levels
-                and all(_is_int(n) and n >= 1 for n in levels)
-                and len(set(levels)) == len(levels)
-            ):
-                error(
-                    "params.levels",
-                    f"must be a non-empty list of distinct positive integers, got {levels!r}",
-                )
+            findings.append(Finding("warning", "grid",
+                                    f"{spec.kind} experiments ignore grid and time fields"))
+    elif problem := _COUNT.problem(spec.ensemble_size, None):
+        error("ensemble_size", problem)
+    elif spec.dynamics != "none" and spec.ensemble_size < 100:
+        error("ensemble_size", f"{spec.ensemble_size} trajectories are underpowered for the "
+              "statistical tests; need at least 100")
+
+    points = spec.grid.get("points") if isinstance(spec.grid, dict) else None
+    n_axes = len(points) if isinstance(points, list) and points else None
+    for section in ("params", "tolerances") + (_WAVE_SECTIONS if wave else ()):
+        obj, entry = getattr(spec, section), _entry(spec, section)
+        if obj is None:  # no params, tolerances or potential: defaults, a free potential
+            if section in ("grid", "time", "initial_state"):
+                error(section, f"wave experiments need {section}")
+            continue
+        if not isinstance(obj, dict):
+            error(section, "must be a JSON object")
+            continue
+        if entry is None:
+            known = ", ".join(k for s, k in _ENTRIES if s == section)
+            error(section, f"unknown kind {obj.get('kind')!r}; known: {known}")
+            continue
+        known = (("kind",) if section in _KINDED else ()) + tuple(entry)
+        for key in obj:
+            if key not in known:
+                error(f"{section}.{key}", f"nothing reads it; known: {', '.join(known) or 'none'}")
+        for key, rule in entry.items():
+            if obj.get(key) is None:
+                if rule.default is _REQUIRED:
+                    error(f"{section}.{key}", f"{section} needs {key}")
+            elif problem := rule.problem(obj[key], n_axes):
+                error(f"{section}.{key}", problem)
+    if not wave or findings:
         return findings, None
 
-    # wave kinds from here on
-    for name in ("grid", "time", "initial_state", "potential"):
-        if getattr(spec, name) is not None and not isinstance(getattr(spec, name), dict):
-            error(name, "must be a JSON object")
+    # checks that relate fields to each other, or need the grid built
+    grid = spec.grid
+    for d, (lo, hi) in enumerate(zip(grid["lo"], grid["hi"])):
+        if not lo < hi:
+            error("grid", f"axis {d}: lo must be below hi")
     if findings:
         return findings, None
-    if spec.grid is None:
-        error("grid", "wave experiments need a grid")
-    else:
-        unread("grid", spec.grid, _GRID_KEYS, "wave experiments")
-        lo, hi, pts = spec.grid.get("lo"), spec.grid.get("hi"), spec.grid.get("points")
-        if not (isinstance(lo, list) and isinstance(hi, list) and isinstance(pts, list)
-                and len(lo) == len(hi) == len(pts) and len(lo) > 0):
-            error("grid", "grid needs equal-length lo/hi/points lists")
-        else:
-            for d, (a, b, n) in enumerate(zip(lo, hi, pts)):
-                if not (_is_number(a) and _is_number(b)):
-                    error("grid", f"axis {d}: lo and hi must be finite numbers")
-                elif not a < b:
-                    error("grid", f"axis {d}: lo must be below hi")
-                if not (_is_int(n) and n >= 8):
-                    error("grid.points", f"axis {d}: needs an integer of at least 8 points, got {n!r}")
-
-    if spec.time is None:
-        error("time", "wave experiments need t_end and dt")
-    else:
-        unread("time", spec.time, _TIME_KEYS, "wave experiments")
-        t_end = spec.time.get("t_end", 0.0)
-        dt = spec.time.get("dt", 0.0)
-        t_end_ok = _is_number(t_end) and t_end > 0
-        dt_ok = _is_number(dt) and dt > 0
-        if not t_end_ok:
-            error("time", "t_end must be a positive number")
-        if not dt_ok:
-            error("time", "dt must be a positive number")
-        elif t_end_ok and dt > t_end:
-            error("time", "dt exceeds t_end")
-        times_ok = t_end_ok and dt_ok and dt <= t_end
-        store_every = spec.time.get("store_every", 1)
-        store_ok = _is_int(store_every) and store_every >= 1
-        if not store_ok:
-            error("time.store_every", f"store_every must be an integer of at least 1, got {store_every!r}")
-        sample_times = spec.time.get("sample_times") or []
-        if not (isinstance(sample_times, list) and all(_is_number(t) for t in sample_times)):
-            error("time.sample_times", "sample_times must be a list of finite numbers")
-        elif sample_times and times_ok:
-            st = np.asarray(sample_times, dtype=float)
-            n_steps = int(round(t_end / dt))
-            steps = np.round(st / dt).astype(int)
-            if np.any(np.diff(st) <= 0):
-                error("time.sample_times", "sample_times must be strictly increasing")
-            elif st[0] < 0 or st[-1] > t_end + 1e-12:
-                error("time.sample_times", "sample_times must lie within [0, t_end]")
-            elif np.any(np.diff(steps) == 0):
-                error("time.sample_times", f"sample_times snap to steps {steps.tolist()} of "
-                      f"dt = {dt}, and two fall on one step")
-            elif store_ok:
-                unstored = [t for t, k in zip(sample_times, steps) if k % store_every and k != n_steps]
-                if unstored:
-                    error(
-                        "time.sample_times",
-                        f"{unstored} fall between stored frames: frames are stored every "
-                        f"store_every * dt = {store_every} * {dt} and at t_end",
-                    )
-
-    if spec.initial_state is None:
-        error("initial_state", "wave experiments need an initial state")
-    else:
-        kind = spec.initial_state.get("kind")
-        if not isinstance(kind, str) or kind not in _INITIAL_STATE_KEYS:
-            error("initial_state",
-                  f"unknown kind {kind!r}; known: {', '.join(_INITIAL_STATE_KEYS)}")
-        else:
-            unread("initial_state", spec.initial_state, _INITIAL_STATE_KEYS[kind],
-                   f"{kind} initial states")
-
-    if spec.potential is not None:
-        kind = spec.potential.get("kind")
-        if not isinstance(kind, str) or kind not in _POTENTIAL_PARAMS:
-            error("potential", f"unknown potential kind {kind!r}")
-        else:
-            unread("potential", spec.potential, ("kind",) + _POTENTIAL_PARAMS[kind],
-                   f"{kind} potentials")
-            for name in _POTENTIAL_PARAMS[kind]:
-                if name not in spec.potential:
-                    error(f"potential.{name}", f"a {kind} potential needs {name}")
-
-    if not (_is_int(spec.ensemble_size) and spec.ensemble_size >= 0):
-        error("ensemble_size", f"must be a non-negative integer, got {spec.ensemble_size!r}")
-    elif spec.dynamics != "none" and spec.ensemble_size < 100:
-        error(
-            "ensemble_size",
-            f"{spec.ensemble_size} trajectories are underpowered for the "
-            "statistical tests; need at least 100",
-        )
-
-    if any(f.severity == "error" for f in findings):
-        return findings, None
-
-    # checks and heuristics that need the grid built
-    axes = _build_axes(spec.grid)
-    state = spec.initial_state
-    if state["kind"] == "gaussian":
-        for name in ("centers", "sigmas", "momenta"):
-            value = state.get(name)
-            if name == "momenta" and value is None:
-                continue
-            if not (
-                isinstance(value, list) and len(value) == len(axes)
-                and all(_is_number(x) for x in value)
-            ):
-                error(
-                    f"initial_state.{name}",
-                    f"needs one finite number per grid axis ({len(axes)}), got {value!r}",
-                )
-            elif name == "sigmas" and min(value) <= 0:
-                error("initial_state.sigmas", f"sigmas must be positive, got {value!r}")
-    elif state["kind"] == "two-lobe":
-        separation, sigma = state.get("separation"), state.get("sigma")
-        momenta = state.get("momenta")
-        if not _is_number(separation):
-            error("initial_state.separation", f"must be a finite number, got {separation!r}")
-        if not (_is_number(sigma) and sigma > 0):
-            error("initial_state.sigma", f"must be a positive finite number, got {sigma!r}")
-        if momenta is not None and not (
-            isinstance(momenta, list) and len(momenta) == 2 and all(_is_number(p) for p in momenta)
-        ):
-            error("initial_state.momenta", f"needs two finite numbers, got {momenta!r}")
-    elif state["kind"] == "plane-wave" and not _is_int(state.get("mode")):
-        # a fractional mode is no periodic wave on the grid
-        error("initial_state.mode", f"must be an integer, got {state.get('mode')!r}")
-    if any(f.severity == "error" for f in findings):
-        return findings, None
+    axes = tuple(uniform_axis(*axis) for axis in zip(grid["lo"], grid["hi"], grid["points"]))
+    t_end, dt = spec.time["t_end"], spec.time["dt"]
     dx_min = min(float(a[1] - a[0]) for a in axes)
-    if spec.time["dt"] > dx_min:
-        findings.append(
-            Finding(
-                "warning",
-                "time",
-                f"dt={spec.time['dt']} exceeds the finest grid spacing {dx_min:.4g}; "
-                "fast momentum components will be under-resolved in time",
-            )
-        )
-    if spec.dynamics == "both" and len(spec.time.get("sample_times") or []) < 2:
+    if dt > dx_min:
+        findings.append(Finding("warning", "time.dt", f"dt={dt} exceeds the finest grid "
+                                f"spacing {dx_min:.4g}; fast momentum components will be "
+                                "under-resolved in time"))
+    sample_times = _read(spec, "time", "sample_times")
+    if dt > t_end:
+        error("time.dt", "dt exceeds t_end")
+    elif sample_times:
+        st = np.asarray(sample_times, dtype=float)
+        steps = np.round(st / dt).astype(int)
+        n_steps = int(round(t_end / dt))
+        store_every = _read(spec, "time", "store_every")
+        unstored = [t for t, k in zip(sample_times, steps) if k % store_every and k != n_steps]
+        if st[0] < 0 or st[-1] > t_end + 1e-12:
+            error("time.sample_times", "sample_times must lie within [0, t_end]")
+        elif np.any(np.diff(steps) <= 0):
+            error("time.sample_times", f"sample_times snap to steps {steps.tolist()} of "
+                  f"dt = {dt}; each must fall on a later step than the one before")
+        elif unstored:
+            error("time.sample_times", f"{unstored} fall between stored frames: frames are "
+                  f"stored every store_every * dt = {store_every} * {dt} and at t_end")
+    if spec.dynamics == "both" and len(sample_times) < 2:
         error("time.sample_times", "dynamics 'both' compares the mean step between "
               "sample times, so it needs at least two")
+    if any(f.severity == "error" for f in findings):
         return findings, None
     potential = _build_potential(spec)
     try:
         finite = bool(np.all(np.isfinite(potential.on_grid(axes))))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         error("potential", f"cannot be built on the grid: {exc}")
         return findings, None
     if not finite:
         error("potential", "must be finite at every grid point")
         return findings, None
-    level = state.get("level", 0)
-    if state["kind"] == "stationary" and not (
-        _is_int(level) and 0 <= level < axes[0].size
-    ):
-        error("initial_state", f"level must be an integer in [0, {axes[0].size}), got {level!r}")
-        return findings, None
     try:
         w0 = _build_initial(spec, axes, potential)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        findings.append(Finding("error", "initial_state", str(exc)))
+        error("initial_state", str(exc))
         return findings, None
     if _interior_zero_risk(w0):
-        findings.append(
-            Finding(
-                "warning",
-                "initial_state",
-                "initial density has interior near-zeros; trajectories may hit nodes",
-            )
-        )
+        findings.append(Finding("warning", "initial_state", "initial density has interior "
+                                "near-zeros; trajectories may hit nodes"))
     return findings, w0
 
 
@@ -578,22 +515,20 @@ def _out_dir_for(spec: ExperimentSpec) -> Path:
     return Path(root) / spec.name
 
 
-def _wave_pipeline(
-    spec: ExperimentSpec, w0: GridWaveFunction, out: Path, tests: dict, files: list
-):
+def _wave_pipeline(spec: ExperimentSpec, w0: GridWaveFunction, out: Path, tests: dict,
+                   files: list, findings: list):
     potential = _build_potential(spec)
     dt = float(spec.time["dt"])
     t_end = float(spec.time["t_end"])
     n_steps = int(round(t_end / dt))
-    sample_times = spec.time.get("sample_times") or [t_end]
+    sample_times = _read(spec, "time", "sample_times") or [t_end]
     snapped = [float(np.round(t / dt) * dt) for t in sample_times]
     # one pass of the evolution: the Bohm march reads every frame as it is
     # evolved; only t = 0 and the sample frames, and the same rows of the
     # ensemble, are kept
     keep = [0.0] + snapped
-    source = dyn.FrameSource(
-        w0, potential, dt, n_steps, store_every=spec.time.get("store_every", 1), keep=keep
-    )
+    store_every = _read(spec, "time", "store_every")
+    source = dyn.FrameSource(w0, potential, dt, n_steps, store_every=store_every, keep=keep)
     is_box = spec.kind == "box"
     bohm = spec.dynamics in ("bohm", "both")
     if bohm:
@@ -615,29 +550,32 @@ def _wave_pipeline(
         drift = max(
             float(np.max(np.abs(frames.density(i) - dens0))) for i in sample_ids
         )
-        tests["stationary-density"] = drift <= spec.tolerance("stationary_density", 1e-6)
+        tests["stationary-density"] = drift <= spec.tolerance("stationary_density")
 
     if bohm:
         files.append(art.write_ensemble_csv(out / "bohm_trajectories_head.csv", ensemble.head))
         rows = ensemble.take(steps=sample_ids)
         files.append(art.write_ensemble_csv(out / "bohm_positions.csv", rows))
         files.append(art.write_json(out / "diagnostics.json", {"march": ensemble.march}))
+        error, tol = ensemble.march.max_error, ensemble.march.tolerance
+        if error is not None and error > tol:
+            # the march accepts a frame-pair step whatever its error estimate
+            findings.append(Finding("warning", "march", f"max error {error:.1e} is above "
+                                    f"the tolerance {tol:.1e}"))
 
         t_screen = snapped[-1]
         report = dyn.equivariance_test(
             ensemble,
             frames.wavefunction(sample_ids[-1]),
             t_screen,
-            significance=spec.tolerance("significance", dyn.CHI2_SIGNIFICANCE),
+            significance=spec.tolerance("significance"),
         )
         files.append(art.write_json(out / "equivariance.json", report))
         tests["equivariance"] = report.passed
 
         if is_box:
             # every member at every step of the march, as a running maximum
-            tests["constant-trajectories"] = ensemble.max_drift <= spec.tolerance(
-                "constancy", 1e-6
-            )
+            tests["constant-trajectories"] = ensemble.max_drift <= spec.tolerance("constancy")
 
     if spec.dynamics in ("rdmp", "both"):
         rensemble = dyn.rdmp_ensemble(
@@ -649,7 +587,7 @@ def _wave_pipeline(
             gof = dyn.chi_square_gof(
                 rensemble.positions_at(t),
                 frames.wavefunction(i),
-                significance=spec.tolerance("significance", dyn.CHI2_SIGNIFICANCE),
+                significance=spec.tolerance("significance"),
             )
             gofs.append({"time": t, **art.record_dict(gof)})
         files.append(art.write_json(out / "rdmp_marginals.json", gofs))
@@ -662,7 +600,7 @@ def _wave_pipeline(
 
 
 def _pbr_pipeline(spec: ExperimentSpec, out: Path, tests: dict, files: list):
-    tol = spec.tolerance("structure", 1e-12)
+    tol = spec.tolerance("structure")
     construction = om.build_pbr_states()
     table = construction.probability_table()
     structure = {
@@ -680,10 +618,10 @@ def _pbr_pipeline(spec: ExperimentSpec, out: Path, tests: dict, files: list):
     )
 
     random_model = om.random_epistemic_model(
-        overlap=float(spec.params.get("overlap", 0.25)),
+        overlap=float(_read(spec, "params", "overlap")),
         seed=spec.seed,
-        n_shared=int(spec.params.get("n_shared", 4)),
-        n_exclusive=int(spec.params.get("n_exclusive", 6)),
+        n_shared=int(_read(spec, "params", "n_shared")),
+        n_exclusive=int(_read(spec, "params", "n_exclusive")),
     )
     catalog = dict(random_model.catalog)
     measurements = dict(random_model.measurements)
@@ -706,12 +644,12 @@ def _pbr_pipeline(spec: ExperimentSpec, out: Path, tests: dict, files: list):
 
 def _ontic_check_pipeline(spec: ExperimentSpec, out: Path, tests: dict, files: list):
     model = om.build_box_nomological_model(
-        n_cells=int(spec.params.get("n_cells", 64)),
-        levels=tuple(spec.params.get("levels", (1, 2))),
+        n_cells=int(_read(spec, "params", "n_cells")),
+        levels=tuple(_read(spec, "params", "levels")),
     )
     files.append(art.write_json(out / "box_model.json", model))
 
-    consistency = om.check_consistency(model, tol=spec.tolerance("consistency", 1e-12))
+    consistency = om.check_consistency(model, tol=spec.tolerance("consistency"))
     files.append(art.write_json(out / "consistency.json", consistency))
     tests["consistency"] = consistency.passed
 
@@ -751,17 +689,14 @@ def run(spec: ExperimentSpec) -> RunManifest:
     files: list = []
 
     files.append(art.write_json(out / "spec.json", spec))
-    if findings:
-        files.append(art.write_json(out / "findings.json", findings))
-
     if spec.kind in WAVE_KINDS:
-        _wave_pipeline(spec, w0, out, tests, files)
+        _wave_pipeline(spec, w0, out, tests, files, findings)
     elif spec.kind == "pbr":
         _pbr_pipeline(spec, out, tests, files)
-    elif spec.kind == "ontic-model-check":
-        _ontic_check_pipeline(spec, out, tests, files)
     else:
-        raise SpecValidationError([Finding("error", "kind", f"unknown kind {spec.kind!r}")])
+        _ontic_check_pipeline(spec, out, tests, files)
+    if findings:
+        files.append(art.write_json(out / "findings.json", findings))
 
     manifest = RunManifest(
         spec_hash=spec.spec_hash,

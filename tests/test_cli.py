@@ -236,6 +236,40 @@ PROBES = {
     "sample-times-misspelt": ({"time.sample_time": [0.01]}, "time.sample_time"),
     "grid-periodic": ({"grid.periodic": True}, "grid.periodic"),
     "free-potential-height": ({"potential.height": 1.0}, "potential.height"),
+    # finite models too large to build: a million shared cells asked for 7 TiB
+    "pbr-n-shared-huge": (
+        {**FINITE, "kind": "pbr", "params": {"n_shared": 1_000_000}}, "params.n_shared",
+    ),
+    "ontic-n-cells-huge": (
+        {**FINITE, "kind": "ontic-model-check", "params": {"n_cells": 1_000_000}},
+        "params.n_cells",
+    ),
+    "ontic-too-many-levels": (
+        {**FINITE, "kind": "ontic-model-check", "params": {"levels": list(range(1, 257))}},
+        "params.levels",
+    ),
+    # values that ran silently: a bound for an axis the grid lacks, and
+    # numbers given as other JSON types
+    "box-bounds-for-two-axes-on-1d-grid": (
+        {"potential": {"kind": "box", "inner_lo": [-1.0, 5.0], "inner_hi": [1.0, 6.0],
+                       "height": 1e4}},
+        "potential.inner_lo",
+    ),
+    "box-height-bool": (
+        {"potential": {"kind": "box", "inner_lo": [-1.0], "inner_hi": [1.0], "height": True}},
+        "potential.height",
+    ),
+    "box-height-string": (
+        {"potential": {"kind": "box", "inner_lo": [-1.0], "inner_hi": [1.0], "height": "1e4"}},
+        "potential.height",
+    ),
+    "pbr-overlap-string": (
+        {**FINITE, "kind": "pbr", "params": {"overlap": "0.3"}}, "params.overlap",
+    ),
+    # tolerances under which every check passes
+    "tolerance-scale-negative": ({"tolerances": {"scale": -1}}, "tolerances.scale"),
+    "significance-zero": ({"tolerances": {"significance": 0}}, "tolerances.significance"),
+    "significance-one": ({"tolerances": {"significance": 1}}, "tolerances.significance"),
 }
 
 
@@ -246,6 +280,18 @@ def test_probe_spec_exits_invalid(probe, tmp_path, capsys):
     assert main(["validate", str(path)]) == EXIT_INVALID
     assert main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == EXIT_INVALID
     assert capsys.readouterr().out.count(f"ERROR   {field}:") == 2
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("tolerances, scale, field", [
+    ({}, "-1", "tolerances.scale"),  # the flag reaches validation as tolerances.scale
+    ([1.0], "2", "tolerances"),  # it once ended in a traceback on tolerances no object
+])
+def test_tolerance_scale_flag_is_validated(tolerances, scale, field, tmp_path, capsys):
+    path = wave_spec(tmp_path, "scaled", tolerances=tolerances)
+    argv = ["run", str(path), "--out-dir", str(tmp_path / "runs"), "--tolerance-scale", scale]
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr().out.count(f"ERROR   {field}:") == 1
     assert not (tmp_path / "runs").exists()
 
 
@@ -296,8 +342,9 @@ def test_report_prints_the_march_and_warns_above_its_tolerance(tmp_path, capsys)
     manifest, and report prints its march record.  Two lobes at +-6 moving
     toward each other at 1.5, on 256 points and stored every 2 steps of
     0.004, make the march accept frame-pair steps whose error estimate is
-    far above MARCH_TOL: report warns, and its exit code is still that of
-    the run's tests.  A run with no diagnostics.json reports as before."""
+    far above MARCH_TOL: the run records a warning finding, run and report
+    print it, and their exit codes are still those of the run's tests.  A
+    run with no diagnostics.json reports as before."""
     calm = wave_spec(tmp_path, "calm")
     lobes = wave_spec(
         tmp_path, "lobes", **{"grid.points": [256]},
@@ -310,7 +357,10 @@ def test_report_prints_the_march_and_warns_above_its_tolerance(tmp_path, capsys)
         assert main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == EXIT_PASS
         name = json.loads(path.read_text())["name"]
         manifest = tmp_path / "runs" / name / "manifest.json"
-        capsys.readouterr()
+        run_warnings = [line for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("WARNING")]
+        findings = manifest.parent / "findings.json"
+        assert findings.exists() == bool(warned)
         assert main(["report", str(manifest)]) == EXIT_PASS
         out = capsys.readouterr().out.splitlines()
         if warned is None:
@@ -326,8 +376,12 @@ def test_report_prints_the_march_and_warns_above_its_tolerance(tmp_path, capsys)
             f"max error {error:.1e} (tolerance {tol:.1e})"
         )
         warnings = [line for line in out if line.startswith("WARNING")]
-        assert warnings == ([f"WARNING march: max error {error:.1e} is above the tolerance "
-                             f"{tol:.1e}"] if warned else [])
+        message = f"max error {error:.1e} is above the tolerance {tol:.1e}"
+        assert warnings == run_warnings == ([f"WARNING march: {message}"] if warned else [])
+        if warned:
+            assert json.loads(findings.read_text()) == [
+                {"field": "march", "message": message, "severity": "warning"}
+            ]
 
 
 def test_main_called_again_in_one_process_is_a_fresh_process(tmp_path, capsys):

@@ -238,6 +238,43 @@ class TestRun:
         assert calls == {"stationary_state": 1, "run_bohm_ensemble": 1, "rdmp_ensemble": 1}
 
 
+# Each spec's keys left out, then written out with their documented defaults.
+DEFAULTS = {
+    "pbr": (
+        {"name": "defaults", "kind": "pbr", "seed": 3, "params": {}},
+        {"params": {"overlap": 0.25, "n_shared": 4, "n_exclusive": 6},
+         "tolerances": {"scale": 1.0, "structure": 1e-12}},
+    ),
+    "box-nomological": (
+        {"name": "defaults", "kind": "ontic-model-check", "params": {}},
+        {"params": {"n_cells": 64, "levels": [1, 2]},
+         "tolerances": {"scale": 1.0, "consistency": 1e-12}},
+    ),
+    "tiny-box": (
+        tiny_box_spec(name="defaults", initial_state={"kind": "stationary"}).to_json(),
+        {"initial_state": {"kind": "stationary", "level": 0},
+         "time": {"dt": 0.001, "t_end": 0.01, "sample_times": [0.005, 0.01], "store_every": 1},
+         "tolerances": {"scale": 1.0, "significance": 1e-3, "stationary_density": 1e-6,
+                        "constancy": 1e-6}},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTS))
+def test_left_out_keys_take_their_documented_defaults(name, tmp_path):
+    """A spec that leaves keys out writes the artifacts of the same spec with
+    the defaults written out; spec.json and manifest.json record the spec."""
+    left_out, written_out = DEFAULTS[name]
+    artifacts = []
+    for body in (left_out, {**left_out, **written_out}):
+        out = tmp_path / str(len(artifacts))
+        assert qf.run(qf.ExperimentSpec.from_json(dict(body, out_dir=str(out)))).passed
+        artifacts.append({p.name: p.read_bytes() for p in (out / "defaults").iterdir()
+                          if p.name not in ("spec.json", "manifest.json")})
+    assert artifacts[0] == artifacts[1]
+    assert len(artifacts[0]) >= 3
+
+
 def test_wave_run_does_not_hold_every_frame(tmp_path, monkeypatch):
     # the frames stream through chunks; with 8-frame chunks the run's traced
     # peak (about 2.2 MB) is under half of one copy of its 601 stored frames
