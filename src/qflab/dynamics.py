@@ -20,15 +20,15 @@ third-order formula on (v1, v2, v3, v(t1, y1)), e = (h/6) max |v4 -
 v(t1, y1)| (Hairer, Norsett & Wanner, Solving ODEs I, section II.4).  A
 step at m > 1 with e > MARCH_TOL, or with a member on a node, is taken
 again at half the stride; after a step with e < MARCH_TOL / 16, m doubles,
-up to a span of a quarter of a chunk (16 frames).  A step at m = 1, a
-frame pair, is never taken again: the members whose step touches a node
-(|psi| < 1e-8 max|psi|) take it again as two half steps, together; those
-that touch one again are halved again, and a member that still does after
-10 halvings is frozen.  Only a one-frame step (before a shorter last gap)
-and the halves of the node fallback blend two frames linearly for their
-middle stages.  A kept frame inside a step is read off that step, at no
-velocity call, by cubic Hermite interpolation between its ends.  One RK4
-formula, ``_rk4_batch``, serves every step and every half step.
+up to a span of a chunk (64 frames).  A step at m = 1, a frame pair, is
+never taken again: the members whose step touches a node (|psi| < 1e-8
+max|psi|) take it again as two half steps, together; those that touch one
+again are halved again, and a member that still does after 10 halvings is
+frozen.  Only a one-frame step (before a shorter last gap) and the halves
+of the node fallback blend two frames linearly for their middle stages.  A
+kept frame inside a step is read off that step, at no velocity call, by
+cubic Hermite interpolation between its ends.  One RK4 formula,
+``_rk4_batch``, serves every step and every half step.
 
 Frames stream: a FrameSource evolves _CHUNK stored frames at a time, each
 in place in its slot of the chunk (the step's multiplies and FFTs write
@@ -36,10 +36,10 @@ there).  The velocity field takes the spline coefficients of psi and its
 gradient for a frame the first time the march reads it, from one FFT,
 divided by the B-spline symbol, and one inverse FFT, so a march that
 strides over frames converts only the ones it reads.  It holds one chunk's
-amplitudes and the frames before it from the current step's start (at most
-16), built or as copies, which a step taken again reads back.  Only the
-frames a caller asks to keep (a run keeps t = 0 and its sample times)
-outlive their chunk, copied into one array sized up front.
+amplitudes and the frames before it from the current step's start (at
+most a chunk), built or as copies, which a step taken again reads back.
+Only the frames a caller asks to keep (a run keeps t = 0 and its sample
+times) outlive their chunk, copied into one array sized up front.
 ``evolve_frames`` drains the same source and keeps every frame.
 
 The march holds O(N) positions: the members' current ones, the rows it is
@@ -80,7 +80,9 @@ MARCH_TOL = 1e-8
 WALL_HEIGHT = 1e4
 CHI2_SIGNIFICANCE = 1e-3
 _MASK64 = (1 << 64) - 1
-# stored frames evolved, prefiltered and held together by the streamed pipeline
+# stored frames evolved and held together by the streamed pipeline, and the
+# most one step of the march spans (at least 2, a frame pair), so that a step
+# reads at most two chunks
 _CHUNK = 64
 # members whose velocities are evaluated together: a block's spline taps and
 # terms fit in cache, where one pass over 10^5 members does not
@@ -613,11 +615,11 @@ class VelocityField:
     its max |psi|, are built when the field first reads it, and kept while
     its chunk is the current one: a march that strides over frames builds
     only the ones it reads.  The field holds the current chunk's
-    amplitudes, and the frames before it from ``step_start`` on, at most a
-    step's span (_max_span), as the entries already built or as copies of
-    their amplitudes: a step of the march that starts there, taken again
-    at a shorter stride or through its node fallback, reads them again
-    after its last stage has loaded the chunk.
+    amplitudes, and the frames of the chunk before it from ``step_start``
+    on, as the entries already built or as copies of their amplitudes: a
+    step of the march that starts there, taken again at a shorter stride
+    or through its node fallback, reads them again after its last stage
+    has loaded the chunk.
     Any time can be asked of WaveFrames (a chunk read again is built again); a
     FrameSource only moves forward.  At a stored time the field is that
     frame's; between stored times it blends the bracketing frames linearly
@@ -653,8 +655,8 @@ class VelocityField:
         return entry
 
     def _load(self, c: int):
-        """Make chunk c the current one, holding the frames before it from step_start on."""
-        held = range(max(self.step_start, c * _CHUNK - _max_span()), c * _CHUNK)
+        """Make chunk c the current one, holding chunk c - 1's frames from step_start on."""
+        held = range(max(self.step_start, (c - 1) * _CHUNK), c * _CHUNK)
         built = {i: self._built[i] for i in held if i in self._built}
         amps = {}
         for i in held:
@@ -809,12 +811,6 @@ def _halve(field, pos, stages, h, depth=1):
     return pos, under, first
 
 
-def _max_span() -> int:
-    """The most stored frames one step of the march spans: a quarter of a chunk, so
-    that a step reads at most two chunks (16 frames; at least a frame pair)."""
-    return max(2, _CHUNK // 4)
-
-
 def _stride(times, i: int, m: int) -> int:
     """Half the span of the march's step from frame i, asked to span 2m frames.
 
@@ -950,7 +946,7 @@ def run_bohm_ensemble(
     Solving ODEs I, section II.4), over the members whose stages touched no
     node.  A step at m > 1 is taken again at half the stride when e
     exceeds MARCH_TOL or when any member touches a node; after a step with
-    e < MARCH_TOL / 16, m doubles, up to a span of _max_span() frames.  A
+    e < MARCH_TOL / 16, m doubles, up to a span of _CHUNK frames.  A
     step never passes the last frame, and its halves must be of equal
     length (see _stride); where even a frame pair does not fit, as before a
     shorter last gap, the step spans one frame and its middle stages blend.
@@ -978,7 +974,7 @@ def run_bohm_ensemble(
     """
     field = VelocityField(frames)
     times = frames.times.tolist()
-    last, top = len(times) - 1, _max_span() // 2
+    last, top = len(times) - 1, _CHUNK // 2
     start = np.atleast_2d(np.asarray(positions0, dtype=float))
     rows = _kept_rows(frames.times, keep)
     kept = np.empty((len(rows),) + start.shape)

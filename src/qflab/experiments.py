@@ -145,6 +145,9 @@ KINDS = tuple(kind for section, kind in _ENTRIES if section == "params")
 _WAVE_SECTIONS = ("grid", "time", "initial_state", "potential")
 _KINDED = ("initial_state", "potential")  # sections whose "kind" key picks their entry
 _COUNT = _Rule(integer=True, lo=0)  # seed and ensemble_size
+# the most split steps and grid points a wave run may ask for: a 64-frame
+# chunk of 2^18 points is 256 MiB
+_MAX_STEPS, _MAX_POINTS = 10**6, 2**18
 
 __all__ = [
     "ExperimentSpec",
@@ -415,6 +418,10 @@ def _check(spec: ExperimentSpec):
         if spec.grid is not None or spec.time is not None:
             findings.append(Finding("warning", "grid",
                                     f"{spec.kind} experiments ignore grid and time fields"))
+        for section in ("potential", "initial_state"):
+            if getattr(spec, section) is not None:
+                findings.append(Finding("warning", section,
+                                        f"{spec.kind} experiments ignore the {section} field"))
     elif problem := _COUNT.problem(spec.ensemble_size, None):
         error("ensemble_size", problem)
     elif spec.dynamics != "none" and spec.ensemble_size < 100:
@@ -446,6 +453,12 @@ def _check(spec: ExperimentSpec):
                     error(f"{section}.{key}", f"{section} needs {key}")
             elif problem := rule.problem(obj[key], n_axes):
                 error(f"{section}.{key}", problem)
+    if spec.kind == "ontic-model-check" and not any(f.severity == "error" for f in findings):
+        # on n cells, level 2n - L samples as level L, and level 2n as zero
+        n_cells = _read(spec, "params", "n_cells")
+        if max(_read(spec, "params", "levels")) > n_cells:
+            error("params.levels", f"must be at most n_cells = {n_cells}: a higher level "
+                  "aliases onto a lower one on the cells")
     if not wave or findings:
         return findings, None
 
@@ -454,10 +467,15 @@ def _check(spec: ExperimentSpec):
     for d, (lo, hi) in enumerate(zip(grid["lo"], grid["hi"])):
         if not lo < hi:
             error("grid", f"axis {d}: lo must be below hi")
+    n_points = math.prod(grid["points"])
+    if n_points > _MAX_POINTS:
+        error("grid.points", f"{n_points:,} points in all; at most {_MAX_POINTS:,}")
+    t_end, dt = spec.time["t_end"], spec.time["dt"]
+    if t_end / dt > _MAX_STEPS:
+        error("time.dt", f"t_end / dt = {t_end / dt:.3g} split steps; at most {_MAX_STEPS:,}")
     if findings:
         return findings, None
     axes = tuple(uniform_axis(*axis) for axis in zip(grid["lo"], grid["hi"], grid["points"]))
-    t_end, dt = spec.time["t_end"], spec.time["dt"]
     dx_min = min(float(a[1] - a[0]) for a in axes)
     if dt > dx_min:
         findings.append(Finding("warning", "time.dt", f"dt={dt} exceeds the finest grid "

@@ -270,6 +270,21 @@ PROBES = {
     "tolerance-scale-negative": ({"tolerances": {"scale": -1}}, "tolerances.scale"),
     "significance-zero": ({"tolerances": {"significance": 0}}, "tolerances.significance"),
     "significance-one": ({"tolerances": {"significance": 1}}, "tolerances.significance"),
+    # wave runs of unbounded work: t_end / dt of 1e600 ended in an OverflowError
+    "steps-beyond-float": (
+        {"grid.points": [64], "time": {"t_end": 1e300, "dt": 1e-300}}, "time.dt",
+    ),
+    "steps-over-a-million": ({"time": {"t_end": 1000.0, "dt": 0.000999}}, "time.dt"),
+    "grid-over-2-18-points": (
+        {"grid": {"lo": [-16.0, -16.0], "hi": [16.0, 16.0], "points": [1024, 512]},
+         "initial_state": {"kind": "gaussian", "centers": [0.0, 0.0], "sigmas": [1.0, 1.0]}},
+        "grid.points",
+    ),
+    # on n cells level 2n - L samples as level L: sin^2(4 pi x) vanishes on 2 cells
+    "ontic-level-above-n-cells": (
+        {**FINITE, "kind": "ontic-model-check", "params": {"n_cells": 2, "levels": [4]}},
+        "params.levels",
+    ),
 }
 
 
@@ -281,6 +296,32 @@ def test_probe_spec_exits_invalid(probe, tmp_path, capsys):
     assert main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == EXIT_INVALID
     assert capsys.readouterr().out.count(f"ERROR   {field}:") == 2
     assert not (tmp_path / "runs").exists()
+
+
+def test_wave_work_at_its_bounds_is_runnable(tmp_path, capsys):
+    """10^6 split steps on 2^18 points, and levels up to n_cells, validate."""
+    at_bounds = {
+        "grid": {"lo": [-16.0, -16.0], "hi": [16.0, 16.0], "points": [512, 512]},
+        "initial_state": {"kind": "gaussian", "centers": [0.0, 0.0], "sigmas": [1.0, 1.0]},
+        "time": {"t_end": 1000.0, "dt": 0.001, "sample_times": [500.0, 1000.0]},
+    }
+    levels = {**FINITE, "kind": "ontic-model-check", "params": {"n_cells": 2, "levels": [1, 2]}}
+    for name, changes in (("wave", at_bounds), ("ontic", levels)):
+        assert main(["validate", str(wave_spec(tmp_path, name, **changes))]) == EXIT_PASS
+    assert "ERROR" not in capsys.readouterr().out
+
+
+def test_finite_model_specs_warn_of_the_wave_sections_they_ignore(tmp_path, capsys):
+    """A pbr spec with wave sections runs, and each section draws a warning
+    on its own field; their contents are not read, so a nonsense kind
+    passes."""
+    path = write_spec(tmp_path, grid={"points": [8]},
+                      potential={"kind": "box"}, initial_state={"kind": "nonsense"})
+    assert main(["validate", str(path)]) == EXIT_PASS
+    assert main(["run", str(path)]) == EXIT_PASS
+    warned = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("WARNING")]
+    assert warned == 2 * ["WARNING grid", "WARNING potential", "WARNING initial_state"]
 
 
 @pytest.mark.parametrize("tolerances, scale, field", [

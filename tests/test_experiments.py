@@ -159,7 +159,7 @@ class TestRun:
         assert "diagnostics.json" in m["artifacts"]
         march = read_json(out / "diagnostics.json")["march"]
         assert march["tolerance"] == dyn.MARCH_TOL and march["frozen_members"] == 0
-        assert march["steps"] > 0 and 2 <= march["min_stride"] <= march["max_stride"] <= 16
+        assert march["steps"] > 0 and 2 <= march["min_stride"] <= march["max_stride"] <= dyn._CHUNK
 
     def test_pbr_run_artifacts(self, tmp_path):
         spec = qf.preset("pbr").with_overrides(out_dir=str(tmp_path))

@@ -26,8 +26,15 @@ steps (2 taken again); no position moved by more than 1.2e-8 in
 ``bohm_positions.csv`` or 4.8e-9 in the head paths (51 rows a member to
 16).  ``equivariance.json`` moved in the last digits of its KS
 statistic, and the box's ``bohm_vs_rdmp.json`` in its Bohm mean step
-(7.3e-17 to 7.1e-16).  Every artifact except ``manifest.json`` (it
-holds the wall-clock time) must keep them.
+(7.3e-17 to 7.1e-16).  The box's Bohm files and ``diagnostics.json``
+were recorded again when a step's span was allowed to reach a whole
+chunk (64 frames) instead of 16: every verdict stayed the same, the
+stride reached 32 frames, in 8 steps instead of 10, no position moved by
+more than 5.4e-15 in ``bohm_positions.csv`` or 1.4e-15 in the head paths
+(11 rows a member to 9), ``equivariance.json`` moved in the last digits
+of its KS statistic and p-value, and the Bohm mean step went from
+7.1e-16 to 8.3e-16.  Every artifact except ``manifest.json`` (it holds
+the wall-clock time) must keep them.
 
 FFTs (which also give the spline coefficients) and libm may round
 differently in other numpy or scipy releases, so the test runs only with
@@ -94,11 +101,11 @@ NOMOLOGICAL = {
 
 DIGESTS = {
     "golden-box": {
-        "bohm_positions.csv": "3cc2d301b00b83fdffba26360d8a3553c78aca225cbb6644b6cfb55600dd733b",
-        "bohm_trajectories_head.csv": "1407f4a26b8f135929ebffe92e14bd783ad566757d50ae726b8d35649d048401",
-        "bohm_vs_rdmp.json": "90e9bc11ad5eee43b261f011654cb57d635b3af0278fd738d5f4acaa33272387",
-        "diagnostics.json": "23f34d19f34a90287e0b57624cfa4ef783a11e1e78bdfbfc0c411b155fc0db4d",
-        "equivariance.json": "4ee62eefcf2c01a442d12bb0a2dbc89ad75e3f8edabac9df09a263593e4d08c3",
+        "bohm_positions.csv": "58ab2be6b38f03ba66bf1983f7aa6e046634ab71972b0180f6f60d8e4e92b3d0",
+        "bohm_trajectories_head.csv": "1451e36e52b36884eb2aed13e6cb442924b22ceeb2dd407e0457f02654b4cec3",
+        "bohm_vs_rdmp.json": "5034b11d494184a60af6e88c30b8c829a61c084923acc4f21cd12093b909ec85",
+        "diagnostics.json": "27805abd218b33946e1d06b96c85394012444b133893bdbbded6b4f855c218e0",
+        "equivariance.json": "fbc7396a22d8f7ace3479a02e249c8c995b7a40b3acdd2a276723ae5039a9d01",
         "rdmp_marginals.json": "822cb8ed35505bb5bf64a0aff6982f12f52d9a74a2f11f2ece014c164a96b0fe",
         "rdmp_positions.csv": "9d2925beb95a788b4b05e533eb76a4a74c24f44c77b8a717151a9b9f07cf0cbe",
         "spec.json": "71e9fd2dd7431ed4ad5e75f9667b7a9533290728402c9d04d2e9c913cd473d9c",
