@@ -13,34 +13,38 @@ evaluated off-grid by separable cubic interpolation of psi and its spectral
 gradient.  Trajectories integrate that field with RK4 against wave frames
 stored on a fixed dt grid.  A step spans 2m stored frames, its stages on
 frames i, i + m, i + m and i + 2m at their stored times: the march is
-fourth order in time and reads no field between frames.  The march picks
-m.  The velocity at a step's new positions is the next step's first stage,
-so the step gets an error estimate at no extra call: against the embedded
+fourth order in time and reads no field between frames.  The march picks m.
+The velocity at a step's new positions is the next step's first stage, so
+the step gets an error estimate at no extra call: against the embedded
 third-order formula on (v1, v2, v3, v(t1, y1)), e = (h/6) max |v4 -
 v(t1, y1)| (Hairer, Norsett & Wanner, Solving ODEs I, section II.4).  A
 step at m > 1 with e > MARCH_TOL, or with a member on a node, is taken
 again at half the stride; after a step with e < MARCH_TOL / 16, m doubles,
-up to a span of a chunk (64 frames).  A step at m = 1, a frame pair, is
-never taken again: the members whose step touches a node (|psi| < 1e-8
-max|psi|) take it again as two half steps, together; those that touch one
-again are halved again, and a member that still does after 10 halvings is
-frozen.  Only a one-frame step (before a shorter last gap) and the halves
-of the node fallback blend two frames linearly for their middle stages.  A
-kept frame inside a step is read off that step, at no velocity call, by
-cubic Hermite interpolation between its ends.  One RK4 formula,
-``_rk4_batch``, serves every step and every half step.
+up to a chunk (64 frames).  MARCH_TOL is 1e-6: some 150 steps sum to about
+1.5e-4, two orders below the 3e-2 shift the equivariance verdicts resolve.
+A step at m = 1, a frame pair, is never taken again: the members whose
+step touches a node (|psi| < 1e-8 max|psi|) take it again as two half
+steps, together; those that touch one again are halved again, and a member
+that still does after 10 halvings is frozen.  Only a one-frame step (before
+a shorter last gap) and the halves of the node fallback blend two frames
+linearly for their middle stages.  A kept frame inside a step is read off
+that step, at no velocity call, by cubic Hermite interpolation between its
+ends.  One RK4 formula, ``_rk4_batch``, serves every step and every half
+step.
 
 Frames stream: a FrameSource evolves _CHUNK stored frames at a time, each
 in place in its slot of the chunk (the step's multiplies and FFTs write
-there).  The velocity field takes the spline coefficients of psi and its
-gradient for a frame the first time the march reads it, from one FFT,
-divided by the B-spline symbol, and one inverse FFT, so a march that
-strides over frames converts only the ones it reads.  It holds one chunk's
-amplitudes and the frames before it from the current step's start (at
-most a chunk), built or as copies, which a step taken again reads back.
-Only the frames a caller asks to keep (a run keeps t = 0 and its sample
-times) outlive their chunk, copied into one array sized up front.
-``evolve_frames`` drains the same source and keeps every frame.
+there).  With no potential on the grid the split step is psi^ <- K psi^,
+so the chunk is evolved as spectra, one multiply a split step, and then
+inverted by one batched inverse FFT.  The velocity field takes the spline
+coefficients of psi and its gradient for a frame the first time the march
+reads it, from one FFT, divided by the B-spline symbol, and one inverse
+FFT, so a march that strides over frames converts only the ones it reads.
+It holds one chunk's amplitudes and the frames before it from the current
+step's start (at most a chunk), built or as copies, which a step taken
+again reads back.  Only the frames a caller asks to keep (a run keeps t = 0
+and its sample times) outlive their chunk, copied into one array sized up
+front.  ``evolve_frames`` drains the same source and keeps every frame.
 
 The march holds O(N) positions: the members' current ones, the rows it is
 asked to keep (every row by default), optionally the full paths of the
@@ -75,8 +79,10 @@ from .states import GridWaveFunction, born_density, fix_global_phase
 
 EPS_NODE_FACTOR = 1e-8
 MAX_HALVINGS = 10
-# the largest error estimate of a step the Bohm march takes at a stride over a frame pair
-MARCH_TOL = 1e-8
+# the largest error estimate of a step the Bohm march takes at a stride over a
+# frame pair.  Budget: a run's ~150 steps sum to ~1.5e-4, two orders below the
+# ~3e-2 position shift the equivariance verdicts resolve
+MARCH_TOL = 1e-6
 WALL_HEIGHT = 1e4
 CHI2_SIGNIFICANCE = 1e-3
 _MASK64 = (1 << 64) - 1
@@ -397,6 +403,8 @@ class _SplitStepEvolver:
             shape[d] = a.size
             ksq = ksq + (k**2).reshape(shape)
         self.kinetic = np.exp(-0.5j * dt * ksq)
+        # with no potential on the grid a step is psi^ <- kinetic psi^ in k-space
+        self.free = not np.any(v)
         # on one axis fft and ifft give fftn's bits and skip its axis bookkeeping
         self._fft, self._ifft = (np.fft.fft, np.fft.ifft) if len(axes) == 1 else \
             (np.fft.fftn, np.fft.ifftn)
@@ -407,11 +415,12 @@ class _SplitStepEvolver:
         return np.multiply(self.half_potential, out, out=out)
 
 
-def _check_momentum_resolution(w: GridWaveFunction, mass_tol=1e-6):
+def _momentum_resolution_problem(w: GridWaveFunction, mass_tol=1e-6) -> str | None:
+    """What is wrong when over mass_tol of w's momentum mass lies near the grid cutoff."""
     spectrum = np.abs(np.fft.fftn(w.amplitudes)) ** 2
     total = spectrum.sum()
     if total == 0:
-        return
+        return None
     outer = np.zeros(w.shape, dtype=bool)
     for d, a in enumerate(w.axes):
         k = np.abs(np.fft.fftfreq(a.size))
@@ -420,12 +429,9 @@ def _check_momentum_resolution(w: GridWaveFunction, mass_tol=1e-6):
         outer |= np.broadcast_to((k > 0.45).reshape(shape), w.shape)
     frac = spectrum[outer].sum() / total
     if frac > mass_tol:
-        warnings.warn(
-            f"momentum content near grid cutoff (mass fraction {frac:.2e}); "
-            "refine the grid or lower the packet momentum",
-            MomentumResolutionWarning,
-            stacklevel=3,
-        )
+        return (f"momentum content near grid cutoff (mass fraction {frac:.2e}); "
+                "refine the grid or lower the packet momentum")
+    return None
 
 
 def _index_at(times: np.ndarray, t: float, tol: float = 1e-9) -> int:
@@ -487,21 +493,19 @@ class FrameSource:
     c, in order, and copies each one's kept frames into that array as they
     pass; ``drain()`` evolves whatever is left and returns the array.
     Memory is one chunk plus the kept frames, whatever the run's length.
+    Where the potential is zero at every grid point, a chunk is evolved in
+    k-space, psi^ <- K psi^ for each split step in the chunk's own slots,
+    then inverted by one batched ``ifft`` (``ifftn`` over the grid axes on
+    more than one axis); frame 0 is w0's amplitudes as given.
     """
 
-    def __init__(
-        self,
-        w0: GridWaveFunction,
-        p: Potential,
-        dt: float,
-        n_steps: int,
-        store_every: int = 1,
-        keep=None,
-    ):
+    def __init__(self, w0: GridWaveFunction, p: Potential, dt: float, n_steps: int,
+                 store_every: int = 1, keep=None):
         if not isinstance(store_every, (int, np.integer)) or isinstance(store_every, bool) \
                 or store_every < 1:
             raise ValueError(f"store_every must be a positive integer, got {store_every!r}")
-        _check_momentum_resolution(w0)
+        if problem := _momentum_resolution_problem(w0):
+            warnings.warn(problem, MomentumResolutionWarning, stacklevel=2)
         self.axes = w0.axes
         self._shape = w0.amplitudes.shape
         steps = [0] + [i for i in range(1, n_steps + 1) if i % store_every == 0 or i == n_steps]
@@ -511,7 +515,7 @@ class FrameSource:
         self._next = 0
         self._evolver = _SplitStepEvolver(w0.axes, p, dt)
         self._gaps = np.diff(steps, prepend=0).tolist()  # split steps up to each stored frame
-        self._frame = w0.amplitudes  # the last frame evolved
+        self._frame = w0.amplitudes  # the last frame evolved (its spectrum on a free grid)
 
     @property
     def n_frames(self) -> int:
@@ -531,14 +535,24 @@ class FrameSource:
     def _advance(self) -> np.ndarray:
         start = self._next * _CHUNK
         amps = np.empty((min(_CHUNK, self.n_frames - start),) + self._shape, dtype=complex)
-        frame = self._frame  # each frame is evolved in its own slot, from the one before
-        for out, n_steps in zip(amps, self._gaps[start:]):
-            if n_steps == 0:
-                out[...] = frame
+        ev, frame = self._evolver, self._frame
+        first = int(start == 0)  # frame 0 is psi0 as given
+        if first:
+            amps[0] = frame
+            frame = ev._fft(frame) if ev.free else frame
+        # each frame is evolved in its own slot, from the one before; on a
+        # free grid as spectra, one multiply a split step, inverted together
+        step = functools.partial(np.multiply, ev.kinetic) if ev.free else ev.step
+        for out, n_steps in zip(amps[first:], self._gaps[start + first:]):
             for _ in range(n_steps):
-                frame = self._evolver.step(frame, out=out)
-            frame = out
+                frame = step(frame, out=out)
         self._frame = frame.copy()  # the next chunk's start, without holding this chunk
+        if ev.free:
+            spectra = amps[first:]
+            if spectra.ndim == 2:  # ifft gives ifftn's bits and skips its axis bookkeeping
+                np.fft.ifft(spectra, out=spectra)
+            else:
+                np.fft.ifftn(spectra, axes=tuple(range(1, spectra.ndim)), out=spectra)
         self._next += 1
         lo, hi = np.searchsorted(self._rows, [start, start + len(amps)])
         # the rows are in range; "clip" writes straight into out, "raise" buffers
@@ -552,13 +566,8 @@ class FrameSource:
         return WaveFrames(self.axes, self.times[self._rows], self._kept)
 
 
-def evolve_frames(
-    w0: GridWaveFunction,
-    p: Potential,
-    dt: float,
-    n_steps: int,
-    store_every: int = 1,
-) -> WaveFrames:
+def evolve_frames(w0: GridWaveFunction, p: Potential, dt: float, n_steps: int,
+                  store_every: int = 1) -> WaveFrames:
     """Evolve n_steps and stack every store_every-th state (plus the initial)."""
     return FrameSource(w0, p, dt, n_steps, store_every).drain()
 
@@ -945,11 +954,12 @@ def run_bohm_ensemble(
     1/3, 1/3, 1/6) on (v1, v2, v3, v(t1, y1)) (Hairer, Norsett & Wanner,
     Solving ODEs I, section II.4), over the members whose stages touched no
     node.  A step at m > 1 is taken again at half the stride when e
-    exceeds MARCH_TOL or when any member touches a node; after a step with
-    e < MARCH_TOL / 16, m doubles, up to a span of _CHUNK frames.  A
-    step never passes the last frame, and its halves must be of equal
-    length (see _stride); where even a frame pair does not fit, as before a
-    shorter last gap, the step spans one frame and its middle stages blend.
+    exceeds MARCH_TOL (1e-6, a budget set by what the verdicts resolve) or
+    when any member touches a node; after a step with e < MARCH_TOL / 16,
+    m doubles, up to a span of _CHUNK frames.  A step never passes the last
+    frame, and its halves must be of equal length (see _stride); where even
+    a frame pair does not fit, as before a shorter last gap, the step spans
+    one frame and its middle stages blend.
 
     A step at m = 1, or of one frame, is never taken again.  Its members
     whose stages touch a node redo it as a batch of two half steps, split

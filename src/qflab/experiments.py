@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time as _time
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -486,18 +487,20 @@ def _check(spec: ExperimentSpec):
         error("time.dt", "dt exceeds t_end")
     elif sample_times:
         st = np.asarray(sample_times, dtype=float)
-        steps = np.round(st / dt).astype(int)
-        n_steps = int(round(t_end / dt))
-        store_every = _read(spec, "time", "store_every")
-        unstored = [t for t, k in zip(sample_times, steps) if k % store_every and k != n_steps]
-        if st[0] < 0 or st[-1] > t_end + 1e-12:
+        # in range before they become step numbers: a far time overflows the cast
+        if np.any(st < 0) or np.any(st > t_end + 1e-12):
             error("time.sample_times", "sample_times must lie within [0, t_end]")
-        elif np.any(np.diff(steps) <= 0):
-            error("time.sample_times", f"sample_times snap to steps {steps.tolist()} of "
-                  f"dt = {dt}; each must fall on a later step than the one before")
-        elif unstored:
-            error("time.sample_times", f"{unstored} fall between stored frames: frames are "
-                  f"stored every store_every * dt = {store_every} * {dt} and at t_end")
+        else:
+            steps = np.round(st / dt).astype(int)
+            n_steps = int(round(t_end / dt))
+            store_every = _read(spec, "time", "store_every")
+            unstored = [t for t, k in zip(sample_times, steps) if k % store_every and k != n_steps]
+            if np.any(np.diff(steps) <= 0):
+                error("time.sample_times", f"sample_times snap to steps {steps.tolist()} of "
+                      f"dt = {dt}; each must fall on a later step than the one before")
+            elif unstored:
+                error("time.sample_times", f"{unstored} fall between stored frames: frames "
+                      f"are stored every store_every * dt = {store_every} * {dt} and at t_end")
     if spec.dynamics == "both" and len(sample_times) < 2:
         error("time.sample_times", "dynamics 'both' compares the mean step between "
               "sample times, so it needs at least two")
@@ -520,6 +523,8 @@ def _check(spec: ExperimentSpec):
     if _interior_zero_risk(w0):
         findings.append(Finding("warning", "initial_state", "initial density has interior "
                                 "near-zeros; trajectories may hit nodes"))
+    if problem := dyn._momentum_resolution_problem(w0):
+        findings.append(Finding("warning", "grid.points", problem))
     return findings, w0
 
 
@@ -546,7 +551,9 @@ def _wave_pipeline(spec: ExperimentSpec, w0: GridWaveFunction, out: Path, tests:
     # ensemble, are kept
     keep = [0.0] + snapped
     store_every = _read(spec, "time", "store_every")
-    source = dyn.FrameSource(w0, potential, dt, n_steps, store_every=store_every, keep=keep)
+    with warnings.catch_warnings():  # validation recorded it as a finding on grid.points
+        warnings.simplefilter("ignore", dyn.MomentumResolutionWarning)
+        source = dyn.FrameSource(w0, potential, dt, n_steps, store_every=store_every, keep=keep)
     is_box = spec.kind == "box"
     bohm = spec.dynamics in ("bohm", "both")
     if bohm:

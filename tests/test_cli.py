@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -280,6 +281,9 @@ PROBES = {
          "initial_state": {"kind": "gaussian", "centers": [0.0, 0.0], "sigmas": [1.0, 1.0]}},
         "grid.points",
     ),
+    # a far sample time once overflowed its cast to a step number, with a
+    # RuntimeWarning on stderr before the finding
+    "sample-time-far-past-t-end": ({"time.sample_times": [0.0, 1e300]}, "time.sample_times"),
     # on n cells level 2n - L samples as level L: sin^2(4 pi x) vanishes on 2 cells
     "ontic-level-above-n-cells": (
         {**FINITE, "kind": "ontic-model-check", "params": {"n_cells": 2, "levels": [4]}},
@@ -292,10 +296,13 @@ PROBES = {
 def test_probe_spec_exits_invalid(probe, tmp_path, capsys):
     changes, field = PROBES[probe]
     path = wave_spec(tmp_path, probe, **changes)
-    assert main(["validate", str(path)]) == EXIT_INVALID
-    assert main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == EXIT_INVALID
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", str(path)]) == EXIT_INVALID
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == EXIT_INVALID
     assert capsys.readouterr().out.count(f"ERROR   {field}:") == 2
     assert not (tmp_path / "runs").exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_wave_work_at_its_bounds_is_runnable(tmp_path, capsys):
@@ -423,6 +430,35 @@ def test_report_prints_the_march_and_warns_above_its_tolerance(tmp_path, capsys)
             assert json.loads(findings.read_text()) == [
                 {"field": "march", "message": message, "severity": "warning"}
             ]
+
+
+def test_momentum_near_the_grid_cutoff_is_a_finding(tmp_path, capsys):
+    """A packet at momentum 12 on a grid whose cutoff is 4 pi: validate, run
+    and report each print a warning finding on grid.points, the run records
+    it in findings.json, and the pipeline raises no Python warning beside
+    it.  The packet at rest draws no finding."""
+    fast = wave_spec(tmp_path, "fast", dynamics="none", ensemble_size=0,
+                     **{"initial_state.momenta": [12.0]})
+    calm = wave_spec(tmp_path, "calm", dynamics="none", ensemble_size=0)
+    for path, warned in ((fast, True), (calm, False)):
+        name = json.loads(path.read_text())["name"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["validate", str(path)]) == EXIT_PASS
+            assert main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == EXIT_PASS
+            assert main(["report", str(tmp_path / "runs" / name / "manifest.json")]) == EXIT_PASS
+        assert not caught
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("WARNING")]
+        findings = tmp_path / "runs" / name / "findings.json"
+        assert findings.exists() == warned
+        if warned:
+            (finding,) = json.loads(findings.read_text())
+            assert finding["field"] == "grid.points" and finding["severity"] == "warning"
+            assert finding["message"].startswith("momentum content near grid cutoff")
+            assert lines == 3 * [f"WARNING grid.points: {finding['message']}"]
+        else:
+            assert not lines
 
 
 def test_main_called_again_in_one_process_is_a_fresh_process(tmp_path, capsys):

@@ -342,7 +342,8 @@ def test_long_strides_meet_the_closed_form_free_gaussian_paths():
     on frames stored at every step, 1,001 of them: the stride grows past 16
     frames, and every row, those read off inside a step by Hermite
     interpolation too, still meets the closed-form paths within 2e-6
-    (2.91e-7 measured, with strides up to 32 frames)."""
+    (4.6e-7 measured, in 22 steps of up to 64 frames; 2.91e-7 at the
+    earlier MARCH_TOL of 1e-8, with strides up to 32 frames)."""
     sigma0, t_end = 1.0, 2.0
     frames = free_gaussian_frames(sigma0, t_end, store_every=1)
     assert frames.n_frames == 1001
@@ -953,9 +954,9 @@ def _record_strides(monkeypatch):
 
 def test_step_taken_again_reads_back_across_a_chunk(monkeypatch):
     """A two-lobe march over 751 frames in chunks of 64 takes its step from
-    frame 122 at a stride of 8 frames again, at 4: the first try read frame
-    130, in the next chunk, and the second reads frame 126, in the chunk
-    before.  The field holds the frames from the step's start, so the
+    frame 570 at a stride of 8 frames again, at 4: the first try read frame
+    578, in the next chunk, and the second reads frames 572 and 574, in the
+    chunk before.  The field holds the frames from the step's start, so the
     streamed march gives the bits of the stored one; held none, the stream
     has no way back to that chunk."""
     ax = qf.uniform_axis(-16, 16, 256)
@@ -967,7 +968,7 @@ def test_step_taken_again_reads_back_across_a_chunk(monkeypatch):
     tried = _record_strides(monkeypatch)
     streamed = qf.run_bohm_ensemble(qf.FrameSource(w0, Potential.free(), dt, n_steps, keep=()), q0)
     again = [(a, b) for a, b in zip(tried, tried[1:]) if a[0] == b[0]]
-    assert ((122, 4), (122, 2)) in again
+    assert ((570, 4), (570, 2)) in again
     assert streamed.march == stored.march and streamed.march.steps_taken_again == len(again)
     assert np.array_equal(as_bits(streamed.positions), as_bits(stored.positions))
     assert np.array_equal(streamed.frozen_at, stored.frozen_at)
@@ -978,7 +979,7 @@ def test_step_taken_again_reads_back_across_a_chunk(monkeypatch):
         self._built, self._held = {}, {}  # neither the built frames before chunk c nor copies
 
     monkeypatch.setattr(qf.VelocityField, "_load", load_holding_none)
-    with pytest.raises(ValueError, match="chunk 1 is gone"):
+    with pytest.raises(ValueError, match="chunk 8 is gone"):
         qf.run_bohm_ensemble(qf.FrameSource(w0, Potential.free(), dt, n_steps, keep=()), q0)
 
 
@@ -1029,17 +1030,17 @@ def test_node_at_a_long_stride_is_taken_again_down_to_the_fallback(monkeypatch):
 # [odd] march, and its max_drift, at MARCH_TOL = 0 and at the default
 ODD_MARCH_BYTES = {
     0.0: ([
-        "7467dfd1eb7a980c019f577561a61e50965c14ca50daad0c8cb77bdcee22807a",
+        "ba558e077287b8cc38a3be6e6733f659b7c6c268f244db294605a61db00d92e5",
         "8275b5c35eae5df39bea7e173b3bcdf939a1988a133cb0cb254dd20484929391",
         "dca604e6abfa5660bfc823cac38ee24b35e38ad6efb284f02e72f72fbe62ff23",
-        "05c2038240a6d942bbd16e12a946f54164182751e9bbf184b4ea12436113454d",
-    ], 0.265856027310603),
+        "daff0a7cbfbcd5c46db211ab90f6328c5dffc51adc24490a4c212c24c3415dda",
+    ], 0.265856027310555),
     qf.dynamics.MARCH_TOL: ([
-        "ad32652deddd01568bcab659605a1519c1c88d2b1b93633396a1c95a385c5e01",
+        "e36df238b37ba1de303c4f8dec8e88f6213f6c78ab4680be4ea8be5c09c38e8f",
         "8275b5c35eae5df39bea7e173b3bcdf939a1988a133cb0cb254dd20484929391",
-        "497bcf93c08fe1dfc34134dfad955aaa4016d5569a5e0cc36851021bb2f919c0",
-        "e08382ad742b74f9a20bd8e2b3fa4d7500a94d5fba736bbd48f16c2dab464d42",
-    ], 0.2658560345397589),
+        "08ea2a6e58acce4fdf844c26d3b90d02cf4626f7397c3a46bb40703e88a3a29d",
+        "d0b661caf51a2e7dff4b3094cdf97603c81d23d05ac9daf7a0bccf40ac7ab87b",
+    ], 0.2658564683191411),
 }
 
 
@@ -1052,13 +1053,19 @@ def test_odd_march_bytes_pinned(monkeypatch):
     head paths and the drift, pinned across versions of qflab: the member
     started on the node freezes at the first step, and every other member
     never touches it.  At MARCH_TOL = 0 every step spans a frame pair, and
-    the march gives the bits of the frame-pair march that came before the
+    the march gave the bits of the frame-pair march that came before the
     stride control: every row, frozen_at, the head paths and max_drift.
     The default march was pinned when the stride control came in; no
     position moved by more than 1.5e-7 (in rows read off the middle of
     16-frame steps, 7.2e-9 at the frames the steps end on), and frozen_at
     kept its bytes.  It was pinned before that when the march moved to
-    frame pairs (8.8e-7)."""
+    frame pairs (8.8e-7).  Both were pinned again when free frames came to
+    be evolved in k-space and MARCH_TOL went from 1e-8 to 1e-6: at
+    MARCH_TOL = 0 no position moved by more than 5.0e-14; the default march
+    takes 9 steps instead of 18, of up to 32 frames, and no position moved
+    by more than 2.4e-6 (in rows read off the middle of 32-frame steps; at
+    the frames the steps end on it is within 4.4e-7 of the frame-pair
+    march).  frozen_at kept its bytes."""
     ax = qf.uniform_axis(-16, 16, 256)
     w0 = odd_state(ax)
     frames = qf.evolve_frames(w0, Potential.free(), 0.002, 450, 3)
@@ -1082,7 +1089,7 @@ def test_kept_rows_are_the_full_march_rows(monkeypatch):
     all of them; the odd state's node freezes member 0 at the first step.
     The head paths and the drift are over the frames the steps end on.  At
     MARCH_TOL = 0 every step spans a frame pair, so those are the even
-    frames; at the default the stride grows to 16 frames.  Every stride is
+    frames; at the default the stride grows to 32 frames.  Every stride is
     even, so the kept odd frames 1 and 51 are read off the steps over them,
     and member 0 holds its start at frame 1."""
     for tol in (0.0, qf.dynamics.MARCH_TOL):
@@ -1123,7 +1130,7 @@ def kept_rows_case(monkeypatch, tol):
     if tol == 0:
         assert marched == list(range(0, full.times.size, 2))
     else:
-        assert full.march.max_stride == 16 and len(marched) < full.times.size / 4
+        assert full.march.max_stride == 32 and len(marched) < full.times.size / 4
     assert len(marched) == full.march.steps + 1
     assert np.array_equal(as_bits(part.head.positions), as_bits(full.positions[marched, :4]))
     assert np.array_equal(part.head.frozen_at, full.frozen_at[:4])
@@ -1289,6 +1296,66 @@ def test_frame_source_frames_are_the_out_of_place_split_step(ndim, store_every):
     drained = qf.evolve_frames(w0, potential, dt, n_steps, store_every).amplitudes
     assert np.array_equal(as_bits(streamed), as_bits(expect))
     assert np.array_equal(as_bits(drained), as_bits(expect))
+
+
+@pytest.mark.parametrize("ndim, store_every", [(1, 1), (1, 3), (2, 1), (2, 3)])
+def test_free_frames_are_evolved_in_k_space(monkeypatch, ndim, store_every):
+    """With no potential on the grid a source evolves each chunk as spectra,
+    one multiply by the kinetic phase a split step, and inverts the chunk
+    in one batch.  Its frames equal the split-step frames to 1e-12 of
+    max |psi|, across chunk boundaries and a shorter last gap; frame 0 keeps
+    the bits of psi0; and it calls no split step, where a box potential
+    calls one per step."""
+    axes = tuple(qf.uniform_axis(-6, 6, n) for n in (48, 20)[:ndim])
+    w0 = qf.gaussian_packet(axes, [0.3] * ndim, [1.2] * ndim, [0.5] * ndim)
+    dt, n_steps = 0.01, 70 * store_every - 1  # the last gap is short when store_every > 1
+    evolver = _SplitStepEvolver(axes, Potential.free(), dt)
+    a, expect = w0.amplitudes, [w0.amplitudes]
+    for i in range(1, n_steps + 1):
+        a = evolver.step(a)
+        if i % store_every == 0 or i == n_steps:
+            expect.append(a)
+    expect = np.array(expect)
+    assert len(expect) > qf.dynamics._CHUNK
+    steps = []
+    step = _SplitStepEvolver.step
+
+    def counted(self, amps, out=None):
+        steps.append(1)
+        return step(self, amps, out)
+
+    monkeypatch.setattr(_SplitStepEvolver, "step", counted)
+    frames = qf.evolve_frames(w0, Potential.free(), dt, n_steps, store_every).amplitudes
+    assert not steps
+    assert np.max(np.abs(frames - expect)) <= 1e-12 * np.max(np.abs(expect))
+    assert np.array_equal(as_bits(frames[0]), as_bits(w0.amplitudes))
+    qf.evolve_frames(w0, Potential.box([-3.0] * ndim, [3.0] * ndim, 50.0), dt, n_steps,
+                     store_every)
+    assert len(steps) == n_steps
+
+
+@pytest.mark.parametrize("initial", ["free-gaussian", "two-lobe"])
+def test_march_at_a_hundredth_of_its_tolerance_moves_no_kept_row(monkeypatch, initial):
+    """A global check of the march beside its per-step estimate: the same
+    frames marched at MARCH_TOL and at MARCH_TOL / 100 agree within 1e-4 in
+    every kept row, on reduced free-gaussian and double-slit cases.  The
+    march at MARCH_TOL takes strides past 16 frames and fewer steps."""
+    if initial == "free-gaussian":
+        w0 = qf.gaussian_packet((qf.uniform_axis(-24, 24, 256),), [0.0], [1.0])
+        dt, n_steps, keep = 0.004, 500, [0.2 * i for i in range(11)]
+    else:
+        w0 = qf.two_lobe_packet(qf.uniform_axis(-16, 16, 256), 7.0, 0.7)
+        dt, n_steps, keep = 0.002, 1500, [0.0, 1.5, 3.0]
+    frames = qf.evolve_frames(w0, Potential.free(), dt, n_steps)
+    q0 = qf.born_sample_many(w0, 300, 4)
+    runs = []
+    for tol in (qf.dynamics.MARCH_TOL, qf.dynamics.MARCH_TOL / 100):
+        monkeypatch.setattr(qf.dynamics, "MARCH_TOL", tol)
+        runs.append(qf.run_bohm_ensemble(frames, q0, keep=keep))
+    coarse, fine = runs
+    assert coarse.march.max_stride > 16 and coarse.march.steps < fine.march.steps
+    assert np.array_equal(coarse.times, fine.times) and len(coarse.times) == len(keep)
+    assert np.max(np.abs(coarse.positions - fine.positions)) <= 1e-4
 
 
 def test_bracket_on_a_list_is_the_searchsorted_bracket():
