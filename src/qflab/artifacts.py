@@ -86,10 +86,9 @@ def sha256_of_json(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def spec_hash(spec_obj: dict, exclude: tuple = ("out_dir",)) -> str:
+def spec_hash(spec_obj: dict) -> str:
     """Hash of a spec's canonical JSON, ignoring where its output lands."""
-    trimmed = {k: v for k, v in spec_obj.items() if k not in exclude}
-    return sha256_of_json(trimmed)
+    return sha256_of_json({k: v for k, v in spec_obj.items() if k != "out_dir"})
 
 
 def write_json(path, obj) -> Path:

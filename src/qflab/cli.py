@@ -122,7 +122,8 @@ def _report(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"ERROR   manifest: {exc}")
         return EXIT_INVALID
-    if not (isinstance(manifest, dict) and isinstance(manifest.get("tests", {}), dict)):
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("tests", {}), dict)
+            and isinstance(manifest.get("artifacts", []), list)):
         print(f"ERROR   manifest: {args.manifest} is not a run manifest (a JSON object)")
         return EXIT_INVALID
     _print_tests(manifest.get("tests", {}), manifest.get("spec_hash"))

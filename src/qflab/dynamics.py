@@ -415,8 +415,8 @@ class _SplitStepEvolver:
         return np.multiply(self.half_potential, out, out=out)
 
 
-def _momentum_resolution_problem(w: GridWaveFunction, mass_tol=1e-6) -> str | None:
-    """What is wrong when over mass_tol of w's momentum mass lies near the grid cutoff."""
+def _momentum_resolution_problem(w: GridWaveFunction) -> str | None:
+    """What is wrong when over 1e-6 of w's momentum mass lies near the grid cutoff."""
     spectrum = np.abs(np.fft.fftn(w.amplitudes)) ** 2
     total = spectrum.sum()
     if total == 0:
@@ -428,15 +428,15 @@ def _momentum_resolution_problem(w: GridWaveFunction, mass_tol=1e-6) -> str | No
         shape[d] = a.size
         outer |= np.broadcast_to((k > 0.45).reshape(shape), w.shape)
     frac = spectrum[outer].sum() / total
-    if frac > mass_tol:
+    if frac > 1e-6:
         return (f"momentum content near grid cutoff (mass fraction {frac:.2e}); "
                 "refine the grid or lower the packet momentum")
     return None
 
 
-def _index_at(times: np.ndarray, t: float, tol: float = 1e-9) -> int:
+def _index_at(times: np.ndarray, t: float) -> int:
     i = int(np.argmin(np.abs(times - t)))
-    if abs(float(times[i]) - t) > tol * max(1.0, abs(t)):
+    if abs(float(times[i]) - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"no stored frame at t={t}")
     return i
 
@@ -456,8 +456,8 @@ class WaveFrames:
     def wavefunction(self, i: int) -> GridWaveFunction:
         return GridWaveFunction(self.axes, self.amplitudes[i], normalize=False)
 
-    def index_at(self, t: float, tol: float = 1e-9) -> int:
-        return _index_at(self.times, t, tol)
+    def index_at(self, t: float) -> int:
+        return _index_at(self.times, t)
 
     def density(self, i: int) -> np.ndarray:
         return np.abs(self.amplitudes[i]) ** 2
@@ -521,8 +521,8 @@ class FrameSource:
     def n_frames(self) -> int:
         return self.times.size
 
-    def index_at(self, t: float, tol: float = 1e-9) -> int:
-        return _index_at(self.times, t, tol)
+    def index_at(self, t: float) -> int:
+        return _index_at(self.times, t)
 
     def chunk(self, c: int) -> np.ndarray:
         """Amplitudes (k, *grid_shape) of chunk c, evolving up to it; no going back."""
@@ -636,9 +636,8 @@ class VelocityField:
     evaluated _BLOCK at a time.
     """
 
-    def __init__(self, frames: WaveFrames | FrameSource, node_factor: float = EPS_NODE_FACTOR):
+    def __init__(self, frames: WaveFrames | FrameSource):
         self.frames = frames
-        self.node_factor = node_factor
         self._times = frames.times.tolist()  # bisect on a list is cheaper than searchsorted
         self._chunk = None  # (chunk index, its amplitudes)
         self._built = {}  # frame index: (interpolator, max |psi|), in or held before the chunk
@@ -683,16 +682,16 @@ class VelocityField:
         i, a = _bracket(self._times, t)
         if a == 0.0:
             interp, max_abs = self._frame(i)
-            threshold = self.node_factor * max_abs
+            threshold = EPS_NODE_FACTOR * max_abs
         elif a == 1.0:
             interp, max_abs = self._frame(i + 1)
-            threshold = self.node_factor * max_abs
+            threshold = EPS_NODE_FACTOR * max_abs
         else:
             # frame i + 1 first: a new chunk is loaded before frame i is held
             f1, m1 = self._frame(i + 1)
             f0, m0 = self._frame(i)
             interp = f0.blend(f1, a)
-            threshold = self.node_factor * ((1 - a) * m0 + a * m1)
+            threshold = EPS_NODE_FACTOR * ((1 - a) * m0 + a * m1)
         self._cache_t = t
         self._cache = (interp, threshold)
         return self._cache
@@ -909,9 +908,9 @@ class Ensemble:
     def size(self) -> int:
         return self.positions.shape[1]
 
-    def positions_at(self, t: float, tol: float = 1e-9) -> np.ndarray:
+    def positions_at(self, t: float) -> np.ndarray:
         """(N, D) member positions at stored time t."""
-        return self.positions[_index_at(self.times, t, tol)]
+        return self.positions[_index_at(self.times, t)]
 
     def take(self, steps) -> "Ensemble":
         """These stored steps of every member; frozen_at still counts frames of the full grid."""
@@ -1204,12 +1203,11 @@ def chi_square_gof(
     samples: np.ndarray,
     w: GridWaveFunction,
     significance: float = CHI2_SIGNIFICANCE,
-    min_expected: float = 5.0,
 ) -> GoodnessOfFit:
     """Binned chi-square of samples against |psi|^2, sqrt(N) bins total.
 
-    Bins with expected count below ``min_expected`` are pooled into one
-    class; degrees of freedom are classes minus one.
+    Bins with expected count below 5 are pooled into one class; degrees
+    of freedom are classes minus one.
     """
     samples = np.atleast_2d(samples)
     n = len(samples)
@@ -1217,7 +1215,7 @@ def chi_square_gof(
     observed, _ = np.histogramdd(samples, bins=edges)
     expected = _expected_counts(w, edges, n)
     obs, exp = observed.ravel(), expected.ravel()
-    keep = exp >= min_expected
+    keep = exp >= 5.0
     obs_kept, exp_kept = obs[keep], exp[keep]
     pooled_obs, pooled_exp = obs[~keep].sum(), exp[~keep].sum()
     if pooled_exp > 0:
@@ -1329,13 +1327,12 @@ def compare_bohm_rdmp(
     sample_times,
     bohm: Ensemble,
     rdmp: Ensemble,
-    tv_factor: float = 3.0,
 ) -> DivergenceReport:
     """Compare a pilot-wave and a random-jump ensemble over the same frames.
 
     Total-variation distance between the binned single-particle marginals
     is reported per sample time against a sampling-noise threshold
-    tv_factor * sqrt(n_bins / n); both ensembles are Born-distributed, so
+    3 * sqrt(n_bins / n); both ensembles are Born-distributed, so
     the distance is pure noise when equivariance holds.  The mean per-step
     displacement separates continuous from jump motion.  Both ensembles
     need a snapshot at every sample time.
@@ -1346,7 +1343,7 @@ def compare_bohm_rdmp(
     ts = np.asarray(sample_times, dtype=float)
     edges = _grid_bin_edges(frames.wavefunction(0), ensemble_size)
     n_bins = int(np.prod([len(e) - 1 for e in edges]))
-    threshold = tv_factor * np.sqrt(n_bins / ensemble_size)
+    threshold = 3.0 * np.sqrt(n_bins / ensemble_size)
     tv = np.array(
         [
             _tv_between_samples(bohm.positions_at(t), rdmp.positions_at(t), edges)

@@ -465,9 +465,16 @@ def _check(spec: ExperimentSpec):
 
     # checks that relate fields to each other, or need the grid built
     grid = spec.grid
-    for d, (lo, hi) in enumerate(zip(grid["lo"], grid["hi"])):
-        if not lo < hi:
-            error("grid", f"axis {d}: lo must be below hi")
+    for d, (lo, hi, n) in enumerate(zip(grid["lo"], grid["hi"], grid["points"])):
+        if not (lo < hi and math.isfinite((hi - lo) / n)):
+            error("grid", f"axis {d}: lo must be below hi, at a finite spacing")
+    pot = spec.potential or {}
+    if pot.get("kind") == "box":
+        for d, (lo, hi) in enumerate(zip(pot["inner_lo"], pot["inner_hi"])):
+            if not lo < hi:  # else the box has no inside: the wall covers the grid
+                error("potential.inner_lo", f"axis {d}: inner_lo must be below inner_hi")
+    elif pot.get("kind") == "slit-barrier" and pot["wall_lo"] > pot["wall_hi"]:
+        error("potential.wall_lo", "must not be above wall_hi, or there is no wall")
     n_points = math.prod(grid["points"])
     if n_points > _MAX_POINTS:
         error("grid.points", f"{n_points:,} points in all; at most {_MAX_POINTS:,}")
@@ -478,6 +485,8 @@ def _check(spec: ExperimentSpec):
         return findings, None
     axes = tuple(uniform_axis(*axis) for axis in zip(grid["lo"], grid["hi"], grid["points"]))
     dx_min = min(float(a[1] - a[0]) for a in axes)
+    if not math.isfinite(dt * (math.pi / dx_min) * (math.pi / dx_min) * len(axes)):
+        error("time.dt", "the split step's kinetic phase dt k^2 / 2 overflows on this grid")
     if dt > dx_min:
         findings.append(Finding("warning", "time.dt", f"dt={dt} exceeds the finest grid "
                                 f"spacing {dx_min:.4g}; fast momentum components will be "
@@ -508,17 +517,21 @@ def _check(spec: ExperimentSpec):
         return findings, None
     potential = _build_potential(spec)
     try:
-        finite = bool(np.all(np.isfinite(potential.on_grid(axes))))
+        finite = math.isfinite(float(np.max(np.abs(potential.on_grid(axes)))) * dt)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         error("potential", f"cannot be built on the grid: {exc}")
         return findings, None
     if not finite:
-        error("potential", "must be finite at every grid point")
+        error("potential", "must be finite, and so must dt times it, at every grid point")
         return findings, None
     try:
-        w0 = _build_initial(spec, axes, potential)
+        with np.errstate(all="ignore"):  # overflow shows as a non-finite amplitude
+            w0 = _build_initial(spec, axes, potential)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         error("initial_state", str(exc))
+        return findings, None
+    if not np.all(np.isfinite(w0.amplitudes)):
+        error("initial_state", "has a non-finite amplitude on the grid")
         return findings, None
     if _interior_zero_risk(w0):
         findings.append(Finding("warning", "initial_state", "initial density has interior "

@@ -87,28 +87,28 @@ class OnticSpace:
         return len(self.labels)
 
 
-def _as_distribution(values, size, what, tol=DIST_TOL) -> np.ndarray:
+def _as_distribution(values, size, what) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (size,):
         raise ValueError(f"{what}: expected {size} probabilities, got shape {arr.shape}")
-    if np.any(arr < -tol):
+    if np.any(arr < -DIST_TOL):
         raise ValueError(f"{what}: negative probability")
     arr = np.clip(arr, 0.0, None)
     total = arr.sum()
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > DIST_TOL:
         raise ValueError(f"{what}: probabilities sum to {total}, not 1")
     return arr / total
 
 
-def _as_response(values, n_outcomes, size, what, tol=DIST_TOL) -> np.ndarray:
+def _as_response(values, n_outcomes, size, what) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (n_outcomes, size):
         raise ValueError(f"{what}: expected shape {(n_outcomes, size)}, got {arr.shape}")
-    if np.any(arr < -tol) or np.any(arr > 1 + tol):
+    if np.any(arr < -DIST_TOL) or np.any(arr > 1 + DIST_TOL):
         raise ValueError(f"{what}: response probabilities outside [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
     col = arr.sum(axis=0)
-    if np.any(np.abs(col - 1.0) > tol):
+    if np.any(np.abs(col - 1.0) > DIST_TOL):
         raise ValueError(f"{what}: responses at some lambda sum to {col[np.argmax(np.abs(col - 1))]}, not 1")
     return arr / col
 
@@ -279,7 +279,8 @@ class OverlapReport:
         }
 
 
-def classify(model: OntologicalModel, tol: float = OVERLAP_TOL) -> OverlapReport:
+def classify(model: OntologicalModel) -> OverlapReport:
+    """psi-epistemic when some pair of preparations overlaps by more than OVERLAP_TOL (1e-12)."""
     names = sorted(model.preparations)
     overlaps = {}
     pairs = []
@@ -287,10 +288,10 @@ def classify(model: OntologicalModel, tol: float = OVERLAP_TOL) -> OverlapReport
         for b in names[i + 1 :]:
             o = distribution_overlap(model.preparations[a], model.preparations[b])
             overlaps[(a, b)] = o
-            if o > tol:
+            if o > OVERLAP_TOL:
                 pairs.append((a, b))
     label = "psi-epistemic" if pairs else "psi-ontic"
-    return OverlapReport(overlaps, tuple(pairs), label, tol)
+    return OverlapReport(overlaps, tuple(pairs), label, OVERLAP_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +373,7 @@ class PbrOutcome:
     response_sum_bound: float | None = None
 
 
-def pbr_contradiction(
-    model: OntologicalModel,
-    name_zero: str = "zero",
-    name_plus: str = "plus",
-    tol: float = CONSISTENCY_TOL,
-) -> PbrOutcome:
+def pbr_contradiction(model: OntologicalModel) -> PbrOutcome:
     """Can the contradiction be derived against this single-system model?
 
     Two copies of the modelled system are prepared independently, so the
@@ -388,7 +384,8 @@ def pbr_contradiction(
     zero there; their sum is then bounded away from the 1 that response
     normalization demands.  A revised-mode model never reaches that step
     because each preparation carries its own response function, so the
-    four zeros constrain four different functions.
+    four zeros constrain four different functions.  The model prepares |0>
+    as ``zero`` and |+> as ``plus``; the bound must fall below 1 - CONSISTENCY_TOL (1e-9).
     """
     if model.mode == "revised":
         return PbrOutcome(
@@ -399,25 +396,21 @@ def pbr_contradiction(
             ),
         )
 
-    for name in (name_zero, name_plus):
+    for name in ("zero", "plus"):
         if name not in model.preparations:
             raise ValueError(f"model has no preparation named {name!r}")
     construction = build_pbr_states()
-    if construction.zero_diagonal_max() > tol:
+    if construction.zero_diagonal_max() > CONSISTENCY_TOL:
         raise ValueError("construction lost its zero diagonal")
 
-    expected = {
-        name_zero: basis_state(2, 0),
-        name_plus: plus_state(),
-    }
-    for name, state in expected.items():
+    for name, state in (("zero", basis_state(2, 0)), ("plus", plus_state())):
         if born_probability(model.catalog[name], state) < 1 - 1e-9:
             raise ValueError(
                 f"preparation {name!r} must prepare the corresponding qubit state"
             )
 
-    p_zero = model.preparations[name_zero]
-    p_plus = model.preparations[name_plus]
+    p_zero = model.preparations["zero"]
+    p_plus = model.preparations["plus"]
     singles = (p_zero, p_zero, p_plus, p_plus)
     partners = (p_zero, p_plus, p_zero, p_plus)
     products = [np.outer(a, b) for a, b in zip(singles, partners)]
@@ -443,7 +436,7 @@ def pbr_contradiction(
     flat = np.flatnonzero(common.ravel())[best]
     i, j = np.unravel_index(flat, common.shape)
     witness = (model.space.labels[i], model.space.labels[j])
-    if bound < 1 - tol:
+    if bound < 1 - CONSISTENCY_TOL:
         return PbrOutcome(
             derivable=True,
             reason=(
@@ -572,21 +565,18 @@ class DistinctnessReport:
     passed: bool
 
 
-def _distinguishing_measurement(model, a, b, support_tol=1e-12):
-    """Name of a measurement whose outcome supports split states a and b."""
+def _distinguishing_measurement(model, a, b):
+    """Name of a measurement whose outcome supports (Born probabilities above
+    1e-12) split states a and b."""
     for m_name, m in model.measurements.items():
         born_a = measurement_distribution(model.catalog[a], m)
         born_b = measurement_distribution(model.catalog[b], m)
-        if np.all(np.minimum(born_a, born_b) <= support_tol):
+        if np.all(np.minimum(born_a, born_b) <= 1e-12):
             return m_name
     return None
 
 
-def orthogonal_distinctness_check(
-    model: OntologicalModel,
-    tol: float = OVERLAP_TOL,
-    orthogonality_tol: float = 1e-12,
-) -> DistinctnessReport:
+def orthogonal_distinctness_check(model: OntologicalModel) -> DistinctnessReport:
     """Orthogonal states must get disjoint distributions in a standard model.
 
     The argument needs a measurement that distinguishes the pair with
@@ -595,7 +585,8 @@ def orthogonal_distinctness_check(
     with such a measurement and overlapping distributions are violations;
     a model carrying them cannot satisfy the Born rule, and consistency
     checking locates the failure.  Revised-mode models escape the
-    argument, so they are rejected here.
+    argument, so they are rejected here.  Orthogonal means |<a|b>| <= 1e-12,
+    overlapping sharing more than OVERLAP_TOL (1e-12).
     """
     if model.mode != "standard":
         raise ValueError(
@@ -606,13 +597,13 @@ def orthogonal_distinctness_check(
     worst = 0.0
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
-            if abs(model.catalog[a].inner(model.catalog[b])) <= orthogonality_tol:
+            if abs(model.catalog[a].inner(model.catalog[b])) <= 1e-12:
                 o = distribution_overlap(model.preparations[a], model.preparations[b])
                 m_name = _distinguishing_measurement(model, a, b)
                 pairs.append((a, b, o, m_name))
                 if m_name is not None:
                     worst = max(worst, o)
-    return DistinctnessReport(tuple(pairs), worst, tol, worst <= tol)
+    return DistinctnessReport(tuple(pairs), worst, OVERLAP_TOL, worst <= OVERLAP_TOL)
 
 
 def build_trivial_ontic_model(catalog: dict, measurements: dict) -> OntologicalModel:

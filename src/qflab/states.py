@@ -7,8 +7,7 @@ Conventions (natural units, hbar = m = 1):
   * Grid quadrature: plain Riemann sum with the uniform cell volume, so the
     discrete L2 norm is sqrt(sum |psi|^2 * dV).  This matches the discrete
     Parseval identity of the spectral evolver.
-  * Normalization tolerances: 1e-12 for finite-dimensional states, 1e-10 on
-    grids (quadrature error dominates there).
+  * Normalization tolerance: 1e-12 for finite-dimensional states.
 """
 
 from __future__ import annotations
@@ -16,11 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 NORM_TOL_FINITE = 1e-12
-NORM_TOL_GRID = 1e-10
 
 __all__ = [
     "NORM_TOL_FINITE",
-    "NORM_TOL_GRID",
     "FiniteState",
     "ProjectiveMeasurement",
     "GridWaveFunction",

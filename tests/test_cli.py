@@ -289,6 +289,41 @@ PROBES = {
         {**FINITE, "kind": "ontic-model-check", "params": {"n_cells": 2, "levels": [4]}},
         "params.levels",
     ),
+    # extremes that overflowed: NaN amplitudes or a grid of infinite spacing
+    # ended in an IndexError, and overflow printed RuntimeWarnings
+    "grid-spacing-infinite": ({"grid.lo": [-1e308], "grid.hi": [1e308]}, "grid"),
+    "gaussian-momentum-huge": ({"initial_state.momenta": [1e308]}, "initial_state"),
+    "gaussian-sigma-tiny": ({"initial_state.sigmas": [1e-300]}, "initial_state"),
+    "two-lobe-momentum-huge": (
+        {"initial_state": {"kind": "two-lobe", "separation": 7.0, "sigma": 0.7,
+                           "momenta": [1e308, 0.0]}},
+        "initial_state",
+    ),
+    "gaussian-center-huge": ({"initial_state.centers": [1e308]}, "initial_state"),
+    # split-step phases dt k^2 / 2 and dt V / 2 that overflowed to NaN frames
+    "dt-huge": ({"time": {"dt": 1e308, "t_end": 1e308}}, "time.dt"),
+    "box-height-times-dt-huge": (
+        {"potential": {"kind": "box", "inner_lo": [-1.0], "inner_hi": [1.0], "height": 1e308},
+         "time": {"dt": 10.0, "t_end": 20.0}},
+        "potential",
+    ),
+    "two-lobe-separation-huge": (
+        {"initial_state": {"kind": "two-lobe", "separation": 1e308, "sigma": 0.7}},
+        "initial_state",
+    ),
+    # potentials that ran as something else: a box with no inside is a
+    # constant over the grid, a slit wall with wall_lo above wall_hi is none
+    "box-with-no-inside": (
+        {"potential": {"kind": "box", "inner_lo": [1.0], "inner_hi": [-1.0], "height": 10.0}},
+        "potential.inner_lo",
+    ),
+    "slit-wall-upside-down": (
+        {"grid": {"lo": [-8.0, -8.0], "hi": [8.0, 8.0], "points": [32, 32]},
+         "initial_state": {"kind": "gaussian", "centers": [0.0, -3.0], "sigmas": [1.0, 1.0]},
+         "potential": {"kind": "slit-barrier", "wall_lo": 0.5, "wall_hi": -0.5,
+                       "slit_centers": [-1.0, 1.0], "slit_width": 0.5, "height": 100.0}},
+        "potential.wall_lo",
+    ),
 }
 
 
@@ -379,7 +414,8 @@ def test_spec_file_holding_no_object_exits_invalid(tmp_path, capsys):
 
 def test_report_on_json_that_is_no_manifest_exits_invalid(tmp_path, capsys):
     path = tmp_path / "manifest.json"
-    for text in ("[]", '{"tests": [1]}'):
+    for text in ("[]", '{"tests": [1]}', '{"tests": {}, "artifacts": 5}',
+                 '{"tests": {}, "artifacts": "abc"}'):
         path.write_text(text)
         assert main(["report", str(path)]) == EXIT_INVALID
         assert "ERROR   manifest:" in capsys.readouterr().out
@@ -500,6 +536,7 @@ FUZZ_VALUES = st.sampled_from([
     float("nan"), float("inf"), "", "x", "free", "box", "gaussian", "stationary",
     "two-lobe", "plane-wave", "rdmp", "both", "none", [], [0.0], [1e-3], [8], [40.0],
     [1.0, 2.0], ["x"], [0.01, 0.005], [-1.0, 1.0], {}, {"kind": "free"},
+    1e308, 1e-300, [1e308], [1e-300],
 ])
 
 

@@ -325,9 +325,10 @@ def test_march_meets_the_closed_form_free_gaussian_paths():
     x0 sqrt(1 + (t / 2 sigma^2)^2) (Holland, The Quantum Theory of Motion,
     1993, section 4.7).  On the free-gaussian grid, with frames stored every
     10 steps of 0.002, the march meets them up to t = 2 within 2e-6, on the
-    frames read off its steps too (2.91e-7 measured, in 46 steps of 2 and 4
-    frames, where the frame-pair march errs by 2.86e-7); a march whose middle
-    stages blend two frames is second order in time and errs by 2.2e-5."""
+    frames read off its steps too (8.31e-7 measured, in 15 steps of 2 to 8
+    frames with max_error 6.2e-7, where the frame-pair march errs by
+    2.86e-7); a march whose middle stages blend two frames is second order
+    in time and errs by 2.2e-5."""
     sigma0, t_end = 1.0, 2.0
     frames = free_gaussian_frames(sigma0, t_end)
     q0 = qf.born_sample_many(frames.wavefunction(0), 300, 12)
@@ -493,7 +494,7 @@ def scalar_fallback_march(frames, q0, outcomes):
 
 def node_fallback_case(case):
     """Frames and starts whose long steps (ten and fifteen split steps) make
-    members both halve and recover and freeze once node_factor is raised:
+    members both halve and recover and freeze once EPS_NODE_FACTOR is raised:
     the odd state with its lobes moving onto the node, 301 members, and a
     moving Gaussian in a 2-D box, 200 members."""
     if case == "odd":
@@ -508,7 +509,7 @@ def node_fallback_case(case):
     return qf.evolve_frames(w0, potential, 0.01, 200, 15), qf.born_sample_many(w0, 200, 4)
 
 
-# member-steps of the reference march at each node_factor that recover and
+# member-steps of the reference march at each EPS_NODE_FACTOR that recover and
 # that underflow, by the number of frames their step spans
 FALLBACK_OUTCOMES = {
     "odd": {
@@ -527,7 +528,7 @@ FALLBACK_OUTCOMES = {
 @pytest.mark.parametrize("case", ["odd", "box"])
 def test_batched_node_fallback_is_the_scalar_fallback(monkeypatch, case):
     """The march halves its touched members as a batch and gives the bits of
-    the per-member fallback in every row, with node_factor raised so that
+    the per-member fallback in every row, with EPS_NODE_FACTOR raised so that
     member-steps halve and recover and underflow (FALLBACK_OUTCOMES).  The
     frame-pair steps of the 1-D march do both at every factor.  In the 2-D
     box the one underflow at 0.05 is in the one-frame last step, and at 0.9
@@ -555,7 +556,7 @@ def test_batched_node_fallback_is_the_scalar_fallback(monkeypatch, case):
         return velocity(self, pts, t)
 
     for factor in (0.05, 0.3, 0.9):
-        monkeypatch.setattr(qf.VelocityField.__init__, "__defaults__", (factor,))
+        monkeypatch.setattr(qf.dynamics, "EPS_NODE_FACTOR", factor)
         outcomes = collections.Counter()
         positions, frozen_at = scalar_fallback_march(frames, q0, outcomes)
         with monkeypatch.context() as m:
@@ -984,12 +985,12 @@ def test_step_taken_again_reads_back_across_a_chunk(monkeypatch):
 
 
 def test_node_at_a_long_stride_is_taken_again_down_to_the_fallback(monkeypatch):
-    """An odd state whose lobes move onto its node, with node_factor raised
+    """An odd state whose lobes move onto its node, with EPS_NODE_FACTOR raised
     to 0.3: the members that come near the node touch it in steps of
     several frame pairs.  Each such step is taken again at half the stride,
     down to a frame pair, and only there do the touched members halve the
     step and, past MAX_HALVINGS, freeze."""
-    monkeypatch.setattr(qf.VelocityField.__init__, "__defaults__", (0.3,))
+    monkeypatch.setattr(qf.dynamics, "EPS_NODE_FACTOR", 0.3)
     ax = qf.uniform_axis(-16, 16, 256)
     w0 = qf.GridWaveFunction((ax,), np.exp(-((ax - 5.0) ** 2) / 2 - 1j * ax)
                              - np.exp(-((ax + 5.0) ** 2) / 2 + 1j * ax))
