@@ -11,17 +11,19 @@ Wave evolution is second-order symmetric split-step on a periodic grid:
 Particle velocities follow the probability current, v = Im(grad psi / psi),
 evaluated off-grid by separable cubic interpolation of psi and its spectral
 gradient.  Trajectories integrate that field with RK4 against wave frames
-stored on a fixed dt grid.  A step spans 2m stored frames, its stages on
-frames i, i + m, i + m and i + 2m at their stored times: the march is
-fourth order in time and reads no field between frames.  The march picks m.
-The velocity at a step's new positions is the next step's first stage, so
-the step gets an error estimate at no extra call: against the embedded
-third-order formula on (v1, v2, v3, v(t1, y1)), e = (h/6) max |v4 -
-v(t1, y1)| (Hairer, Norsett & Wanner, Solving ODEs I, section II.4).  A
-step at m > 1 with e > MARCH_TOL, or with a member on a node, is taken
-again at half the stride; after a step with e < MARCH_TOL / 16, m doubles,
-up to a chunk (64 frames).  MARCH_TOL is 1e-6: some 150 steps sum to about
-1.5e-4, two orders below the 3e-2 shift the equivariance verdicts resolve.
+stored on a fixed dt grid.  A step spans 2m stored frames from a frame i
+that is a multiple of 2m, its stages on frames i, i + m, i + m and i + 2m
+at their stored times: the march is fourth order in time and reads no
+field between frames.  The march picks m, a power of two.  The velocity
+at a step's new positions is the next step's first stage, so the step
+gets an error estimate at no extra call: against the embedded third-order
+formula on (v1, v2, v3, v(t1, y1)), e = (h/6) max |v4 - v(t1, y1)|
+(Hairer, Norsett & Wanner, Solving ODEs I, section II.4).  A step at
+m > 1 with e > MARCH_TOL, or with a member on a node, is taken again at
+half the stride; after a step with e < MARCH_TOL / 16, m doubles, up to a
+chunk (64 frames), as far as the step's start allows.  MARCH_TOL is 1e-6:
+some 150 steps sum to about 1.5e-4, two orders below the 3e-2 shift the
+equivariance verdicts resolve.
 A step at m = 1, a frame pair, is never taken again: the members whose
 step touches a node (|psi| < 1e-8 max|psi|) take it again as two half
 steps, together; those that touch one again are halved again, and a member
@@ -32,19 +34,22 @@ that step, at no velocity call, by cubic Hermite interpolation between its
 ends.  One RK4 formula, ``_rk4_batch``, serves every step and every half
 step.
 
-Frames stream: a FrameSource evolves _CHUNK stored frames at a time, each
-in place in its slot of the chunk (the step's multiplies and FFTs write
-there).  With no potential on the grid the split step is psi^ <- K psi^,
-so the chunk is evolved as spectra, one multiply a split step, and then
-inverted by one batched inverse FFT.  The velocity field takes the spline
-coefficients of psi and its gradient for a frame the first time the march
-reads it, from one FFT, divided by the B-spline symbol, and one inverse
-FFT, so a march that strides over frames converts only the ones it reads.
-It holds one chunk's amplitudes and the frames before it from the current
-step's start (at most a chunk), built or as copies, which a step taken
-again reads back.  Only the frames a caller asks to keep (a run keeps t = 0
-and its sample times) outlive their chunk, copied into one array sized up
-front.  ``evolve_frames`` drains the same source and keeps every frame.
+Frames stream: a FrameSource evolves a chunk at a time, chunk c being
+stored frames c * _CHUNK to (c + 1) * _CHUNK, whose last frame is the
+first of chunk c + 1.  Each frame is evolved in place in its slot of the
+chunk (the step's multiplies and FFTs write there).  With no potential on
+the grid the split step is psi^ <- K psi^, so the chunk is evolved as
+spectra, one multiply a split step, and then inverted by one batched
+inverse FFT.  A step, its retries at shorter strides and the halves of its
+node fallback all lie inside one chunk, since _CHUNK is a multiple of
+every span.  The velocity field takes the spline coefficients of psi and
+its gradient for a frame the first time the march reads it, from one FFT,
+divided by the B-spline symbol, and one inverse FFT, so a march that
+strides over frames converts only the ones it reads.  It holds one
+chunk's amplitudes and the coefficients built from them.  Only the frames
+a caller asks to keep (a run keeps its sample times) outlive their chunk,
+copied into one array sized up front.  ``evolve_frames`` drains the same
+source and keeps every frame.
 
 The march holds O(N) positions: the members' current ones, the rows it is
 asked to keep (every row by default), optionally the full paths of the
@@ -86,9 +91,10 @@ MARCH_TOL = 1e-6
 WALL_HEIGHT = 1e4
 CHI2_SIGNIFICANCE = 1e-3
 _MASK64 = (1 << 64) - 1
-# stored frames evolved and held together by the streamed pipeline, and the
-# most one step of the march spans (at least 2, a frame pair), so that a step
-# reads at most two chunks
+# the stored frame intervals one chunk of the streamed pipeline spans (it
+# holds their _CHUNK + 1 frames), and the most one step of the march spans.
+# It must stay a power of two (at least 2, a frame pair): then it is a
+# multiple of every span 2m, and a step from a multiple of 2m reads one chunk
 _CHUNK = 64
 # members whose velocities are evaluated together: a block's spline taps and
 # terms fit in cache, where one pass over 10^5 members does not
@@ -463,8 +469,8 @@ class WaveFrames:
         return np.abs(self.amplitudes[i]) ** 2
 
     def chunk(self, c: int) -> np.ndarray:
-        """Amplitudes of stored frames c*_CHUNK up to (c+1)*_CHUNK."""
-        return self.amplitudes[c * _CHUNK : (c + 1) * _CHUNK]
+        """Amplitudes of stored frames c*_CHUNK to (c+1)*_CHUNK, the last one included."""
+        return self.amplitudes[c * _CHUNK : (c + 1) * _CHUNK + 1]
 
 
 def _kept_rows(times: np.ndarray, keep) -> list:
@@ -492,11 +498,13 @@ class FrameSource:
     one array, allocated up front.  ``chunk(c)`` evolves the chunks up to
     c, in order, and copies each one's kept frames into that array as they
     pass; ``drain()`` evolves whatever is left and returns the array.
-    Memory is one chunk plus the kept frames, whatever the run's length.
-    Where the potential is zero at every grid point, a chunk is evolved in
-    k-space, psi^ <- K psi^ for each split step in the chunk's own slots,
-    then inverted by one batched ``ifft`` (``ifftn`` over the grid axes on
-    more than one axis); frame 0 is w0's amplitudes as given.
+    Chunk c is frames c * _CHUNK to (c + 1) * _CHUNK, the last included:
+    it starts on a copy of the last frame of chunk c - 1, and chunk 0 on
+    w0's amplitudes as given.  Memory is one chunk plus the kept frames,
+    whatever the run's length.  Where the potential is zero at every grid
+    point, a chunk is evolved in k-space, psi^ <- K psi^ for each split
+    step in the chunk's own slots, then inverted by one batched ``ifft``
+    (``ifftn`` over the grid axes on more than one axis).
     """
 
     def __init__(self, w0: GridWaveFunction, p: Potential, dt: float, n_steps: int,
@@ -515,7 +523,9 @@ class FrameSource:
         self._next = 0
         self._evolver = _SplitStepEvolver(w0.axes, p, dt)
         self._gaps = np.diff(steps, prepend=0).tolist()  # split steps up to each stored frame
-        self._frame = w0.amplitudes  # the last frame evolved (its spectrum on a free grid)
+        self._last = w0.amplitudes  # the last frame evolved
+        # what the next split step starts from: that frame, its spectrum on a free grid
+        self._state = self._evolver._fft(w0.amplitudes) if self._evolver.free else w0.amplitudes
 
     @property
     def n_frames(self) -> int:
@@ -534,25 +544,23 @@ class FrameSource:
 
     def _advance(self) -> np.ndarray:
         start = self._next * _CHUNK
-        amps = np.empty((min(_CHUNK, self.n_frames - start),) + self._shape, dtype=complex)
-        ev, frame = self._evolver, self._frame
-        first = int(start == 0)  # frame 0 is psi0 as given
-        if first:
-            amps[0] = frame
-            frame = ev._fft(frame) if ev.free else frame
+        amps = np.empty((min(_CHUNK + 1, self.n_frames - start),) + self._shape, dtype=complex)
+        amps[0] = self._last  # the chunk before's last frame; psi0 as given for chunk 0
+        ev, frame = self._evolver, self._state
         # each frame is evolved in its own slot, from the one before; on a
         # free grid as spectra, one multiply a split step, inverted together
         step = functools.partial(np.multiply, ev.kinetic) if ev.free else ev.step
-        for out, n_steps in zip(amps[first:], self._gaps[start + first:]):
+        for out, n_steps in zip(amps[1:], self._gaps[start + 1:]):
             for _ in range(n_steps):
                 frame = step(frame, out=out)
-        self._frame = frame.copy()  # the next chunk's start, without holding this chunk
+        self._state = frame.copy()  # the next chunk's start, without holding this chunk
         if ev.free:
-            spectra = amps[first:]
+            spectra = amps[1:]
             if spectra.ndim == 2:  # ifft gives ifftn's bits and skips its axis bookkeeping
                 np.fft.ifft(spectra, out=spectra)
             else:
                 np.fft.ifftn(spectra, axes=tuple(range(1, spectra.ndim)), out=spectra)
+        self._last = amps[-1].copy() if ev.free else self._state
         self._next += 1
         lo, hi = np.searchsorted(self._rows, [start, start + len(amps)])
         # the rows are in range; "clip" writes straight into out, "raise" buffers
@@ -561,7 +569,7 @@ class FrameSource:
 
     def drain(self) -> WaveFrames:
         """Evolve the remaining chunks; the kept frames as WaveFrames."""
-        while self._next * _CHUNK < self.n_frames:
+        while self._next * _CHUNK < max(self.n_frames - 1, 1):
             self._advance()
         return WaveFrames(self.axes, self.times[self._rows], self._kept)
 
@@ -619,16 +627,14 @@ def _psi_and_gradient(axes, amps: np.ndarray) -> np.ndarray:
 class VelocityField:
     """Probability-current velocity Im(grad psi / psi) over stored frames.
 
-    ``frames`` is a WaveFrames or a FrameSource.  Frames are read _CHUNK at
-    a time, but a frame's spline coefficients of psi and its gradient, and
-    its max |psi|, are built when the field first reads it, and kept while
-    its chunk is the current one: a march that strides over frames builds
-    only the ones it reads.  The field holds the current chunk's
-    amplitudes, and the frames of the chunk before it from ``step_start``
-    on, as the entries already built or as copies of their amplitudes: a
-    step of the march that starts there, taken again at a shorter stride
-    or through its node fallback, reads them again after its last stage
-    has loaded the chunk.
+    ``frames`` is a WaveFrames or a FrameSource.  Frames are read a chunk
+    at a time (see FrameSource), but a frame's spline coefficients of psi
+    and its gradient, and its max |psi|, are built when the field first
+    reads it, and kept while its chunk is the one held: a march that
+    strides over frames builds only the ones it reads.  The field holds one
+    chunk and the entries built from it; loading the next keeps the entry
+    of the frame the two share.  A march step lies inside one chunk, so the
+    march reads each chunk once.
     Any time can be asked of WaveFrames (a chunk read again is built again); a
     FrameSource only moves forward.  At a stored time the field is that
     frame's; between stored times it blends the bracketing frames linearly
@@ -639,42 +645,27 @@ class VelocityField:
     def __init__(self, frames: WaveFrames | FrameSource):
         self.frames = frames
         self._times = frames.times.tolist()  # bisect on a list is cheaper than searchsorted
-        self._chunk = None  # (chunk index, its amplitudes)
-        self._built = {}  # frame index: (interpolator, max |psi|), in or held before the chunk
-        self._held = {}  # frame index: amplitudes, copied, of the frames held but not built
+        self._chunk = None  # (its first frame index, its amplitudes)
+        self._built = {}  # frame index: (interpolator, max |psi|), for frames of the chunk
         self._grid = None  # an interpolator whose grid set-up every frame's shares
-        self.step_start = 0  # the first frame the march's current step reads
         self._cache_t = self._cache = None  # the last time asked and its interpolator
 
     def _frame(self, i: int):
         """Interpolator of (psi, grad psi) at stored frame i, and max |psi| there."""
         entry = self._built.get(i)
         if entry is None:
-            amp = self._held.pop(i, None)
-            if amp is None:
-                c, j = divmod(i, _CHUNK)
-                if self._chunk is None or self._chunk[0] != c:
-                    self._load(c)
-                amp = self._chunk[1][j]
+            if self._chunk is None or not 0 <= i - self._chunk[0] < len(self._chunk[1]):
+                start = i - i % _CHUNK
+                self._built = {j: e for j, e in self._built.items()
+                               if start <= j <= start + _CHUNK}  # the frame they share
+                self._chunk = None  # the old chunk goes before the new one is read
+                self._chunk = (start, self.frames.chunk(start // _CHUNK))
+            amp = self._chunk[1][i - self._chunk[0]]
             coefficients = _psi_and_gradient(self.frames.axes, amp[None])[0]
             self._grid = CubicGridInterpolator(self.frames.axes, coefficients=coefficients) \
                 if self._grid is None else self._grid._on_grid(coefficients)
             entry = self._built[i] = self._grid, np.max(np.abs(amp))
         return entry
-
-    def _load(self, c: int):
-        """Make chunk c the current one, holding chunk c - 1's frames from step_start on."""
-        held = range(max(self.step_start, (c - 1) * _CHUNK), c * _CHUNK)
-        built = {i: self._built[i] for i in held if i in self._built}
-        amps = {}
-        for i in held:
-            if i in self._held:
-                amps[i] = self._held[i]
-            elif i not in built and self._chunk is not None and self._chunk[0] == i // _CHUNK:
-                amps[i] = self._chunk[1][i % _CHUNK].copy()
-        self._built, self._held = built, amps
-        self._chunk = None  # the old chunk goes before the new one is read
-        self._chunk = (c, self.frames.chunk(c))
 
     def _interpolators_at(self, t: float):
         if self._cache_t is not None and t == self._cache_t:
@@ -687,9 +678,8 @@ class VelocityField:
             interp, max_abs = self._frame(i + 1)
             threshold = EPS_NODE_FACTOR * max_abs
         else:
-            # frame i + 1 first: a new chunk is loaded before frame i is held
-            f1, m1 = self._frame(i + 1)
             f0, m0 = self._frame(i)
+            f1, m1 = self._frame(i + 1)
             interp = f0.blend(f1, a)
             threshold = EPS_NODE_FACTOR * ((1 - a) * m0 + a * m1)
         self._cache_t = t
@@ -822,15 +812,17 @@ def _halve(field, pos, stages, h, depth=1):
 def _stride(times, i: int, m: int) -> int:
     """Half the span of the march's step from frame i, asked to span 2m frames.
 
-    That is the largest m' <= m, halving, whose step ends by the last frame
-    and has two halves of equal length, compared to a relative 1e-9 (stored
-    times are i * dt, whose differences round apart); or 0, a one-frame
-    step, where there is none, as before a shorter last gap.
+    That is the largest m' <= m, halving, whose step starts on a multiple
+    of its span 2m', ends by the last frame and has two halves of equal
+    length, compared to a relative 1e-9 (stored times are i * dt, whose
+    differences round apart); or 0, a one-frame step, where there is none,
+    as before a shorter last gap.  m is a power of two, at most _CHUNK / 2,
+    so the step lies inside chunk i // _CHUNK.
     """
     last = len(times) - 1
     while m:
         k = i + 2 * m
-        if k <= last:
+        if i % (2 * m) == 0 and k <= last:
             g0, g1 = times[i + m] - times[i], times[k] - times[i + m]
             if abs(g1 - g0) <= 1e-9 * max(g0, g1):
                 return m
@@ -892,8 +884,7 @@ class Ensemble:
     from which its halved step underflowed (it holds its position from
     there on), or -1 if it never did.  A march can also record its first
     members' paths over the frames its steps end on (``head``),
-    ``max_drift`` (see run_bohm_ensemble) and what it did (``march``);
-    ``take`` drops them.
+    ``max_drift`` (see run_bohm_ensemble) and what it did (``march``).
     """
 
     times: np.ndarray  # (T,)
@@ -911,10 +902,6 @@ class Ensemble:
     def positions_at(self, t: float) -> np.ndarray:
         """(N, D) member positions at stored time t."""
         return self.positions[_index_at(self.times, t)]
-
-    def take(self, steps) -> "Ensemble":
-        """These stored steps of every member; frozen_at still counts frames of the full grid."""
-        return Ensemble(self.times[steps], self.positions[steps], self.seeds, self.frozen_at)
 
 
 def _member_seeds(seed: int, n: int) -> np.ndarray:
@@ -942,22 +929,24 @@ def run_bohm_ensemble(
     """Integrate a batch of trajectories over shared frames.
 
     ``frames`` is stored (WaveFrames) or streamed (FrameSource); the march
-    reads a stream once, forward, and its kept frames are then drained from
-    it.  All members advance together, by RK4 steps over 2m stored frames
-    i, i + m and i + 2m, at their stored times, so no step blends frames.
-    The march picks m.  It starts at 1, a frame pair.  After each step it
-    evaluates the velocity at the members' new positions, which is the
-    next step's first stage, and so costs no extra call.  With it the step
-    has a free error estimate, e = (h/6) max |v4 - v(t1, y1)|, the
-    difference from the embedded third-order formula with weights (1/6,
-    1/3, 1/3, 1/6) on (v1, v2, v3, v(t1, y1)) (Hairer, Norsett & Wanner,
-    Solving ODEs I, section II.4), over the members whose stages touched no
-    node.  A step at m > 1 is taken again at half the stride when e
+    reads a stream once, forward, one chunk after another, and its kept
+    frames are then drained from it.  All members advance together, by RK4
+    steps over 2m stored frames i, i + m and i + 2m, at their stored times,
+    so no step blends frames.  The march picks m, a power of two, and i is
+    a multiple of 2m, so a step never leaves its chunk.  m starts at 1, a
+    frame pair.  After each step it evaluates the velocity at the members'
+    new positions, which is the next step's first stage, and so costs no
+    extra call.  With it the step has a free error estimate, e = (h/6) max
+    |v4 - v(t1, y1)|, the difference from the embedded third-order formula
+    with weights (1/6, 1/3, 1/3, 1/6) on (v1, v2, v3, v(t1, y1)) (Hairer,
+    Norsett & Wanner, Solving ODEs I, section II.4), over the members whose
+    stages touched no node.  A step at m > 1 is taken again at half the stride when e
     exceeds MARCH_TOL (1e-6, a budget set by what the verdicts resolve) or
     when any member touches a node; after a step with e < MARCH_TOL / 16,
     m doubles, up to a span of _CHUNK frames.  A step never passes the last
-    frame, and its halves must be of equal length (see _stride); where even
-    a frame pair does not fit, as before a shorter last gap, the step spans
+    frame, starts on a multiple of its span and has halves of equal length
+    (see _stride): a stride that does not fit is halved.  Where even a
+    frame pair does not fit, as before a shorter last gap, the step spans
     one frame and its middle stages blend.
 
     A step at m = 1, or of one frame, is never taken again.  Its members
@@ -999,7 +988,6 @@ def run_bohm_ensemble(
     spans, errors, retaken, fallback = [], [], 0, 0
     i, m = 0, 1
     while i < last:
-        field.step_start = i
         half = _stride(times, i, m)
         k = i + 2 * half if half else i + 1
         t0, t1 = times[i], times[k]

@@ -145,10 +145,15 @@ _ENTRIES = {(section, kind): entry for (section, kinds), entry in _FIELDS.items(
 KINDS = tuple(kind for section, kind in _ENTRIES if section == "params")
 _WAVE_SECTIONS = ("grid", "time", "initial_state", "potential")
 _KINDED = ("initial_state", "potential")  # sections whose "kind" key picks their entry
-_COUNT = _Rule(integer=True, lo=0)  # seed and ensemble_size
+_SEED = _Rule(integer=True, lo=0)
 # the most split steps and grid points a wave run may ask for: a 64-frame
 # chunk of 2^18 points is 256 MiB
 _MAX_STEPS, _MAX_POINTS = 10**6, 2**18
+# the most members a wave run may ask for: ten times the 10^6 that the
+# largest planned run draws, and 80 MB a row of 1-D positions (10^13
+# members asked for 73 TiB)
+_MAX_MEMBERS = 10**7
+_MEMBERS = _Rule(integer=True, lo=0, hi=_MAX_MEMBERS)
 
 __all__ = [
     "ExperimentSpec",
@@ -410,7 +415,7 @@ def _check(spec: ExperimentSpec):
     if not (isinstance(spec.name, str) and spec.name not in ("", "..")
             and Path(spec.name).name == spec.name):
         error("name", f"must be usable as one directory name, got {spec.name!r}")
-    if problem := _COUNT.problem(spec.seed, None):
+    if problem := _SEED.problem(spec.seed, None):
         error("seed", problem)
     wave = spec.kind in WAVE_KINDS
     if not wave:
@@ -423,7 +428,7 @@ def _check(spec: ExperimentSpec):
             if getattr(spec, section) is not None:
                 findings.append(Finding("warning", section,
                                         f"{spec.kind} experiments ignore the {section} field"))
-    elif problem := _COUNT.problem(spec.ensemble_size, None):
+    elif problem := _MEMBERS.problem(spec.ensemble_size, None):
         error("ensemble_size", problem)
     elif spec.dynamics != "none" and spec.ensemble_size < 100:
         error("ensemble_size", f"{spec.ensemble_size} trajectories are underpowered for the "
@@ -468,6 +473,11 @@ def _check(spec: ExperimentSpec):
     for d, (lo, hi, n) in enumerate(zip(grid["lo"], grid["hi"], grid["points"])):
         if not (lo < hi and math.isfinite((hi - lo) / n)):
             error("grid", f"axis {d}: lo must be below hi, at a finite spacing")
+        # the periodic images of a point, one period hi - lo either side, and
+        # the sum of two points must be finite
+        elif not math.isfinite(2 * (max(abs(lo), abs(hi)) + (hi - lo))):
+            error("grid", f"axis {d}: lo and hi are too large; 2 (max(|lo|, |hi|) + hi - lo) "
+                  "overflows")
     pot = spec.potential or {}
     if pot.get("kind") == "box":
         for d, (lo, hi) in enumerate(zip(pot["inner_lo"], pot["inner_hi"])):
@@ -560,40 +570,32 @@ def _wave_pipeline(spec: ExperimentSpec, w0: GridWaveFunction, out: Path, tests:
     sample_times = _read(spec, "time", "sample_times") or [t_end]
     snapped = [float(np.round(t / dt) * dt) for t in sample_times]
     # one pass of the evolution: the Bohm march reads every frame as it is
-    # evolved; only t = 0 and the sample frames, and the same rows of the
-    # ensemble, are kept
-    keep = [0.0] + snapped
+    # evolved; only the sample frames, and the same rows of the ensemble,
+    # are kept
     store_every = _read(spec, "time", "store_every")
     with warnings.catch_warnings():  # validation recorded it as a finding on grid.points
         warnings.simplefilter("ignore", dyn.MomentumResolutionWarning)
-        source = dyn.FrameSource(w0, potential, dt, n_steps, store_every=store_every, keep=keep)
+        source = dyn.FrameSource(w0, potential, dt, n_steps, store_every=store_every,
+                                 keep=snapped)
     is_box = spec.kind == "box"
     bohm = spec.dynamics in ("bohm", "both")
     if bohm:
         q0 = dyn.born_sample_many(w0, spec.ensemble_size, dyn.derive_seed(spec.seed, 1))
         ensemble = dyn.run_bohm_ensemble(
-            source, q0, seed=dyn.derive_seed(spec.seed, 1), keep=keep, head=10, drift=is_box,
+            source, q0, seed=dyn.derive_seed(spec.seed, 1), keep=snapped, head=10, drift=is_box,
         )
-    frames = source.drain()
-    # indices of the sample times in the kept frames and the kept rows alike
-    sample_ids = [frames.index_at(t) for t in snapped]
-
-    subset = dyn.WaveFrames(
-        frames.axes, frames.times[sample_ids], frames.amplitudes[sample_ids]
-    )
-    files.append(art.write_frames(out / "wave_frames.bin", subset))
+    frames = source.drain()  # the sample frames, in order
+    files.append(art.write_frames(out / "wave_frames.bin", frames))
 
     if is_box:
-        dens0 = frames.density(0)
-        drift = max(
-            float(np.max(np.abs(frames.density(i) - dens0))) for i in sample_ids
-        )
+        dens0 = born_density(w0)  # frame 0 is w0, bit for bit
+        drift = max(float(np.max(np.abs(frames.density(i) - dens0)))
+                    for i in range(frames.n_frames))
         tests["stationary-density"] = drift <= spec.tolerance("stationary_density")
 
     if bohm:
         files.append(art.write_ensemble_csv(out / "bohm_trajectories_head.csv", ensemble.head))
-        rows = ensemble.take(steps=sample_ids)
-        files.append(art.write_ensemble_csv(out / "bohm_positions.csv", rows))
+        files.append(art.write_ensemble_csv(out / "bohm_positions.csv", ensemble))
         files.append(art.write_json(out / "diagnostics.json", {"march": ensemble.march}))
         error, tol = ensemble.march.max_error, ensemble.march.tolerance
         if error is not None and error > tol:
@@ -604,7 +606,7 @@ def _wave_pipeline(spec: ExperimentSpec, w0: GridWaveFunction, out: Path, tests:
         t_screen = snapped[-1]
         report = dyn.equivariance_test(
             ensemble,
-            frames.wavefunction(sample_ids[-1]),
+            frames.wavefunction(frames.n_frames - 1),
             t_screen,
             significance=spec.tolerance("significance"),
         )
@@ -621,7 +623,7 @@ def _wave_pipeline(spec: ExperimentSpec, w0: GridWaveFunction, out: Path, tests:
         )
         files.append(art.write_ensemble_csv(out / "rdmp_positions.csv", rensemble))
         gofs = []
-        for t, i in zip(snapped, sample_ids):
+        for i, t in enumerate(snapped):
             gof = dyn.chi_square_gof(
                 rensemble.positions_at(t),
                 frames.wavefunction(i),

@@ -292,6 +292,18 @@ PROBES = {
     # extremes that overflowed: NaN amplitudes or a grid of infinite spacing
     # ended in an IndexError, and overflow printed RuntimeWarnings
     "grid-spacing-infinite": ({"grid.lo": [-1e308], "grid.hi": [1e308]}, "grid"),
+    # periodic images of the grid that overflowed: in the bin overlaps of the
+    # box's equivariance.json, which could not be written, and in the march
+    "box-grid-lo-huge": (
+        {"kind": "box", "dynamics": "both", "grid": {"lo": [-1e308], "hi": [2.0], "points": [64]},
+         "potential": {"kind": "box", "inner_lo": [-1.0], "inner_hi": [1.0], "height": 1e2},
+         "initial_state": {"kind": "stationary", "level": 0},
+         "time": {"dt": 0.001, "t_end": 0.01, "sample_times": [0.005, 0.01]}},
+        "grid",
+    ),
+    "grid-hi-huge": ({"grid.hi": [1e308]}, "grid"),
+    # an ensemble too large to allocate ended in a MemoryError
+    "ensemble-size-huge": ({"ensemble_size": 10**13}, "ensemble_size"),
     "gaussian-momentum-huge": ({"initial_state.momenta": [1e308]}, "initial_state"),
     "gaussian-sigma-tiny": ({"initial_state.sigmas": [1e-300]}, "initial_state"),
     "two-lobe-momentum-huge": (
@@ -341,8 +353,10 @@ def test_probe_spec_exits_invalid(probe, tmp_path, capsys):
 
 
 def test_wave_work_at_its_bounds_is_runnable(tmp_path, capsys):
-    """10^6 split steps on 2^18 points, and levels up to n_cells, validate."""
+    """10^6 split steps on 2^18 points with 10^7 members, and levels up to
+    n_cells, validate."""
     at_bounds = {
+        "ensemble_size": 10**7,
         "grid": {"lo": [-16.0, -16.0], "hi": [16.0, 16.0], "points": [512, 512]},
         "initial_state": {"kind": "gaussian", "centers": [0.0, 0.0], "sigmas": [1.0, 1.0]},
         "time": {"t_end": 1000.0, "dt": 0.001, "sample_times": [500.0, 1000.0]},
@@ -567,3 +581,49 @@ def test_fuzzed_specs_never_end_in_a_traceback(body, tmp_path_factory):
     assert main(["run", str(path), "--out-dir", str(root / "runs")]) in (
         EXIT_PASS, EXIT_FAILURE, EXIT_INVALID
     )
+
+
+# Each of these replaces, in turn, every numeric leaf (a number, or a list
+# of numbers) of every FUZZ_BASES spec.
+EXTREMES = [1e308, -1e308, 1e-300, -1e-300, 0, -1, 10**13, 2**63, [1e308], [-1e308], [1e-300]]
+
+
+def numeric_leaves(obj, path=()):
+    """Paths of the numbers and lists of numbers in a JSON object."""
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    if number(obj) or (isinstance(obj, list) and obj and all(map(number, obj))):
+        yield path
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from numeric_leaves(value, path + (key,))
+
+
+def test_every_numeric_leaf_at_each_extreme(tmp_path, capsys):
+    """Each extreme on each numeric leaf of each base spec, one at a time:
+    validate exits 0 or 3, run exits 0, 2 or 3, and no RuntimeWarning is
+    raised.  The fuzz test above reaches such a spec only by chance."""
+    cases = []
+    for base in sorted(FUZZ_BASES):
+        body = wave_spec_body(**FUZZ_BASES[base])
+        for path in numeric_leaves(body):
+            for value in EXTREMES:
+                case = copy.deepcopy(body)
+                target = case
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = copy.deepcopy(value)
+                cases.append((f"{base}:{'.'.join(path)}={value!r}", case))
+    assert len(cases) == 31 * len(EXTREMES)
+    for n, (name, case) in enumerate(cases):
+        path = tmp_path / f"{n}.json"
+        path.write_text(json.dumps(case))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            validated = main(["validate", str(path)])
+            ran = main(["run", str(path), "--out-dir", str(tmp_path / f"runs-{n}")])
+        capsys.readouterr()
+        assert validated in (EXIT_PASS, EXIT_INVALID), name
+        assert ran in (EXIT_PASS, EXIT_FAILURE, EXIT_INVALID), name
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], name

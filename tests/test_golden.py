@@ -42,7 +42,18 @@ took 9 steps instead of 15 (1 taken again, strides up to 32 frames), no
 position moved by more than 2.5e-6 in ``bohm_positions.csv`` or 5.2e-7 in
 the head paths (16 rows a member to 10; compared at the times both
 hold), and ``equivariance.json`` moved in the last digits of its
-statistics and p-values; every verdict stayed the same.  Every artifact
+statistics and p-values; every verdict stayed the same.  The Bohm files
+of both were recorded again when a step of 2m frames came to start on a
+multiple of 2m, so that it reads one frame chunk; every verdict stayed
+the same.  The box kept its 8 steps; no position moved by more than
+6.4e-15, and the Bohm mean step went from 8.3e-16 to 7.5e-16.  The slit
+took 10 steps instead of 9, with strides up to 16 frames instead of 32,
+and its largest error estimate fell from 1.0e-6 to 1.4e-7.  Its row at
+t = 0.2, read off the middle of a 32-frame step before, moved by 2.4e-6:
+against a march at a thousandth of ``MARCH_TOL`` it was off by 2.5e-6
+and is now off by 5.4e-8.  No other position moved by more than 4.5e-7.
+``equivariance.json`` moved in the last digits of its KS statistic and
+p-value in both.  Every artifact
 except ``manifest.json`` (it holds the wall-clock time) must keep them.
 
 FFTs (which also give the spline coefficients) and libm may round
@@ -110,21 +121,21 @@ NOMOLOGICAL = {
 
 DIGESTS = {
     "golden-box": {
-        "bohm_positions.csv": "58ab2be6b38f03ba66bf1983f7aa6e046634ab71972b0180f6f60d8e4e92b3d0",
-        "bohm_trajectories_head.csv": "1451e36e52b36884eb2aed13e6cb442924b22ceeb2dd407e0457f02654b4cec3",
-        "bohm_vs_rdmp.json": "5034b11d494184a60af6e88c30b8c829a61c084923acc4f21cd12093b909ec85",
-        "diagnostics.json": "0fff5f9ab2a8e974a68d7916daabb5500d81de0394389778454916731ebfccb0",
-        "equivariance.json": "fbc7396a22d8f7ace3479a02e249c8c995b7a40b3acdd2a276723ae5039a9d01",
+        "bohm_positions.csv": "863b11788b24ea75c4e884eeb2762e69db91afc62f9fea09eba9bbf2e63e62b3",
+        "bohm_trajectories_head.csv": "205251cb69bafeb8ab18d053164ef374c5100eaef8190ef73254def79c6232bd",
+        "bohm_vs_rdmp.json": "623d315a5bc8a7b359674ab90e98a79c0da6f54ec0b94b4d9149a0aadad48d26",
+        "diagnostics.json": "42d5ed90075e2d424a76c2cc2d9cd46116159f40d0afdb8addaf9527cf72a5bc",
+        "equivariance.json": "8cd3faf9ae642a293396f4af4dc86cd3476908225ff7a55ea291342bf3daff3c",
         "rdmp_marginals.json": "822cb8ed35505bb5bf64a0aff6982f12f52d9a74a2f11f2ece014c164a96b0fe",
         "rdmp_positions.csv": "9d2925beb95a788b4b05e533eb76a4a74c24f44c77b8a717151a9b9f07cf0cbe",
         "spec.json": "71e9fd2dd7431ed4ad5e75f9667b7a9533290728402c9d04d2e9c913cd473d9c",
         "wave_frames.bin": "b71116d226657b482da73a63e8abb28d47e542bfbdf7278d38bddbf050c73f62",
     },
     "golden-slit": {
-        "bohm_positions.csv": "839657a699589f75ec3ccf41e7039f51d3e8432a1d0c0419230416876016e979",
-        "bohm_trajectories_head.csv": "76481294a5310833b04995d8fadb802cbd8e4e25a14200481c68c838fd53dcf9",
-        "diagnostics.json": "c691710e808a89c3810400388b9f78e29c2e840ab928fc2f328eadb17b4643ca",
-        "equivariance.json": "fae5e2e22d9749107e923a5820a161875cfbddf16dba27b781235eabed7e9c47",
+        "bohm_positions.csv": "22c5005370546fae373e21f8287ad188dbacd061230e31ffa07adea3a4727856",
+        "bohm_trajectories_head.csv": "8f67175e1a274c144bb2e2ad95362a24b096b5e655e31c089908c16ad8e81a4f",
+        "diagnostics.json": "52fde6cfabfb72e8cca2db105cd14ff691df8fba445908588528d95d07cb2093",
+        "equivariance.json": "ba41679552d04ebfac4c241786050d2363f33196d8147e78bd8d97b761448b1e",
         "spec.json": "3ff1ffb9cdc39a5942e3d40a2049f7748df8cd1e852f9f47402f25a5b6a82e7e",
         "wave_frames.bin": "7becf77448e754369c2a0a943ed91332bad03014326717abdc7b0cb5389ed233",
     },
