@@ -61,24 +61,32 @@ The random-jump alternative draws an independent Born sample at each
 requested time, with no continuity between successive configurations.
 
 Goodness of fit against |psi|^2 is a binned chi-square test and a
-Kolmogorov-Smirnov test per axis.  Their p-values come from
-``scipy.special.chdtrc`` and from ``_kstwo.kstwo_sf``, a trimmed copy of
-scipy's exact KS survival function; both equal what ``scipy.stats``
-returns bit for bit, and this module imports only ``scipy.linalg`` and
-``scipy.special``, so importing qflab does not load ``scipy.stats``.
+Kolmogorov-Smirnov test per axis.  Their p-values take numpy and ``math``
+alone, and qflab imports no scipy module.  The chi-square p-value is the
+regularized upper incomplete gamma function, from its series or its
+continued fraction (``_chi2_sf``), within 1e-12 relative of an exact
+evaluation.  The KS p-value comes from ``_kstwo.kstwo_sf``, a trimmed copy
+of scipy's exact KS survival function that returns scipy's bits in every
+branch but the one-sided tail, which is within 1e-11.  Stationary states
+take one eigenvalue from ``np.linalg.eigvalsh`` and their vectors from
+``np.linalg.solve``.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, special
+# numpy loads these on first use; every run uses them, so they load with qflab
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
-from ._kstwo import kstwo_sf
+from ._kstwo import _stirling_remainder, kstwo_sf
 from .interpolation import CubicGridInterpolator, _inverse_symbol
 from .states import GridWaveFunction, born_density, fix_global_phase
 
@@ -303,9 +311,17 @@ def spectral_hamiltonian(axis, potential: Potential) -> np.ndarray:
     a = np.asarray(axis, dtype=float)
     k = 2 * np.pi * np.fft.fftfreq(a.size, d=a[1] - a[0])
     column = np.fft.ifft(0.5 * k**2).real
-    h = linalg.circulant(0.5 * (column + np.roll(column[::-1], 1)))
+    h = _circulant(0.5 * (column + np.roll(column[::-1], 1)))
     h.flat[:: a.size + 1] += potential.on_grid((a,))
     return h
+
+
+def _circulant(column) -> np.ndarray:
+    """The circulant matrix C[i, j] = column[(i - j) % n], copied from a
+    sliding-window view of the column reversed and wrapped."""
+    c = np.asarray(column)
+    wrapped = np.concatenate((c[::-1], c[:0:-1]))
+    return np.lib.stride_tricks.sliding_window_view(wrapped, c.size)[::-1].copy()
 
 
 def stationary_state(
@@ -313,7 +329,9 @@ def stationary_state(
 ) -> GridWaveFunction:
     """level-th eigenstate of the discrete 1-D Hamiltonian, phase-fixed real.
 
-    Only the one eigenpair is computed.  With dt given, the Hamiltonian
+    The level's energy comes from ``np.linalg.eigvalsh``, and its vector
+    v_H from one solve of inverse iteration at that energy: no other
+    eigenvector is computed.  With dt given, the Hamiltonian
     eigenvector v_H is replaced by the eigenvector of the one-step split
     propagator U for that dt that it overlaps most.  That state is
     stationary under the time-stepped dynamics itself, not just up to
@@ -324,20 +342,21 @@ def stationary_state(
     unitary, so at most one of its orthonormal eigenvectors can overlap
     v_H that much, and an accepted v is that one.  If the iteration
     converges to another eigenvector, it restarts from v_H with the
-    eigenvectors found so far projected out, at most twice.  A level
-    without a certified vector raises ValueError, and a spec asking for it
-    exits as invalid.  That happens only where v_H is a mixture with no
-    propagator eigenvector that close: at high levels, whose phases alias
-    around the unit circle, or at energies above a box wall (34 levels of
-    the 512-point duel grid, the first being 84).
+    eigenvectors found so far projected out, at most twice.  A shift that
+    makes U - mu I singular in floating point has converged to an
+    eigenvalue of U: the step solves at a shift a few ulps off it instead,
+    which gives the eigenvalue's vector, and the certificate judges that as
+    any other.  A level without a certified vector raises ValueError, and
+    a spec asking for it exits as invalid.  That happens only where v_H is
+    a mixture with no propagator eigenvector that close: at high levels,
+    whose phases alias around the unit circle, or at energies above a box
+    wall (34 levels of the 512-point duel grid, the first being 84).
     Time-reversal symmetry of the propagator makes the eigenvector real up
     to a global phase, which ``fix_global_phase`` fixes as in the dt=None branch.
     """
     a = np.asarray(axis, dtype=float)
-    _, v_h = linalg.eigh(
-        spectral_hamiltonian(a, potential), subset_by_index=[level, level], overwrite_a=True
-    )
-    vec = v_h[:, 0].astype(complex)
+    h = spectral_hamiltonian(a, potential)
+    vec = _inverse_iteration(h, np.linalg.eigvalsh(h)[level]).astype(complex)
     if dt is not None:
         vec = _propagator_eigenvector(a, potential, dt, vec, level)
     vec = fix_global_phase(vec)
@@ -346,14 +365,30 @@ def stationary_state(
     return GridWaveFunction((a,), vec)
 
 
+def _inverse_iteration(h, energy) -> np.ndarray:
+    """Unit eigenvector of the real symmetric h (overwritten) for its
+    eigenvalue energy, by one solve of (h - energy) x = b from a fixed
+    random b.  The eigenvalue is exact to roundoff, so x is the eigenvector
+    to roundoff over the level's distance to the next one."""
+    b = np.random.default_rng(0).standard_normal(len(h))
+    h.flat[:: len(h) + 1] -= energy
+    try:
+        x = np.linalg.solve(h, b)
+    except np.linalg.LinAlgError:
+        # energy is an eigenvalue in floating point: move it off by a few ulps of h
+        h.flat[:: len(h) + 1] -= 8 * np.finfo(float).eps * np.abs(h).max()
+        x = np.linalg.solve(h, b)
+    return x / np.linalg.norm(x)
+
+
 def _propagator_eigenvector(a, potential, dt, v_h, level) -> np.ndarray:
     """Certified eigenvector of the one-step split propagator nearest v_h."""
     evolver = _SplitStepEvolver((a,), potential, dt)
     # U = diag(h) circulant(ifft(kinetic)) diag(h), h the half-step potential phase
-    u = linalg.circulant(np.fft.ifft(evolver.kinetic))
+    u = _circulant(np.fft.ifft(evolver.kinetic))
     u *= evolver.half_potential[:, None]
     u *= evolver.half_potential
-    shifted = np.empty_like(u)
+    diagonal = u.diagonal().copy()
     found = []
     for restart in range(_RQI_RESTARTS + 1):
         # start from v_h, with the eigenvectors already converged to projected
@@ -369,9 +404,17 @@ def _propagator_eigenvector(a, potential, dt, v_h, level) -> np.ndarray:
             residual = np.linalg.norm(uv - mu * v)
             if residual <= _RQI_TOL or step == _RQI_MAX_STEPS:
                 break
-            np.copyto(shifted, u)
-            shifted.flat[:: a.size + 1] -= mu
-            w = linalg.lu_solve(linalg.lu_factor(shifted, overwrite_a=True), v)
+            # U - mu I is solved in the place of U, whose diagonal is put back
+            u.flat[:: a.size + 1] = diagonal - mu
+            try:
+                w = np.linalg.solve(u, v)
+            except np.linalg.LinAlgError:
+                # U - mu I is singular in floating point: mu has converged to
+                # an eigenvalue, whose vector a shift a few ulps off it gives
+                u.flat[:: a.size + 1] = diagonal - mu * (1 + 8 * np.finfo(float).eps)
+                w = np.linalg.solve(u, v)
+            finally:
+                u.flat[:: a.size + 1] = diagonal
             v = w / np.linalg.norm(w)
         overlap = abs(np.vdot(v_h, v)) ** 2
         if residual > _RQI_TOL or overlap > 0.5:
@@ -1212,8 +1255,61 @@ def chi_square_gof(
     exp_kept = exp_kept * (obs_kept.sum() / exp_kept.sum())
     stat = float(np.sum((obs_kept - exp_kept) ** 2 / exp_kept))
     dof = obs_kept.size - 1
-    p = float(special.chdtrc(dof, stat))
+    p = _chi2_sf(dof, stat)
     return GoodnessOfFit("chi-square", stat, p, p >= significance)
+
+
+def _chi2_sf(dof: int, stat: float) -> float:
+    """Pr(chi^2_dof >= stat): the regularized upper incomplete gamma Q(a, x),
+    a = dof / 2, x = stat / 2.
+
+    Below x = a + 1 it is 1 - P(a, x), P from its power series; above, Q
+    from its continued fraction, evaluated by Lentz's method (Numerical
+    Recipes, section 6.2; DiDonato & Morris, ACM TOMS 12, 377, 1986).  Both
+    scale x^a e^-x / Gamma(a), whose log is taken as a (log1p(u) - u) +
+    log(a / 2 pi) / 2 - R(a) with u = (x - a) / a and R the Stirling
+    remainder, so that large dof do not cancel (log1p(u) is log(x / a) for
+    x < a / 2).  Within 1e-12 relative of an exact evaluation wherever the
+    value is at least 1e-300, for dof up to 5000 and stat up to 1e4.  No
+    degrees of freedom, or a negative statistic, give NaN.
+    """
+    if not (dof >= 1 and stat >= 0):
+        return float("nan")
+    a, x = dof / 2, stat / 2
+    if x == 0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    u = (x - a) / a
+    # log(x / a), from u near x = a; far below a, u rounds towards -1
+    log_ratio = math.log1p(u) if u > -0.5 else math.log(x / a)
+    front = math.exp(
+        a * (log_ratio - u) + 0.5 * math.log(a / (2 * math.pi)) - float(_stirling_remainder(a))
+    )
+    eps = np.finfo(float).eps
+    if x < a + 1:
+        # P(a, x) = front / a * sum_k x^k / ((a + 1) ... (a + k))
+        term = total = 1.0
+        k = a
+        while term > total * eps:
+            k += 1
+            term *= x / k
+            total += term
+        return 1.0 - front / a * total
+    tiny = np.finfo(float).tiny
+    b = x + 1 - a
+    c, d = 1 / tiny, 1 / b
+    h = d
+    for i in itertools.count(1):
+        an = -i * (i - a)
+        b += 2
+        d = an * d + b
+        d = 1 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) >= tiny else tiny
+        h *= d * c
+        if abs(d * c - 1) <= eps:
+            return front * h
 
 
 def _marginal_cdf(w: GridWaveFunction, axis_d: int):
@@ -1244,8 +1340,9 @@ def ks_gof(
 
     The reference CDF is the piecewise-linear integral of the gridded
     density, which is exactly the law the jittered Born sampler draws from.
-    D and its exact p-value are computed as ``scipy.stats.kstest`` computes
-    them, bit for bit.
+    D is computed as ``scipy.stats.kstest`` computes it, bit for bit, and
+    so is its exact p-value, but in the one-sided tail, where it is within
+    1e-11 (see ``_kstwo``).
     """
     x = np.sort(np.asarray(np.atleast_2d(samples)[:, axis_d], dtype=float))
     n = x.size

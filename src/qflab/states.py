@@ -227,9 +227,6 @@ class GridWaveFunction:
             (float(a[0]), float(a[-1]) + (a[1] - a[0])) for a in self.axes
         )
 
-    def with_amplitudes(self, amplitudes, normalize=True) -> "GridWaveFunction":
-        return GridWaveFunction(self.axes, amplitudes, normalize=normalize)
-
     def norm(self) -> float:
         return grid_norm(self)
 

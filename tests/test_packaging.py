@@ -27,9 +27,11 @@ def test_pyproject_version_is_the_package_version():
     assert expand.read_attr(attr, package_dir={"": "src"}, root_dir=root) == qf.__version__
 
 
-# a tiny `both` stationary box run, which marches Bohm members through the
-# spline field and computes chi-square and KS p-values and the duel, and a
-# pbr run, which takes the finite-model path
+# a tiny `both` stationary box run, which solves for a stationary state,
+# marches Bohm members through the spline field and computes chi-square and
+# KS p-values and the duel; a Bohm double-slit run, which streams free
+# frames; and a pbr and an ontic-model-check run, which take the
+# finite-model paths
 GUARD_SPECS = {
     "box": {
         "name": "guard-box", "kind": "box", "seed": 3, "dynamics": "both",
@@ -39,7 +41,19 @@ GUARD_SPECS = {
         "initial_state": {"kind": "stationary", "level": 0},
         "time": {"dt": 0.001, "t_end": 0.02, "sample_times": [0.01, 0.02]},
     },
+    "slit": {
+        "name": "guard-slit", "kind": "double-slit", "seed": 3, "dynamics": "bohm",
+        "ensemble_size": 100,
+        "grid": {"lo": [-16.0], "hi": [16.0], "points": [256]},
+        "potential": {"kind": "free"},
+        "initial_state": {"kind": "two-lobe", "separation": 7.0, "sigma": 0.7},
+        "time": {"dt": 0.002, "t_end": 0.1, "sample_times": [0.0, 0.1]},
+    },
     "pbr": {"name": "guard-pbr", "kind": "pbr", "seed": 3},
+    "nomological": {
+        "name": "guard-nomological", "kind": "ontic-model-check",
+        "params": {"n_cells": 64, "levels": [1, 2]},
+    },
 }
 
 GUARD = """
@@ -47,21 +61,21 @@ import sys
 import qflab
 from qflab.cli import main
 
-def heavy_loaded(step):
-    for module in ("scipy.stats", "scipy.ndimage"):
-        if module in sys.modules:
-            sys.exit(f"{module} loaded after {step}")
+def scipy_loaded(step):
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    if loaded:
+        sys.exit(f"{len(loaded)} scipy modules ({', '.join(loaded[:3])}, ...) loaded after {step}")
 
-heavy_loaded("import qflab")
+scipy_loaded("import qflab")
 for spec in sys.argv[2:]:
     code = main(["run", spec, "--out-dir", sys.argv[1]])
     if code != 0:
         sys.exit(f"qflab run {spec} exited {code}")
-    heavy_loaded(f"qflab run {spec}")
+    scipy_loaded(f"qflab run {spec}")
 """
 
 
-def test_import_and_run_never_load_scipy_stats_or_ndimage(tmp_path):
+def test_import_and_runs_load_no_scipy(tmp_path):
     paths = []
     for name, body in GUARD_SPECS.items():
         path = tmp_path / f"{name}.json"
