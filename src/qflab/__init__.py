@@ -14,7 +14,6 @@ from .states import (
     grid_norm,
     l2_distance,
     measurement_distribution,
-    minus_state,
     plus_state,
     tensor,
     uniform_axis,
@@ -23,7 +22,6 @@ from .dynamics import (
     Ensemble,
     FrameSource,
     MomentumResolutionWarning,
-    NodeProximity,
     Potential,
     VelocityField,
     WaveFrames,
@@ -34,7 +32,6 @@ from .dynamics import (
     equivariance_test,
     evolve_frames,
     gaussian_packet,
-    guiding_velocity,
     ks_gof,
     plane_wave,
     rdmp_ensemble,

@@ -40,7 +40,6 @@ __all__ = [
     "write_csv",
     "write_ensemble_csv",
     "write_frames",
-    "read_frames",
 ]
 
 
@@ -151,20 +150,3 @@ def write_frames(path, frames: WaveFrames) -> Path:
         fh.write(payload)
     return path
 
-
-def read_frames(path) -> WaveFrames:
-    path = Path(path)
-    raw = path.read_bytes()
-    (header_len,) = struct.unpack_from("<I", raw, 0)
-    header = json.loads(raw[4 : 4 + header_len].decode("utf-8"))
-    if header.get("format") != FRAME_FORMAT:
-        raise ValueError(f"{path} is not a {FRAME_FORMAT} file")
-    axes = tuple(
-        ax["start"] + ax["step"] * np.arange(ax["size"]) for ax in header["axes"]
-    )
-    times = np.asarray(header["times"], dtype=float)
-    shape = (times.size,) + tuple(ax["size"] for ax in header["axes"])
-    amplitudes = (
-        np.frombuffer(raw[4 + header_len :], dtype="<c16").reshape(shape).copy()
-    )
-    return WaveFrames(axes, times, amplitudes)

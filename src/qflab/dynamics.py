@@ -87,7 +87,7 @@ import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
 from ._kstwo import _stirling_remainder, kstwo_sf
-from .interpolation import CubicGridInterpolator, _inverse_symbol
+from .interpolation import CubicGridInterpolator, _grid_fft, _inverse_symbol
 from .states import GridWaveFunction, born_density, fix_global_phase
 
 EPS_NODE_FACTOR = 1e-8
@@ -121,7 +121,6 @@ __all__ = [
     "WaveFrames",
     "FrameSource",
     "VelocityField",
-    "NodeProximity",
     "MomentumResolutionWarning",
     "derive_seed",
     "gaussian_packet",
@@ -130,7 +129,6 @@ __all__ = [
     "stationary_state",
     "spectral_hamiltonian",
     "evolve_frames",
-    "guiding_velocity",
     "run_bohm_ensemble",
     "born_sample_many",
     "rdmp_ensemble",
@@ -142,10 +140,6 @@ __all__ = [
     "EquivarianceReport",
     "DivergenceReport",
 ]
-
-
-class NodeProximity(Exception):
-    """Velocity requested where |psi| is below the node threshold."""
 
 
 class MomentumResolutionWarning(UserWarning):
@@ -324,16 +318,14 @@ def _circulant(column) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(wrapped, c.size)[::-1].copy()
 
 
-def stationary_state(
-    axis, potential: Potential, level: int = 0, dt: float | None = None
-) -> GridWaveFunction:
-    """level-th eigenstate of the discrete 1-D Hamiltonian, phase-fixed real.
+def stationary_state(axis, potential: Potential, level: int, dt: float) -> GridWaveFunction:
+    """level-th stationary state of the dt split step on a 1-D grid, phase-fixed real.
 
-    The level's energy comes from ``np.linalg.eigvalsh``, and its vector
-    v_H from one solve of inverse iteration at that energy: no other
-    eigenvector is computed.  With dt given, the Hamiltonian
-    eigenvector v_H is replaced by the eigenvector of the one-step split
-    propagator U for that dt that it overlaps most.  That state is
+    The level's energy comes from ``np.linalg.eigvalsh`` of the discrete
+    Hamiltonian, and its eigenvector v_H from one solve of inverse
+    iteration at that energy: no other eigenvector is computed.  v_H is
+    then replaced by the eigenvector of the one-step split propagator U
+    for dt that it overlaps most.  That state is
     stationary under the time-stepped dynamics itself, not just up to
     Trotter error, so densities and Bohmian trajectories built on it hold
     still to roundoff.  It is found by Rayleigh-quotient iteration on U
@@ -352,14 +344,12 @@ def stationary_state(
     whose phases alias around the unit circle, or at energies above a box
     wall (34 levels of the 512-point duel grid, the first being 84).
     Time-reversal symmetry of the propagator makes the eigenvector real up
-    to a global phase, which ``fix_global_phase`` fixes as in the dt=None branch.
+    to a global phase, which ``fix_global_phase`` fixes.
     """
     a = np.asarray(axis, dtype=float)
     h = spectral_hamiltonian(a, potential)
     vec = _inverse_iteration(h, np.linalg.eigvalsh(h)[level]).astype(complex)
-    if dt is not None:
-        vec = _propagator_eigenvector(a, potential, dt, vec, level)
-    vec = fix_global_phase(vec)
+    vec = fix_global_phase(_propagator_eigenvector(a, potential, dt, vec, level))
     if np.max(np.abs(vec.imag)) < 1e-9 * np.max(np.abs(vec.real)):
         vec = vec.real.astype(complex)
     return GridWaveFunction((a,), vec)
@@ -454,19 +444,18 @@ class _SplitStepEvolver:
         self.kinetic = np.exp(-0.5j * dt * ksq)
         # with no potential on the grid a step is psi^ <- kinetic psi^ in k-space
         self.free = not np.any(v)
-        # on one axis fft and ifft give fftn's bits and skip its axis bookkeeping
-        self._fft, self._ifft = (np.fft.fft, np.fft.ifft) if len(axes) == 1 else \
-            (np.fft.fftn, np.fft.ifftn)
+        self.ndim = len(axes)
 
     def step(self, amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.multiply(self.half_potential, amps, out=out)  # out may be amps
-        self._ifft(np.multiply(self.kinetic, self._fft(out, out=out), out=out), out=out)
+        np.multiply(self.kinetic, _grid_fft(out, self.ndim, out=out), out=out)
+        _grid_fft(out, self.ndim, out=out, inverse=True)
         return np.multiply(self.half_potential, out, out=out)
 
 
 def _momentum_resolution_problem(w: GridWaveFunction) -> str | None:
     """What is wrong when over 1e-6 of w's momentum mass lies near the grid cutoff."""
-    spectrum = np.abs(np.fft.fftn(w.amplitudes)) ** 2
+    spectrum = np.abs(_grid_fft(w.amplitudes, w.ndim)) ** 2
     total = spectrum.sum()
     if total == 0:
         return None
@@ -568,7 +557,7 @@ class FrameSource:
         self._gaps = np.diff(steps, prepend=0).tolist()  # split steps up to each stored frame
         self._last = w0.amplitudes  # the last frame evolved
         # what the next split step starts from: that frame, its spectrum on a free grid
-        self._state = self._evolver._fft(w0.amplitudes) if self._evolver.free else w0.amplitudes
+        self._state = _grid_fft(w0.amplitudes, w0.ndim) if self._evolver.free else w0.amplitudes
 
     @property
     def n_frames(self) -> int:
@@ -599,10 +588,7 @@ class FrameSource:
         self._state = frame.copy()  # the next chunk's start, without holding this chunk
         if ev.free:
             spectra = amps[1:]
-            if spectra.ndim == 2:  # ifft gives ifftn's bits and skips its axis bookkeeping
-                np.fft.ifft(spectra, out=spectra)
-            else:
-                np.fft.ifftn(spectra, axes=tuple(range(1, spectra.ndim)), out=spectra)
+            _grid_fft(spectra, ev.ndim, out=spectra, inverse=True)
         self._last = amps[-1].copy() if ev.free else self._state
         self._next += 1
         lo, hi = np.searchsorted(self._rows, [start, start + len(amps)])
@@ -654,17 +640,12 @@ def _psi_and_gradient(axes, amps: np.ndarray) -> np.ndarray:
     alone as in a batch.
     """
     stack = np.empty((len(amps), 1 + len(axes)) + amps.shape[1:], dtype=complex)
-    if len(axes) == 1:  # fft and ifft give fftn's bits and skip its axis bookkeeping
-        spectrum = np.fft.fft(amps, out=stack[:, 0])
-    else:
-        spectrum = np.fft.fftn(amps, axes=tuple(range(1, amps.ndim)), out=stack[:, 0])
+    spectrum = _grid_fft(amps, len(axes), out=stack[:, 0])
     spectrum *= _inverse_symbol(amps.shape[1:])
     grid = tuple((a.size, float(a[1] - a[0])) for a in axes)
     for d, symbol in enumerate(_derivative_symbols(grid)):
         np.multiply(symbol, spectrum, out=stack[:, 1 + d])
-    if len(axes) == 1:
-        return np.fft.ifft(stack, out=stack)
-    return np.fft.ifftn(stack, axes=tuple(range(2, stack.ndim)), out=stack)
+    return _grid_fft(stack, len(axes), out=stack, inverse=True)
 
 
 class VelocityField:
@@ -732,14 +713,12 @@ class VelocityField:
     def velocity(self, points: np.ndarray, t: float):
         """Velocities (n, ndim) and the node mask (n,) at time t.
 
-        Velocities on masked points are zeroed; callers decide whether a
-        node is fatal (guiding_velocity) or halves the step (the march).
+        Velocities on masked points are zeroed; the march takes a step
+        that touches a node again, shorter.
         """
         pts = points if isinstance(points, np.ndarray) and points.ndim == 2 \
             else np.atleast_2d(np.asarray(points, dtype=float))  # the march's are (n, ndim)
         interp, threshold = self._interpolators_at(t)
-        if len(pts) <= _BLOCK:
-            return _velocity_from_values(interp(pts), threshold)
         # a block's taps and terms stay in cache; the values are the same bits
         vel, mask = np.empty(pts.shape), np.empty(len(pts), dtype=bool)
         for s in range(0, len(pts), _BLOCK):
@@ -757,16 +736,6 @@ def _velocity_from_values(values: np.ndarray, threshold):
     vel = (grad / np.where(mask, 1.0, psi)).imag.T
     vel[mask] = 0.0
     return vel, mask
-
-
-def guiding_velocity(w: GridWaveFunction, q) -> np.ndarray:
-    """Velocity vector at configuration q; raises NodeProximity at nodes."""
-    frames = WaveFrames(w.axes, np.array([0.0]), w.amplitudes[None])
-    field = VelocityField(frames)
-    vel, mask = field.velocity(np.atleast_2d(np.asarray(q, dtype=float)), 0.0)
-    if mask.any():
-        raise NodeProximity(f"|psi| below node threshold at {q}")
-    return vel[0]
 
 
 # ---------------------------------------------------------------------------
@@ -922,17 +891,16 @@ class MarchRecord:
 class Ensemble:
     """Members on one shared time grid, one array per quantity.
 
-    ``positions[i, j]`` is member j's configuration at ``times[i]``.
-    ``seeds[j]`` is member j's seed, and ``frozen_at[j]`` the stored frame
-    from which its halved step underflowed (it holds its position from
-    there on), or -1 if it never did.  A march can also record its first
+    ``positions[i, j]`` is member j's configuration at ``times[i]``, and
+    ``frozen_at[j]`` the stored frame from which its halved step
+    underflowed (it holds its position from there on), or -1 if it never
+    did.  A march can also record its first
     members' paths over the frames its steps end on (``head``),
     ``max_drift`` (see run_bohm_ensemble) and what it did (``march``).
     """
 
     times: np.ndarray  # (T,)
     positions: np.ndarray  # (T, N, D)
-    seeds: np.ndarray  # (N,)
     frozen_at: np.ndarray  # (N,)
     head: Ensemble | None = None  # the first members at every step of the march
     max_drift: float | None = None  # largest |Q_j(t) - Q_j(0)| over the march's steps
@@ -964,7 +932,6 @@ def _derive_seeds(seed: int, indices: np.ndarray) -> np.ndarray:
 def run_bohm_ensemble(
     frames: WaveFrames | FrameSource,
     positions0: np.ndarray,
-    seed: int = 0,
     keep=None,
     head: int = 0,
     drift: bool = False,
@@ -1087,7 +1054,6 @@ def run_bohm_ensemble(
         if err is not None and err < MARCH_TOL / 16:
             m = min(2 * m, top)
         i = k
-    seeds = _member_seeds(seed, len(pos))
     record = MarchRecord(
         steps=len(spans),
         steps_taken_again=retaken,
@@ -1098,9 +1064,8 @@ def run_bohm_ensemble(
         node_fallback_member_steps=fallback,
         frozen_members=int(np.count_nonzero(frozen_at >= 0)),
     )
-    head_paths = Ensemble(frames.times[ends], np.array(paths), seeds[:head], frozen_at[:head]) \
-        if head else None
-    return Ensemble(frames.times[rows], kept, seeds, frozen_at, head_paths, max_drift, record)
+    head_paths = Ensemble(frames.times[ends], np.array(paths), frozen_at[:head]) if head else None
+    return Ensemble(frames.times[rows], kept, frozen_at, head_paths, max_drift, record)
 
 
 def _max_distance(pos: np.ndarray, start: np.ndarray) -> float:
@@ -1168,7 +1133,7 @@ def rdmp_ensemble(
         _BornSampler(frames.wavefunction(i)).points(u[:, 0], u[:, 1:])
         for i, u in zip(indices, draws)
     ])
-    return Ensemble(frames.times[indices], positions, seeds, np.full(n, -1))
+    return Ensemble(frames.times[indices], positions, np.full(n, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -351,7 +351,7 @@ def _build_initial(spec: ExperimentSpec, axes, potential) -> GridWaveFunction:
         if level >= axes[0].size:
             raise ValueError(f"level must be an integer in [0, {axes[0].size}), got {level!r}")
         # eigenstate of the run's own step map, so the run holds it still
-        return dyn.stationary_state(axes[0], potential, level, dt=spec.time["dt"])
+        return dyn.stationary_state(axes[0], potential, level, spec.time["dt"])
     return dyn.plane_wave(axes[0], st["mode"])
 
 
@@ -581,9 +581,7 @@ def _wave_pipeline(spec: ExperimentSpec, w0: GridWaveFunction, out: Path, tests:
     bohm = spec.dynamics in ("bohm", "both")
     if bohm:
         q0 = dyn.born_sample_many(w0, spec.ensemble_size, dyn.derive_seed(spec.seed, 1))
-        ensemble = dyn.run_bohm_ensemble(
-            source, q0, seed=dyn.derive_seed(spec.seed, 1), keep=snapped, head=10, drift=is_box,
-        )
+        ensemble = dyn.run_bohm_ensemble(source, q0, keep=snapped, head=10, drift=is_box)
     frames = source.drain()  # the sample frames, in order
     files.append(art.write_frames(out / "wave_frames.bin", frames))
 

@@ -33,12 +33,23 @@ def _inverse_symbol(shape: tuple) -> np.ndarray:
     return inverse
 
 
+def _grid_fft(a: np.ndarray, ndim: int, out=None, inverse: bool = False) -> np.ndarray:
+    """The DFT (or its inverse) of a stack over its trailing ``ndim`` grid axes.
+
+    On one axis ``fft`` and ``ifft`` give ``fftn``'s bits and skip its axis
+    bookkeeping.
+    """
+    if ndim == 1:
+        return (np.fft.ifft if inverse else np.fft.fft)(a, out=out)
+    grid = tuple(range(a.ndim - ndim, a.ndim))
+    return (np.fft.ifftn if inverse else np.fft.fftn)(a, axes=grid, out=out)
+
+
 def _prefilter(values: np.ndarray, ndim: int) -> np.ndarray:
     """Spline coefficients of a real or complex stack over its trailing ``ndim`` axes."""
-    grid = tuple(range(values.ndim - ndim, values.ndim))
-    spectrum = np.fft.fftn(values, axes=grid)
+    spectrum = _grid_fft(values, ndim)
     spectrum *= _inverse_symbol(values.shape[values.ndim - ndim:])
-    c = np.fft.ifftn(spectrum, axes=grid, out=spectrum)
+    c = _grid_fft(spectrum, ndim, out=spectrum, inverse=True)
     return c if np.iscomplexobj(values) else np.ascontiguousarray(c.real)
 
 

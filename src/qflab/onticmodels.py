@@ -200,22 +200,6 @@ class OntologicalModel:
             "responses": resp,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "OntologicalModel":
-        return cls(
-            space=OnticSpace(tuple(obj["labels"])),
-            catalog={name: FiniteState.from_json(v) for name, v in obj["catalog"].items()},
-            preparations=dict(obj["preparations"]),
-            measurements={
-                name: ProjectiveMeasurement(
-                    tuple(FiniteState.from_json(v) for v in basis)
-                )
-                for name, basis in obj["measurements"].items()
-            },
-            responses=obj["responses"],
-            mode=obj["mode"],
-        )
-
 
 # ---------------------------------------------------------------------------
 # consistency and overlap classification

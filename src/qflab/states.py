@@ -23,7 +23,6 @@ __all__ = [
     "GridWaveFunction",
     "basis_state",
     "plus_state",
-    "minus_state",
     "tensor",
     "born_probability",
     "measurement_distribution",
@@ -75,10 +74,6 @@ class FiniteState:
         """JSON-friendly list of [re, im] pairs."""
         return [[float(a.real), float(a.imag)] for a in self.amplitudes]
 
-    @classmethod
-    def from_json(cls, pairs) -> "FiniteState":
-        return cls([complex(re, im) for re, im in pairs])
-
     def __repr__(self):
         return f"FiniteState(dim={self.dimension})"
 
@@ -95,11 +90,6 @@ def basis_state(dimension: int, index: int) -> FiniteState:
 def plus_state() -> FiniteState:
     """(|0> + |1>) / sqrt(2)"""
     return FiniteState([1.0, 1.0])
-
-
-def minus_state() -> FiniteState:
-    """(|0> - |1>) / sqrt(2)"""
-    return FiniteState([1.0, -1.0])
 
 
 class ProjectiveMeasurement:

@@ -119,14 +119,14 @@ def test_criterion_5_equivariance_double_slit():
     w_screen = frames.wavefunction(frames.index_at(t_screen))
 
     q0 = qf.born_sample_many(w0, 10000, seed=qf.derive_seed(spec.seed, 1))
-    ens = qf.run_bohm_ensemble(frames, q0, seed=spec.seed)
+    ens = qf.run_bohm_ensemble(frames, q0)
     rep = qf.equivariance_test(ens, w_screen, t_screen, significance=1e-3)
 
     rng = np.random.default_rng(qf.derive_seed(spec.seed, 2))
     uniform = rng.uniform(-10.0, 10.0, size=(10000, 1))
     n = uniform.shape[0]
     control_members = qf.Ensemble(
-        np.array([t_screen]), uniform[None], np.arange(n, dtype=np.uint64), np.full(n, -1)
+        np.array([t_screen]), uniform[None], np.full(n, -1)
     )
     control = qf.equivariance_test(control_members, w_screen, t_screen, significance=1e-3)
     elapsed = time.perf_counter() - t0
@@ -261,17 +261,16 @@ def test_criterion_8_numerics():
     width_expect = np.sqrt(1 + (2.0 / 2.0) ** 2)
     width_err = abs(width - width_expect) / width_expect
 
-    # real eigenstate velocity
+    # real eigenstate velocity, and box trajectories at rest under the run's own step map
     axb = qf.uniform_axis(-2, 2, 512)
     box = Potential.box([-1.0], [1.0], 1e4)
-    w_eig = qf.stationary_state(axb, box, 0)
-    vmax = max(abs(qf.guiding_velocity(w_eig, [q])[0]) for q in (-0.7, -0.3, 0.0, 0.25, 0.6))
-
-    # box trajectories at rest under the run's own step map
     dt = 2e-4
-    w_run = qf.stationary_state(axb, box, 0, dt=dt)
+    w_run = qf.stationary_state(axb, box, 0, dt)
     frames_box = qf.evolve_frames(w_run, box, dt, 2500, store_every=25)
-    ens = qf.run_bohm_ensemble(frames_box, np.linspace(-0.8, 0.8, 50)[:, None], seed=1)
+    probes = np.array([[-0.7], [-0.3], [0.0], [0.25], [0.6]])
+    v, _ = qf.VelocityField(frames_box).velocity(probes, 0.0)
+    vmax = float(np.max(np.abs(v)))
+    ens = qf.run_bohm_ensemble(frames_box, np.linspace(-0.8, 0.8, 50)[:, None])
     displacement = float(np.max(np.abs(ens.positions - ens.positions[0])))
 
     elapsed = time.perf_counter() - t0

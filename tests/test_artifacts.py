@@ -1,4 +1,5 @@
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 import qflab as qf
 from qflab.artifacts import (
     canonical_json,
-    read_frames,
     record_dict,
     read_json,
     spec_hash,
@@ -230,7 +230,6 @@ def test_ensemble_csv_columns(tmp_path):
     ens = qf.Ensemble(
         times=np.array([0.0, 0.1]),
         positions=np.array([[[0.5, 1.0]], [[0.6, 1.1]]]),
-        seeds=np.array([1], dtype=np.uint64),
         frozen_at=np.array([-1]),
     )
     p = write_ensemble_csv(tmp_path / "e.csv", ens)
@@ -243,11 +242,15 @@ def test_frames_binary_round_trip(tmp_path):
     ax = qf.uniform_axis(-4, 4, 64)
     w = qf.gaussian_packet((ax,), [0.2], [0.9], [1.0])
     frames = qf.evolve_frames(w, Potential.free(), 0.01, 20, store_every=5)
-    p = write_frames(tmp_path / "f.bin", frames)
-    back = read_frames(p)
-    assert np.array_equal(back.times, frames.times)
-    assert np.array_equal(back.amplitudes, frames.amplitudes)
-    assert all(np.allclose(a, b) for a, b in zip(back.axes, frames.axes))
+    raw = write_frames(tmp_path / "f.bin", frames).read_bytes()
+    (n,) = struct.unpack_from("<I", raw)
+    assert json.loads(raw[4 : 4 + n]) == {
+        "format": "wave-frames-v1",
+        "times": frames.times.tolist(),
+        "axes": [{"start": float(ax[0]), "step": float(ax[1] - ax[0]), "size": 64}],
+        "dtype": "complex128",
+    }
+    assert raw[4 + n :] == frames.amplitudes.astype("<c16").tobytes()
 
 
 def test_write_determinism(tmp_path):

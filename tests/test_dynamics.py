@@ -40,6 +40,18 @@ def rdmp_path(w0, times, s, dt):
     return qf.rdmp_ensemble(frames, steps * dt, 1, seed=derive_seed(0, 0) ^ s).positions[:, 0]
 
 
+def hamiltonian_state(ax, potential, level):
+    """The level-th eigenvector of the discrete Hamiltonian, from a dense eigh."""
+    v = np.linalg.eigh(qf.spectral_hamiltonian(ax, potential))[1][:, level]
+    return qf.GridWaveFunction((ax,), v.astype(complex))
+
+
+def velocity_at(w, points):
+    """Velocities (n, ndim) and the node mask (n,) of w's field at points."""
+    frames = qf.WaveFrames(w.axes, np.array([0.0]), w.amplitudes[None])
+    return qf.VelocityField(frames).velocity(np.asarray(points, dtype=float), 0.0)
+
+
 def mean_step(path):
     """Mean |Q(t_{i+1}) - Q(t_i)| along one (T, D) path."""
     return float(np.linalg.norm(np.diff(path, axis=0), axis=1).mean())
@@ -130,7 +142,7 @@ def test_box_ground_state_density_constant():
     # second-order splitting error, measured 3.5e-7 at this dt
     ax = qf.uniform_axis(-2, 2, 512)
     box = Potential.box([-1.0], [1.0], 1e4)
-    w = qf.stationary_state(ax, box, 0)
+    w = hamiltonian_state(ax, box, 0)
     frames = qf.evolve_frames(w, box, 2e-6, 25000, store_every=5000)
     drift = max(
         np.max(np.abs(frames.density(i) - frames.density(0)))
@@ -142,7 +154,7 @@ def test_box_ground_state_density_constant():
 def test_box_wall_splitting_error_scales_quadratically():
     ax = qf.uniform_axis(-2, 2, 512)
     box = Potential.box([-1.0], [1.0], 1e4)
-    w = qf.stationary_state(ax, box, 0)
+    w = hamiltonian_state(ax, box, 0)
 
     def drift(dt):
         steps = int(round(0.1 / dt))
@@ -201,11 +213,12 @@ def test_stationary_state_meets_its_certificate_without_eig(monkeypatch):
     box = Potential.box([-1.0], [1.0], 1e4)
     dt = 2e-4
     step = _SplitStepEvolver((ax,), box, dt).step
+    vecs_h = np.linalg.eigh(qf.spectral_hamiltonian(ax, box))[1]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for level in range(8):
             v = unit(qf.stationary_state(ax, box, level, dt=dt).amplitudes)
-            v_h = unit(qf.stationary_state(ax, box, level).amplitudes)
+            v_h = vecs_h[:, level]
             uv = step(v)
             assert np.linalg.norm(uv - np.vdot(v, uv) * v) <= 1e-13, f"level {level}"
             assert abs(np.vdot(v_h, v)) ** 2 > 0.5, f"level {level}"
@@ -218,14 +231,12 @@ def test_singular_shifts_count_as_converged(monkeypatch):
     # np.linalg.solve raises on an exactly singular H - E or U - mu I, whose
     # shift is then an eigenvalue in floating point; the solve is taken
     # again at a shift a few ulps off it.  Forced on the first Hamiltonian
-    # and the first propagator solve of each level, the state is the same
+    # (real) and the first propagator (complex) solve of each level, the
+    # state is the same
     ax = qf.uniform_axis(-2, 2, 64)
     box = Potential.box([-1.0], [1.0], 1e2)
-    levels = (0, 1, 5)
-    want = [
-        [unit(qf.stationary_state(ax, box, level, dt=dt).amplitudes) for dt in (None, 1e-3)]
-        for level in levels
-    ]
+    levels, dt = (0, 1, 5), 1e-3
+    want = [unit(qf.stationary_state(ax, box, level, dt).amplitudes) for level in levels]
     real_solve = np.linalg.solve
     shifts = {}
 
@@ -237,14 +248,14 @@ def test_singular_shifts_count_as_converged(monkeypatch):
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    for level, pair in zip(levels, want):
-        for dt, w in zip((None, 1e-3), pair):
-            shifts.clear()
-            got = unit(qf.stationary_state(ax, box, level, dt=dt).amplitudes)
-            assert 1 - abs(np.vdot(w, got)) <= 1e-12, f"level {level}, dt {dt}"
-            # the retry moved the same diagonal entry by a few ulps
-            for tried in shifts.values():
-                assert 0 < abs(tried[1] - tried[0]) <= 1e-12 * max(1, abs(tried[0]))
+    for level, w in zip(levels, want):
+        shifts.clear()
+        got = unit(qf.stationary_state(ax, box, level, dt).amplitudes)
+        assert 1 - abs(np.vdot(w, got)) <= 1e-12, f"level {level}"
+        assert sorted(shifts) == ["c", "f"], f"level {level}"
+        # the retry moved the same diagonal entry by a few ulps
+        for tried in shifts.values():
+            assert 0 < abs(tried[1] - tried[0]) <= 1e-12 * max(1, abs(tried[0]))
 
 
 def test_stationary_state_restarts_away_from_a_far_eigenvector():
@@ -286,9 +297,9 @@ def test_frames_index_lookup():
 def test_real_state_velocity_below_1e12():
     ax = qf.uniform_axis(-2, 2, 512)
     box = Potential.box([-1.0], [1.0], 1e4)
-    w = qf.stationary_state(ax, box, 0)
-    pts = [[-0.7], [-0.3], [0.0], [0.25], [0.6]]
-    v = np.array([qf.guiding_velocity(w, q) for q in pts])
+    w = hamiltonian_state(ax, box, 0)
+    v, mask = velocity_at(w, [[-0.7], [-0.3], [0.0], [0.25], [0.6]])
+    assert not mask.any()
     assert np.max(np.abs(v)) < 1e-12
 
 
@@ -306,7 +317,9 @@ def test_velocity_against_refined_finite_difference_oracle():
 
     ax = qf.uniform_axis(-span, span, n)
     w = qf.GridWaveFunction((ax,), amps(ax))
-    got = qf.guiding_velocity(w, [0.0])[0]
+    v, mask = velocity_at(w, [[0.0]])
+    assert not mask.any()
+    got = v[0, 0]
 
     fine = qf.uniform_axis(-span, span, 8 * n)
     h = fine[1] - fine[0]
@@ -318,12 +331,13 @@ def test_velocity_against_refined_finite_difference_oracle():
     assert abs(got - oracle) < 1e-6
 
 
-def test_node_query_raises():
+def test_node_query_is_masked_and_zeroed():
     ax = qf.uniform_axis(-10, 10, 256)
     g = np.exp(-((ax - 3.0) ** 2) / 4) - np.exp(-((ax + 3.0) ** 2) / 4)
     w = qf.GridWaveFunction((ax,), g.astype(complex))
-    with pytest.raises(qf.NodeProximity):
-        qf.guiding_velocity(w, [0.0])
+    v, mask = velocity_at(w, [[0.0], [1.0]])
+    assert mask.tolist() == [True, False]
+    assert v[0, 0] == 0.0 and v[1, 0] != 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +413,7 @@ def test_rk4_endpoint_matches_independent_integrator():
 
     x0 = 0.9
     sol = solve_ivp(rhs, (0.0, 1.0), [x0], rtol=1e-10, atol=1e-12, max_step=0.02)
-    ens = qf.run_bohm_ensemble(frames, np.array([[x0]]), seed=0)
+    ens = qf.run_bohm_ensemble(frames, np.array([[x0]]))
     assert abs(ens.positions[-1, 0, 0] - sol.y[0, -1]) < 1e-6
 
 
@@ -408,7 +422,7 @@ def test_one_dimensional_trajectories_never_cross():
     w0 = qf.two_lobe_packet(ax, 7.0, 0.7)
     frames = qf.evolve_frames(w0, Potential.free(), 0.002, 750, store_every=5)
     q0 = np.linspace(-5.0, 5.0, 9)[:, None]
-    ens = qf.run_bohm_ensemble(frames, q0, seed=0)
+    ens = qf.run_bohm_ensemble(frames, q0)
     paths = ens.positions[:, :, 0].T
     assert np.all(np.diff(paths, axis=0) > 0)
 
@@ -416,8 +430,8 @@ def test_one_dimensional_trajectories_never_cross():
 def test_trajectory_seed_determinism():
     frames = free_gaussian_frames(t_end=0.5)
     q0 = np.array([[0.3], [-1.1]])
-    a = qf.run_bohm_ensemble(frames, q0, seed=7)
-    b = qf.run_bohm_ensemble(frames, q0, seed=7)
+    a = qf.run_bohm_ensemble(frames, q0)
+    b = qf.run_bohm_ensemble(frames, q0)
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.times, b.times)
 
@@ -427,7 +441,7 @@ def test_exact_node_start_freezes_ensemble_member():
     g = np.exp(-((ax - 3.0) ** 2) / 4) - np.exp(-((ax + 3.0) ** 2) / 4)
     w0 = qf.GridWaveFunction((ax,), g.astype(complex))
     frames = qf.evolve_frames(w0, Potential.free(), 0.01, 10)
-    ens = qf.run_bohm_ensemble(frames, np.array([[0.0], [3.0]]), seed=1)
+    ens = qf.run_bohm_ensemble(frames, np.array([[0.0], [3.0]]))
     frozen = ens.positions[:, 0]
     # all members keep the shared time grid; the bad one is flagged
     assert ens.positions.shape[:2] == (ens.times.size, 2)
@@ -439,10 +453,14 @@ class _Underflow(Exception):
     """The reference fallback reached dt / 2**MAX_HALVINGS at a node."""
 
 
+class _Node(Exception):
+    """A reference stage landed where |psi| is below the node threshold."""
+
+
 def _velocity_strict(field, x, t):
     vel, mask = field.velocity(x[None], t)
     if mask[0]:
-        raise qf.NodeProximity
+        raise _Node
     return vel[0]
 
 
@@ -457,7 +475,7 @@ def _advance_adaptive(field, x, stages, h, depth=0):
         v3 = _velocity_strict(field, x + 0.5 * h * v2, tm)
         v4 = _velocity_strict(field, x + h * v3, t1)
         return x + (h / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4)
-    except qf.NodeProximity:
+    except _Node:
         if depth >= qf.dynamics.MAX_HALVINGS:
             raise _Underflow
         h = h / 2
@@ -668,7 +686,6 @@ def test_rdmp_ensemble_is_the_per_draw_stream_in_2d():
             expect[i, j] = sampler.draw(rng, 1)[0]
     assert np.array_equal(ens.positions.view(np.uint64), expect.view(np.uint64))
     assert np.array_equal(ens.times, frames.times[[frames.index_at(t) for t in times]])
-    assert ens.seeds.tolist() == [derive_seed(9, j) for j in range(n)]
 
 
 def test_rdmp_jumps_between_disjoint_bumps():
@@ -721,13 +738,13 @@ def test_equivariance_report_and_underpowered_refusal():
     frames = free_gaussian_frames(t_end=0.5)
     w0 = frames.wavefunction(0)
     q0 = qf.born_sample_many(w0, 500, seed=10)
-    ens = qf.run_bohm_ensemble(frames, q0, seed=10)
+    ens = qf.run_bohm_ensemble(frames, q0)
     t = frames.times[-1]
     rep = qf.equivariance_test(ens, frames.wavefunction(-1), t)
     assert rep.passed and rep.chi_square.passed
     assert all(k.passed for k in rep.ks_marginals)
 
-    small = qf.run_bohm_ensemble(frames, q0[:50], seed=10)
+    small = qf.run_bohm_ensemble(frames, q0[:50])
     with pytest.raises(ValueError):
         qf.equivariance_test(small, frames.wavefunction(-1), t)
 
@@ -738,7 +755,7 @@ def test_compare_bohm_rdmp_tv_within_threshold():
     frames = qf.evolve_frames(w0, Potential.free(), 0.002, 500, store_every=10)
     times = np.round(np.linspace(0.2, 1.0, 5), 3)
     q0 = qf.born_sample_many(w0, 400, derive_seed(11, 1))
-    bohm = qf.run_bohm_ensemble(frames, q0, seed=derive_seed(11, 1))
+    bohm = qf.run_bohm_ensemble(frames, q0)
     rdmp = qf.rdmp_ensemble(frames, times, 400, derive_seed(11, 2))
     rep = compare_bohm_rdmp(frames, times, bohm, rdmp)
     assert rep.tv_passed
@@ -889,11 +906,11 @@ def test_streamed_march_matches_stored_frames(monkeypatch, initial):
     assert frames.n_frames > qf.dynamics._CHUNK
     q0 = np.concatenate([[[0.0]], qf.born_sample_many(w0, 30, 3)])
     converted = _count_converted(monkeypatch)
-    stored = qf.run_bohm_ensemble(frames, q0, seed=2)
+    stored = qf.run_bohm_ensemble(frames, q0)
     stored_converted, converted[:] = sum(converted), []
     keep = [0.0, 0.3, 0.9]
     source = qf.FrameSource(w0, Potential.free(), dt, n_steps, store_every, keep=keep)
-    streamed = qf.run_bohm_ensemble(source, q0, seed=2)
+    streamed = qf.run_bohm_ensemble(source, q0)
     march = streamed.march
     assert set(converted) == {1}
     assert sum(converted) == stored_converted <= 2 * (march.steps + march.steps_taken_again) + 1
@@ -902,7 +919,6 @@ def test_streamed_march_matches_stored_frames(monkeypatch, initial):
     assert np.array_equal(stored.times, streamed.times)
     assert np.array_equal(stored.positions, streamed.positions)
     assert np.array_equal(stored.frozen_at, streamed.frozen_at)
-    assert np.array_equal(stored.seeds, streamed.seeds)
     if initial == "odd":
         assert streamed.frozen_at[0] >= 0  # the member on the node froze
     kept = source.drain()
@@ -935,9 +951,9 @@ def test_streamed_fallback_reads_back_across_chunks(monkeypatch, chunk):
         return halve(field, pos, stages, h, depth)
 
     monkeypatch.setattr(qf.dynamics, "_halve", recorded)
-    stored = qf.run_bohm_ensemble(frames, q0, seed=2)
+    stored = qf.run_bohm_ensemble(frames, q0)
     source = qf.FrameSource(w0, Potential.free(), dt, n_steps, store_every, keep=())
-    streamed = qf.run_bohm_ensemble(source, q0, seed=2)
+    streamed = qf.run_bohm_ensemble(source, q0)
     assert tuple(frames.times[:3]) in halved
     assert np.array_equal(as_bits(streamed.positions), as_bits(stored.positions))
     assert np.array_equal(streamed.frozen_at, stored.frozen_at)
@@ -1123,7 +1139,7 @@ def test_odd_march_bytes_pinned(monkeypatch):
     q0 = np.concatenate([[[0.0]], qf.born_sample_many(w0, 30, 3)])
     for tol, pinned in ODD_MARCH_BYTES.items():
         monkeypatch.setattr(qf.dynamics, "MARCH_TOL", tol)
-        ensemble = qf.run_bohm_ensemble(frames, q0, seed=2, head=4, drift=True)
+        ensemble = qf.run_bohm_ensemble(frames, q0, head=4, drift=True)
         assert ensemble.frozen_at[0] >= 0
         digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in (
             ensemble.positions, ensemble.frozen_at, ensemble.head.times, ensemble.head.positions)]
@@ -1158,7 +1174,7 @@ def kept_rows_case(monkeypatch, tol):
     def march(**kwargs):
         source = qf.FrameSource(w0, Potential.free(), dt, n_steps, store_every, keep=())
         assert source.n_frames > 2 * qf.dynamics._CHUNK
-        return qf.run_bohm_ensemble(source, q0, seed=2, **kwargs)
+        return qf.run_bohm_ensemble(source, q0, **kwargs)
 
     runs = {}
     for block in (7, len(q0)):
@@ -1173,7 +1189,6 @@ def kept_rows_case(monkeypatch, tol):
     assert np.array_equal(part.times, full.times[rows])
     assert np.array_equal(as_bits(part.positions), as_bits(full.positions[rows]))
     assert np.array_equal(part.frozen_at, full.frozen_at)
-    assert np.array_equal(part.seeds, full.seeds)
     # member 0's first step, over frames 0, 1, 2, underflowed: it holds from frame 0 on
     assert np.all(full.positions[:3, 0] == q0[0]) and not np.all(full.positions[:3, 1] == q0[1])
     marched = [full.times.tolist().index(t) for t in part.head.times]
@@ -1185,7 +1200,6 @@ def kept_rows_case(monkeypatch, tol):
     assert len(marched) == full.march.steps + 1
     assert np.array_equal(as_bits(part.head.positions), as_bits(full.positions[marched, :4]))
     assert np.array_equal(part.head.frozen_at, full.frozen_at[:4])
-    assert np.array_equal(part.head.seeds, full.seeds[:4])
     start = full.positions[0]
     drifts = [float(np.max(np.linalg.norm(row - start, axis=1))) for row in full.positions]
     assert part.max_drift == max(drifts[i] for i in marched)

@@ -218,7 +218,7 @@ class TestRun:
         frames = qf.evolve_frames(w0, qf.Potential.free(), dt, 80)
         times = [float(np.round(t / dt) * dt) for t in (0.2, 0.4)]
         q0 = qf.born_sample_many(w0, 300, qf.derive_seed(9, 1))
-        bohm = qf.run_bohm_ensemble(frames, q0, seed=qf.derive_seed(9, 1))
+        bohm = qf.run_bohm_ensemble(frames, q0)
         rdmp = qf.rdmp_ensemble(frames, times, 300, qf.derive_seed(9, 2))
         rep = qf.compare_bohm_rdmp(frames, times, bohm, rdmp)
         assert rep.tv_passed

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -74,21 +72,6 @@ class TestModelValidation:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             OnticSpace(("a", "a"))
-
-    def test_json_round_trip(self):
-        m = qf.build_trivial_ontic_model(zero_plus_catalog(), {"z": z_measurement()})
-        back = OntologicalModel.from_json(json.loads(json.dumps(m.to_json())))
-        assert back.mode == m.mode
-        assert back.space.labels == m.space.labels
-        for name in m.preparations:
-            assert np.allclose(back.preparations[name], m.preparations[name])
-        assert qf.check_consistency(back).passed
-
-    def test_revised_json_round_trip(self):
-        m = qf.build_box_nomological_model(n_cells=16)
-        back = OntologicalModel.from_json(json.loads(json.dumps(m.to_json())))
-        assert back.mode == "revised"
-        assert qf.check_consistency(back).passed
 
 
 # ---------------------------------------------------------------------------
