@@ -21,7 +21,6 @@ from .states import (
 from .dynamics import (
     Ensemble,
     FrameSource,
-    MomentumResolutionWarning,
     Potential,
     VelocityField,
     WaveFrames,

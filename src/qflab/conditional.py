@@ -20,7 +20,7 @@ the branches stay separated and nothing couples x to y.
 
 Branches come from the singular value decomposition of Psi reshaped across
 the x|y split.  "Macroscopically disjoint" is quantified as min-sum mass
-overlap of the environment densities below ``eps_support``; modes that
+overlap of the environment densities below EPS_SUPPORT; modes that
 fail pairwise disjointness are folded into the residual.
 """
 
@@ -110,7 +110,8 @@ def conditional_wavefunction(
         pts[:, ax_i] = mesh[d].ravel()
     for c, ax_i in zip(y_value, split.y_coords):
         pts[:, ax_i] = c
-    values = CubicGridInterpolator(w.axes, w.amplitudes)(pts).reshape(mesh[0].shape)
+    grid = CubicGridInterpolator(w.axes)
+    values = grid(pts, grid.prefilter(w.amplitudes)).reshape(mesh[0].shape)
     if grid_norm(GridWaveFunction(x_grid, values, normalize=False)) < EPS_ZERO_SLICE:
         raise ZeroConditional(f"slice norm below {EPS_ZERO_SLICE} at Y={y_value.tolist()}")
     return GridWaveFunction(x_grid, values)
@@ -135,7 +136,7 @@ class BranchDecomposition:
     """Schmidt modes of Psi across the x|y split, sorted into branches.
 
     branches hold the significant modes whose environment densities are
-    pairwise disjoint (mass overlap < eps_support); everything else, from
+    pairwise disjoint (mass overlap < EPS_SUPPORT); everything else, from
     overlapping modes down to numerical dust, lives in the residual, so
 
         sum_j weight_j f_j(x) (x) g_j(y)  +  residual  =  Psi
@@ -173,15 +174,13 @@ def _joint_product(branch: Branch, split: SubsystemSplit) -> np.ndarray:
     return np.transpose(outer, np.argsort(split.x_coords + split.y_coords))
 
 
-def branch_decompose(
-    w: GridWaveFunction, split: SubsystemSplit, eps_support: float = EPS_SUPPORT
-) -> BranchDecomposition:
+def branch_decompose(w: GridWaveFunction, split: SubsystemSplit) -> BranchDecomposition:
     """Schmidt-decompose Psi across the split and emit the disjoint modes.
 
     Modes with squared weight above WEIGHT_THRESHOLD are candidates,
     taken in descending weight order; a candidate is emitted as a branch
     only if its environment density overlaps every already-emitted branch
-    by less than ``eps_support``.  The residual absorbs everything else.
+    by less than EPS_SUPPORT.  The residual absorbs everything else.
     """
     split.validate(w)
     x_grid, y_grid = split.x_grid(w), split.y_grid(w)
@@ -204,7 +203,7 @@ def branch_decompose(
         )
         dens = born_density(y_factor)
         if all(
-            mass_overlap(dens, other, d_vy) < eps_support for other in kept_densities
+            mass_overlap(dens, other, d_vy) < EPS_SUPPORT for other in kept_densities
         ):
             x_factor = GridWaveFunction(
                 x_grid, (u[:, j] / np.sqrt(d_vx)).reshape(x_shape), normalize=False
@@ -241,20 +240,19 @@ class EffectiveResult:
         return self.status == "effective"
 
 
-def detect_effective(
-    w: GridWaveFunction, split: SubsystemSplit, y_value, eps_support: float = EPS_SUPPORT
-) -> EffectiveResult:
+def detect_effective(w: GridWaveFunction, split: SubsystemSplit, y_value) -> EffectiveResult:
     """Decide whether the conditional wave function at Y is effective."""
-    decomp = branch_decompose(w, split, eps_support)
+    decomp = branch_decompose(w, split)
     y_value = np.atleast_1d(np.asarray(y_value, dtype=float))
 
     # a mass tolerance of eps corresponds to an amplitude scale sqrt(eps),
     # which also absorbs the O(<f_i|f_j>) mode mixing of the decomposition
-    claim_factor = np.sqrt(eps_support)
+    claim_factor = np.sqrt(EPS_SUPPORT)
     claims = []
+    grid = CubicGridInterpolator(split.y_grid(w))  # every branch's environment grid
     for idx, b in enumerate(decomp.branches):
         mode = b.y_factor
-        amp = CubicGridInterpolator(mode.axes, mode.amplitudes)(y_value[None])[0]
+        amp = grid(y_value[None], grid.prefilter(mode.amplitudes))[0]
         if abs(amp) > claim_factor * np.max(np.abs(mode.amplitudes)):
             claims.append(idx)
 
@@ -267,7 +265,7 @@ def detect_effective(
         d_vx, d_vy = cell_volume(split.x_grid(w)), cell_volume(split.y_grid(w))
         res_marginal = res_density.sum(axis=tuple(range(len(split.x_coords)))) * d_vx
         res_overlap = mass_overlap(born_density(b.y_factor), res_marginal, d_vy)
-        if res_overlap < eps_support:
+        if res_overlap < EPS_SUPPORT:
             return EffectiveResult(
                 status="effective",
                 wavefunction=GridWaveFunction(b.x_factor.axes, b.x_factor.amplitudes),

@@ -28,8 +28,8 @@ A step at m = 1, a frame pair, is never taken again: the members whose
 step touches a node (|psi| < 1e-8 max|psi|) take it again as two half
 steps, together; those that touch one again are halved again, and a member
 that still does after 10 halvings is frozen.  Only a one-frame step (before
-a shorter last gap) and the halves of the node fallback blend two frames
-linearly for their middle stages.  A kept frame inside a step is read off
+a shorter last gap) and the halves of the node fallback read their middle
+stages off a linear mix of two frames.  A kept frame inside a step is read off
 that step, at no velocity call, by cubic Hermite interpolation between its
 ends.  One RK4 formula, ``_rk4_batch``, serves every step and every half
 step.
@@ -78,7 +78,6 @@ import bisect
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +86,7 @@ import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
 from ._kstwo import _stirling_remainder, kstwo_sf
-from .interpolation import CubicGridInterpolator, _grid_fft, _inverse_symbol
+from .interpolation import CubicGridInterpolator, _grid_fft
 from .states import GridWaveFunction, born_density, fix_global_phase
 
 EPS_NODE_FACTOR = 1e-8
@@ -121,7 +120,6 @@ __all__ = [
     "WaveFrames",
     "FrameSource",
     "VelocityField",
-    "MomentumResolutionWarning",
     "derive_seed",
     "gaussian_packet",
     "two_lobe_packet",
@@ -140,10 +138,6 @@ __all__ = [
     "EquivarianceReport",
     "DivergenceReport",
 ]
-
-
-class MomentumResolutionWarning(UserWarning):
-    """Wave function carries momentum content near the grid cutoff."""
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -339,10 +333,12 @@ def stationary_state(axis, potential: Potential, level: int, dt: float) -> GridW
     eigenvalue of U: the step solves at a shift a few ulps off it instead,
     which gives the eigenvalue's vector, and the certificate judges that as
     any other.  A level without a certified vector raises ValueError, and
-    a spec asking for it exits as invalid.  That happens only where v_H is
-    a mixture with no propagator eigenvector that close: at high levels,
+    a spec asking for it exits as invalid.  That happens where v_H is a
+    mixture with no propagator eigenvector that close: at high levels,
     whose phases alias around the unit circle, or at energies above a box
-    wall (34 levels of the 512-point duel grid, the first being 84).
+    wall (34 levels of the 512-point duel grid, the first being 84).  A v_H
+    or a residual that is not finite, as at a wall too high for double
+    precision (1e300), raises it at once: no solve is taken on NaN.
     Time-reversal symmetry of the propagator makes the eigenvector real up
     to a global phase, which ``fix_global_phase`` fixes.
     """
@@ -368,7 +364,9 @@ def _inverse_iteration(h, energy) -> np.ndarray:
         # energy is an eigenvalue in floating point: move it off by a few ulps of h
         h.flat[:: len(h) + 1] -= 8 * np.finfo(float).eps * np.abs(h).max()
         x = np.linalg.solve(h, b)
-    return x / np.linalg.norm(x)
+    norm = np.linalg.norm(x)
+    # a norm that under- or overflows leaves no unit vector: NaN, which no certificate passes
+    return x / norm if 0 < norm < np.inf else np.full_like(x, np.nan)
 
 
 def _propagator_eigenvector(a, potential, dt, v_h, level) -> np.ndarray:
@@ -392,7 +390,8 @@ def _propagator_eigenvector(a, potential, dt, v_h, level) -> np.ndarray:
             uv = u @ v
             mu = np.vdot(v, uv)
             residual = np.linalg.norm(uv - mu * v)
-            if residual <= _RQI_TOL or step == _RQI_MAX_STEPS:
+            # a residual that is not finite ends the iteration: no solve mends it
+            if not residual > _RQI_TOL or step == _RQI_MAX_STEPS:
                 break
             # U - mu I is solved in the place of U, whose diagonal is put back
             u.flat[:: a.size + 1] = diagonal - mu
@@ -407,7 +406,7 @@ def _propagator_eigenvector(a, potential, dt, v_h, level) -> np.ndarray:
                 u.flat[:: a.size + 1] = diagonal
             v = w / np.linalg.norm(w)
         overlap = abs(np.vdot(v_h, v)) ** 2
-        if residual > _RQI_TOL or overlap > 0.5:
+        if not residual <= _RQI_TOL or overlap > 0.5:
             break
         found.append(v)
     if not (residual <= _RQI_TOL and overlap > 0.5):
@@ -544,8 +543,6 @@ class FrameSource:
         if not isinstance(store_every, (int, np.integer)) or isinstance(store_every, bool) \
                 or store_every < 1:
             raise ValueError(f"store_every must be a positive integer, got {store_every!r}")
-        if problem := _momentum_resolution_problem(w0):
-            warnings.warn(problem, MomentumResolutionWarning, stacklevel=2)
         self.axes = w0.axes
         self._shape = w0.amplitudes.shape
         steps = [0] + [i for i in range(1, n_steps + 1) if i % store_every == 0 or i == n_steps]
@@ -614,38 +611,36 @@ def evolve_frames(w0: GridWaveFunction, p: Potential, dt: float, n_steps: int,
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=16)
-def _derivative_symbols(grid: tuple) -> tuple:
-    """The spectral derivative symbols i k_d on a periodic grid of (size, spacing) per axis,
-    each shaped to broadcast along its axis."""
+def _derivative_symbols(axes) -> tuple:
+    """The spectral derivative symbols i k_d of a periodic grid, each shaped to
+    broadcast along its axis."""
     symbols = []
-    for d, (n, spacing) in enumerate(grid):
-        k = 2 * np.pi * np.fft.fftfreq(n, d=spacing)
-        if n % 2 == 0:
+    for d, a in enumerate(axes):
+        k = 2 * np.pi * np.fft.fftfreq(a.size, d=a[1] - a[0])
+        if a.size % 2 == 0:
             # unpaired Nyquist mode has no well-defined odd derivative;
             # keeping it would leak an imaginary part into grad of real data
-            k[n // 2] = 0.0
-        shape = [1] * len(grid)
-        shape[d] = n
-        symbol = 1j * k.reshape(shape)
-        symbol.setflags(write=False)  # cached, so shared by every caller
-        symbols.append(symbol)
+            k[a.size // 2] = 0.0
+        shape = [1] * len(axes)
+        shape[d] = a.size
+        symbols.append(1j * k.reshape(shape))
     return tuple(symbols)
 
 
-def _psi_and_gradient(axes, amps: np.ndarray) -> np.ndarray:
-    """(k, 1+ndim, *grid) spline coefficients of psi and its spectral gradient for k frames.
+def _psi_and_gradient(grid: CubicGridInterpolator, derivatives, amps: np.ndarray) -> np.ndarray:
+    """(k, 1+ndim, *grid) spline coefficients of psi and its spectral gradient for k frames,
+    on ``grid``, whose ``_derivative_symbols`` are ``derivatives``.
 
     Each frame is transformed on its own, so a frame gives the same bits
     alone as in a batch.
     """
-    stack = np.empty((len(amps), 1 + len(axes)) + amps.shape[1:], dtype=complex)
-    spectrum = _grid_fft(amps, len(axes), out=stack[:, 0])
-    spectrum *= _inverse_symbol(amps.shape[1:])
-    grid = tuple((a.size, float(a[1] - a[0])) for a in axes)
-    for d, symbol in enumerate(_derivative_symbols(grid)):
+    ndim = len(derivatives)
+    stack = np.empty((len(amps), 1 + ndim) + amps.shape[1:], dtype=complex)
+    spectrum = _grid_fft(amps, ndim, out=stack[:, 0])
+    spectrum *= grid.inverse_symbol
+    for d, symbol in enumerate(derivatives):
         np.multiply(symbol, spectrum, out=stack[:, 1 + d])
-    return _grid_fft(stack, len(axes), out=stack, inverse=True)
+    return _grid_fft(stack, ndim, out=stack, inverse=True)
 
 
 class VelocityField:
@@ -658,24 +653,25 @@ class VelocityField:
     strides over frames builds only the ones it reads.  The field holds one
     chunk and the entries built from it; loading the next keeps the entry
     of the frame the two share.  A march step lies inside one chunk, so the
-    march reads each chunk once.
+    march reads each chunk once.  One grid object, and the derivative
+    symbols beside it, serve every frame.
     Any time can be asked of WaveFrames (a chunk read again is built again); a
     FrameSource only moves forward.  At a stored time the field is that
-    frame's; between stored times it blends the bracketing frames linearly
-    (blending commutes with spline evaluation), once per time.  Points are
-    evaluated _BLOCK at a time.
+    frame's; between stored times its coefficients are the linear mix of
+    the bracketing frames' (the spline is linear in its coefficients).
+    Points are evaluated _BLOCK at a time.
     """
 
     def __init__(self, frames: WaveFrames | FrameSource):
         self.frames = frames
         self._times = frames.times.tolist()  # bisect on a list is cheaper than searchsorted
         self._chunk = None  # (its first frame index, its amplitudes)
-        self._built = {}  # frame index: (interpolator, max |psi|), for frames of the chunk
-        self._grid = None  # an interpolator whose grid set-up every frame's shares
-        self._cache_t = self._cache = None  # the last time asked and its interpolator
+        self._built = {}  # frame index: (coefficients, max |psi|), for frames of the chunk
+        self._interpolator = CubicGridInterpolator(frames.axes)  # the march's one grid object
+        self._derivatives = _derivative_symbols(self._interpolator.axes)
 
     def _frame(self, i: int):
-        """Interpolator of (psi, grad psi) at stored frame i, and max |psi| there."""
+        """Spline coefficients of (psi, grad psi) at stored frame i, and max |psi| there."""
         entry = self._built.get(i)
         if entry is None:
             if self._chunk is None or not 0 <= i - self._chunk[0] < len(self._chunk[1]):
@@ -685,30 +681,20 @@ class VelocityField:
                 self._chunk = None  # the old chunk goes before the new one is read
                 self._chunk = (start, self.frames.chunk(start // _CHUNK))
             amp = self._chunk[1][i - self._chunk[0]]
-            coefficients = _psi_and_gradient(self.frames.axes, amp[None])[0]
-            self._grid = CubicGridInterpolator(self.frames.axes, coefficients=coefficients) \
-                if self._grid is None else self._grid._on_grid(coefficients)
-            entry = self._built[i] = self._grid, np.max(np.abs(amp))
+            coefficients = _psi_and_gradient(self._interpolator, self._derivatives, amp[None])[0]
+            entry = self._built[i] = coefficients, np.max(np.abs(amp))
         return entry
 
-    def _interpolators_at(self, t: float):
-        if self._cache_t is not None and t == self._cache_t:
-            return self._cache
+    def _coefficients_at(self, t: float):
+        """Spline coefficients of (psi, grad psi) at time t, and the node threshold there."""
         i, a = _bracket(self._times, t)
-        if a == 0.0:
-            interp, max_abs = self._frame(i)
-            threshold = EPS_NODE_FACTOR * max_abs
-        elif a == 1.0:
-            interp, max_abs = self._frame(i + 1)
-            threshold = EPS_NODE_FACTOR * max_abs
-        else:
-            f0, m0 = self._frame(i)
-            f1, m1 = self._frame(i + 1)
-            interp = f0.blend(f1, a)
-            threshold = EPS_NODE_FACTOR * ((1 - a) * m0 + a * m1)
-        self._cache_t = t
-        self._cache = (interp, threshold)
-        return self._cache
+        if a == 0.0 or a == 1.0:
+            coefficients, max_abs = self._frame(i if a == 0.0 else i + 1)
+            return coefficients, EPS_NODE_FACTOR * max_abs
+        (c0, m0), (c1, m1) = self._frame(i), self._frame(i + 1)
+        coefficients = (1.0 - a) * c0
+        coefficients += a * c1
+        return coefficients, EPS_NODE_FACTOR * ((1 - a) * m0 + a * m1)
 
     def velocity(self, points: np.ndarray, t: float):
         """Velocities (n, ndim) and the node mask (n,) at time t.
@@ -718,12 +704,12 @@ class VelocityField:
         """
         pts = points if isinstance(points, np.ndarray) and points.ndim == 2 \
             else np.atleast_2d(np.asarray(points, dtype=float))  # the march's are (n, ndim)
-        interp, threshold = self._interpolators_at(t)
+        coefficients, threshold = self._coefficients_at(t)
         # a block's taps and terms stay in cache; the values are the same bits
         vel, mask = np.empty(pts.shape), np.empty(len(pts), dtype=bool)
         for s in range(0, len(pts), _BLOCK):
             vel[s : s + _BLOCK], mask[s : s + _BLOCK] = _velocity_from_values(
-                interp(pts[s : s + _BLOCK]), threshold)
+                self._interpolator(pts[s : s + _BLOCK], coefficients), threshold)
         return vel, mask
 
 
@@ -942,7 +928,7 @@ def run_bohm_ensemble(
     reads a stream once, forward, one chunk after another, and its kept
     frames are then drained from it.  All members advance together, by RK4
     steps over 2m stored frames i, i + m and i + 2m, at their stored times,
-    so no step blends frames.  The march picks m, a power of two, and i is
+    so no step mixes frames.  The march picks m, a power of two, and i is
     a multiple of 2m, so a step never leaves its chunk.  m starts at 1, a
     frame pair.  After each step it evaluates the velocity at the members'
     new positions, which is the next step's first stage, and so costs no
@@ -957,7 +943,7 @@ def run_bohm_ensemble(
     frame, starts on a multiple of its span and has halves of equal length
     (see _stride): a stride that does not fit is halved.  Where even a
     frame pair does not fit, as before a shorter last gap, the step spans
-    one frame and its middle stages blend.
+    one frame and its middle stages read a linear mix of its two frames.
 
     A step at m = 1, or of one frame, is never taken again.  Its members
     whose stages touch a node redo it as a batch of two half steps, split

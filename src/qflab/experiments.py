@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time as _time
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -573,10 +572,7 @@ def _wave_pipeline(spec: ExperimentSpec, w0: GridWaveFunction, out: Path, tests:
     # evolved; only the sample frames, and the same rows of the ensemble,
     # are kept
     store_every = _read(spec, "time", "store_every")
-    with warnings.catch_warnings():  # validation recorded it as a finding on grid.points
-        warnings.simplefilter("ignore", dyn.MomentumResolutionWarning)
-        source = dyn.FrameSource(w0, potential, dt, n_steps, store_every=store_every,
-                                 keep=snapped)
+    source = dyn.FrameSource(w0, potential, dt, n_steps, store_every=store_every, keep=snapped)
     is_box = spec.kind == "box"
     bohm = spec.dynamics in ("bohm", "both")
     if bohm:

@@ -1,21 +1,21 @@
 """Separable cubic-spline interpolation on uniform periodic grids.
 
-An interpolator holds B-spline coefficients for a stack of gridded arrays:
-the last ``len(axes)`` dimensions are the grid, any leading dimensions are
-stacked arrays (wave frames, psi and its gradient components).  On a
-periodic grid the cubic prefilter divides the DFT by the B-spline symbol
-prod_d (4 + 2 cos(2 pi m_d / n_d)) / 6 (Unser, Aldroubi & Eden, IEEE TPAMI
-13, 277, 1991): one ``fftn`` and ``ifftn`` over the grid axes give scipy's
-``spline_filter(mode="grid-wrap")`` to roundoff, with no recursive filter.
-One evaluation computes the tap indices and weights of each point once, in
-place, and applies them to every stacked array, reproducing
-``map_coordinates(order=3, mode="grid-wrap", prefilter=False)`` on ``.real``
-and ``.imag`` bit for bit, except on a real stack over 2+ axes at a single
-point.  The periodic mod leaves every fractional index in [+0, size], where
-truncation is the floor; the per-axis tap tables and shapes are set up once
-per grid and shared by every interpolator made from it.  Spline
-filtering is linear, so two interpolators over one grid can be blended
-coefficient-wise -- the velocity field uses that between stored frames.
+A ``CubicGridInterpolator`` sets up a grid once: the per-axis tap tables
+and shapes and the inverse B-spline symbol.  ``prefilter`` turns a stack
+of gridded arrays (the last ``len(axes)`` dimensions the grid, any leading
+ones stacked arrays) into spline coefficients, and a call evaluates any
+coefficient stack on the grid.  On a periodic grid the cubic prefilter
+divides the DFT by the B-spline symbol prod_d (4 + 2 cos(2 pi m_d / n_d)) / 6
+(Unser, Aldroubi & Eden, IEEE TPAMI 13, 277, 1991): one ``fftn`` and
+``ifftn`` over the grid axes give scipy's ``spline_filter(mode="grid-wrap")``
+to roundoff, with no recursive filter.  One evaluation computes the tap
+indices and weights of each point once, in place, and applies them to
+every stacked array, reproducing ``map_coordinates(order=3,
+mode="grid-wrap", prefilter=False)`` on ``.real`` and ``.imag`` bit for
+bit, except on a real stack over 2+ axes at a single point.  The periodic
+mod leaves every fractional index in [+0, size], where truncation is the
+floor.  Spline filtering is linear, so the velocity field mixes the
+coefficients of two stored frames to read the field between them.
 """
 
 from __future__ import annotations
@@ -23,14 +23,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-@functools.lru_cache(maxsize=16)
-def _inverse_symbol(shape: tuple) -> np.ndarray:
-    """Inverse B-spline symbol on a periodic grid: prod_d 6 / (4 + 2 cos(2 pi m_d / n_d))."""
-    inverse = functools.reduce(np.multiply.outer, [
-        6.0 / (4.0 + 2.0 * np.cos(2 * np.pi * np.arange(n) / n)) for n in shape])
-    inverse.setflags(write=False)  # cached, so shared by every caller
-    return inverse
 
 
 def _grid_fft(a: np.ndarray, ndim: int, out=None, inverse: bool = False) -> np.ndarray:
@@ -45,26 +37,10 @@ def _grid_fft(a: np.ndarray, ndim: int, out=None, inverse: bool = False) -> np.n
     return (np.fft.ifftn if inverse else np.fft.fftn)(a, axes=grid, out=out)
 
 
-def _prefilter(values: np.ndarray, ndim: int) -> np.ndarray:
-    """Spline coefficients of a real or complex stack over its trailing ``ndim`` axes."""
-    spectrum = _grid_fft(values, ndim)
-    spectrum *= _inverse_symbol(values.shape[values.ndim - ndim:])
-    c = _grid_fft(spectrum, ndim, out=spectrum, inverse=True)
-    return c if np.iscomplexobj(values) else np.ascontiguousarray(c.real)
-
-
-@functools.lru_cache(maxsize=16)
-def _wrapped_taps(size: int) -> np.ndarray:
-    """(4, size + 1) grid indices of the taps j-1 .. j+2, wrapped periodically, in column j."""
-    taps = (np.arange(size + 1) + np.arange(-1, 3)[:, None]) % size
-    taps.setflags(write=False)  # cached, so shared by every caller
-    return taps
-
-
 def _axis_taps(x: np.ndarray, taps: np.ndarray):
     """Wrapped tap indices (4, n) and cubic B-spline weights (4, n) at x in [+0, size].
 
-    ``taps`` is the axis' ``_wrapped_taps``.  The weights are map_coordinates'
+    ``taps`` is the axis' tap table.  The weights are map_coordinates'
     order-3 weights, operation for operation: the first tap sits at floor(x) - 1,
     and on x >= +0 truncating to an integer is the floor.
     """
@@ -88,9 +64,9 @@ def _axis_taps(x: np.ndarray, taps: np.ndarray):
 
 
 class CubicGridInterpolator:
-    """Cubic B-spline evaluator for a stack of (real or complex) gridded arrays."""
+    """Cubic B-spline prefilter and evaluator on one uniform periodic grid."""
 
-    def __init__(self, axes, values=None, coefficients=None):
+    def __init__(self, axes):
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
         self.sizes = tuple(a.size for a in self.axes)
         self.origins = np.array([[a[0]] for a in self.axes])  # (ndim, 1) columns
@@ -99,23 +75,19 @@ class CubicGridInterpolator:
         # axis d's taps and weights broadcast as (4 on axis d, 1 elsewhere, n)
         ndim = len(self.sizes)
         self._tap_shapes = tuple((1,) * d + (4,) + (1,) * (ndim - 1 - d) for d in range(ndim))
-        self._taps = tuple(_wrapped_taps(size) for size in self.sizes)
-        if coefficients is None:
-            coefficients = _prefilter(np.asarray(values), ndim)
-        self.coefficients = coefficients
+        # (4, size + 1) grid indices of the taps j-1 .. j+2, wrapped periodically, in column j
+        self._taps = tuple((np.arange(n + 1) + np.arange(-1, 3)[:, None]) % n for n in self.sizes)
+        # prod_d 6 / (4 + 2 cos(2 pi m_d / n_d)), which the prefilter multiplies a spectrum by
+        self.inverse_symbol = functools.reduce(np.multiply.outer, [
+            6.0 / (4.0 + 2.0 * np.cos(2 * np.pi * np.arange(n) / n)) for n in self.sizes])
 
-    def blend(self, other: "CubicGridInterpolator", weight: float):
-        """Interpolator for (1-weight)*self + weight*other (shared grid)."""
-        blended = self._on_grid((1.0 - weight) * self.coefficients)
-        blended.coefficients += weight * other.coefficients
-        return blended
-
-    def _on_grid(self, coefficients: np.ndarray) -> "CubicGridInterpolator":
-        """An interpolator of ``coefficients`` that shares this one's grid set-up."""
-        # copy.copy would take four times as long, and a march makes two a step
-        twin = object.__new__(type(self))
-        twin.__dict__ = {**self.__dict__, "coefficients": coefficients}
-        return twin
+    def prefilter(self, values) -> np.ndarray:
+        """Spline coefficients of a real or complex stack over the grid."""
+        values = np.asarray(values)
+        spectrum = _grid_fft(values, len(self.sizes))
+        spectrum *= self.inverse_symbol
+        c = _grid_fft(spectrum, len(self.sizes), out=spectrum, inverse=True)
+        return c if np.iscomplexobj(values) else np.ascontiguousarray(c.real)
 
     def _fractional_indices(self, points: np.ndarray) -> np.ndarray:
         # points: (n, ndim) -> (ndim, n) fractional grid indices in [+0, size]
@@ -123,8 +95,8 @@ class CubicGridInterpolator:
         idx /= self.steps
         return np.mod(idx, self.lengths, out=idx)
 
-    def __call__(self, points) -> np.ndarray:
-        """Evaluate at points of shape (n, ndim) or (ndim,).
+    def __call__(self, points, coefficients: np.ndarray) -> np.ndarray:
+        """Evaluate the spline of ``coefficients`` at points of shape (n, ndim) or (ndim,).
 
         Returns shape (*stack, n): one row of values per stacked array.
         """
@@ -138,7 +110,7 @@ class CubicGridInterpolator:
             taps = taps.reshape(shape + (-1,))
             flat = taps if flat is None else flat * size + taps
             weights.append(w.reshape(shape + (-1,)))
-        c = self.coefficients
+        c = coefficients
         stack = c.shape[: c.ndim - len(self.sizes)]
         terms = c.reshape(stack + (-1,)).take(flat, axis=-1)
         # complex times real weight only adds signed zeros to each part, so both

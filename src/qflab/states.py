@@ -272,11 +272,10 @@ def fix_global_phase(amps: np.ndarray) -> np.ndarray:
     return amps * (abs(pivot) / pivot)
 
 
-def l2_distance(a: GridWaveFunction, b: GridWaveFunction, fix_phase=True) -> float:
-    """Discrete L2 distance between two grid functions on the same grid."""
+def l2_distance(a: GridWaveFunction, b: GridWaveFunction) -> float:
+    """Discrete L2 distance between two grid functions on the same grid, each
+    phase-fixed by ``fix_global_phase``."""
     if a.shape != b.shape:
         raise ValueError("grid shapes differ")
-    fa, fb = a.amplitudes, b.amplitudes
-    if fix_phase:
-        fa, fb = fix_global_phase(fa), fix_global_phase(fb)
+    fa, fb = fix_global_phase(a.amplitudes), fix_global_phase(b.amplitudes)
     return float(np.sqrt(np.sum(np.abs(fa - fb) ** 2) * a.cell_volume))

@@ -8,10 +8,17 @@ import qflab as qf
 from qflab.interpolation import CubicGridInterpolator
 
 
+def spline(axes, values):
+    """The spline of values on the grid of axes, as a function of the points."""
+    grid = CubicGridInterpolator(axes)
+    coefficients = grid.prefilter(values)
+    return lambda points: grid(points, coefficients)
+
+
 def test_exact_on_grid_points():
     ax = qf.uniform_axis(-3, 3, 48)
     vals = np.sin(ax) + 1j * np.cos(2 * ax)
-    interp = CubicGridInterpolator((ax,), vals)
+    interp = spline((ax,), vals)
     got = interp(ax[:, None])
     assert np.max(np.abs(got - vals)) < 1e-12
 
@@ -19,7 +26,7 @@ def test_exact_on_grid_points():
 def test_smooth_function_off_grid():
     # periodic function on the domain so grid-wrap is exact
     ax = qf.uniform_axis(0, 2 * np.pi, 256)
-    interp = CubicGridInterpolator((ax,), np.sin(ax))
+    interp = spline((ax,), np.sin(ax))
     pts = np.linspace(0.1, 6.0, 77)[:, None]
     err = np.max(np.abs(interp(pts) - np.sin(pts[:, 0])))
     # cubic convergence: h^4 with h = 2pi/256
@@ -28,27 +35,17 @@ def test_smooth_function_off_grid():
 
 def test_periodic_wrap_consistency():
     ax = qf.uniform_axis(0, 2 * np.pi, 128)
-    interp = CubicGridInterpolator((ax,), np.exp(1j * ax))
+    interp = spline((ax,), np.exp(1j * ax))
     period = 2 * np.pi
     a = interp(np.array([[0.3], [5.9]]))
     b = interp(np.array([[0.3 + period], [5.9 - period]]))
     assert np.max(np.abs(a - b)) < 1e-12
 
 
-def test_blend_is_linear_in_weight():
-    ax = qf.uniform_axis(-2, 2, 64)
-    f = CubicGridInterpolator((ax,), np.sin(ax))
-    g = CubicGridInterpolator((ax,), np.cos(ax))
-    pts = np.array([[0.123], [-1.4], [1.97]])
-    mid = f.blend(g, 0.25)(pts)
-    expect = 0.75 * f(pts) + 0.25 * g(pts)
-    assert np.max(np.abs(mid - expect)) < 1e-12
-
-
 def test_two_dimensional_separable():
     ax = qf.uniform_axis(0, 2 * np.pi, 96)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
-    interp = CubicGridInterpolator((ax, ax), np.sin(X) * np.cos(Y))
+    interp = spline((ax, ax), np.sin(X) * np.cos(Y))
     pts = np.array([[1.0, 2.0], [0.4, 5.5], [3.1, 0.05]])
     expect = np.sin(pts[:, 0]) * np.cos(pts[:, 1])
     assert np.max(np.abs(interp(pts) - expect)) < 1e-6
@@ -133,8 +130,9 @@ def _seam_case(ndim):
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_seam_case_rounds_up_to_the_period(ndim):
     axes, values, points = _seam_case(ndim)
-    interp = CubicGridInterpolator(axes, values)
-    idx = interp._fractional_indices(points)
+    grid = CubicGridInterpolator(axes)
+    interp = spline(axes, values)
+    idx = grid._fractional_indices(points)
     sizes = np.array([[a.size] for a in axes], dtype=float)
     assert np.all(idx >= 0) and np.all(idx <= sizes) and not np.signbit(idx).any()
     at_size = np.all(idx == sizes, axis=0)
@@ -151,10 +149,10 @@ def test_stacked_prefilter_matches_per_array_spline_filter(case):
     # the spectral prefilter divides by the B-spline symbol, so it agrees
     # with scipy's recursive filter to roundoff, not bit for bit
     axes, values, _ = case
-    interp = CubicGridInterpolator(axes, values)
+    coefficients = CubicGridInterpolator(axes).prefilter(values)
     grid = values.shape[values.ndim - len(axes):]
     per_array = np.array([_scipy_coefficients(v) for v in values.reshape((-1,) + grid)])
-    got = interp.coefficients.reshape(per_array.shape)
+    got = coefficients.reshape(per_array.shape)
     assert got.dtype == per_array.dtype
     assert np.max(np.abs(got - per_array)) <= 1e-14 * np.max(np.abs(per_array))
 
@@ -175,7 +173,7 @@ def test_grid_nodes_return_the_samples(shape, step, origin, complex_values, seed
     if complex_values:
         values = values + 1j * rng.normal(size=values.shape)
     nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    got = CubicGridInterpolator(axes, values)(nodes).reshape(values.shape)
+    got = spline(axes, values)(nodes).reshape(values.shape)
     assert np.max(np.abs(got - values)) <= 1e-13 * np.max(np.abs(values))
 
 
@@ -185,12 +183,13 @@ def test_grid_nodes_return_the_samples(shape, step, origin, complex_values, seed
 @example(_seam_case(2))
 def test_kernel_matches_map_coordinates(case):
     axes, values, points = case
-    interp = CubicGridInterpolator(axes, values)
-    got = interp(points)
+    interp = CubicGridInterpolator(axes)
+    coefficients = interp.prefilter(values)
+    got = interp(points, coefficients)
     grid = values.shape[values.ndim - len(axes):]
     idx = interp._fractional_indices(points)
     expect = np.array([
-        _scipy_evaluate(c, idx) for c in interp.coefficients.reshape((-1,) + grid)
+        _scipy_evaluate(c, idx) for c in coefficients.reshape((-1,) + grid)
     ]).reshape(values.shape[: values.ndim - len(axes)] + (len(points),))
     assert got.shape == expect.shape
     assert np.array_equal(_bits(got), _bits(expect))
@@ -204,6 +203,6 @@ def test_kernel_at_one_point_matches_all_points(case):
     # and qflab evaluates only complex stacks
     axes, values, points = case
     assume(np.iscomplexobj(values) or len(axes) == 1)
-    interp = CubicGridInterpolator(axes, values)
+    interp = spline(axes, values)
     one_by_one = np.stack([interp(p)[..., 0] for p in points[:12]], axis=-1)
     assert np.array_equal(_bits(one_by_one), _bits(interp(points[:12])))

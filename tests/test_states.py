@@ -109,7 +109,6 @@ class TestGridWaveFunction:
         w = qf.gaussian_packet((ax,), [0.0], [1.0])
         rotated = qf.GridWaveFunction(w.axes, np.exp(0.7j) * w.amplitudes)
         assert qf.l2_distance(w, rotated) < 1e-12
-        assert qf.l2_distance(w, rotated, fix_phase=False) > 0.5
 
     def test_new_amplitudes_on_the_same_axes_keep_geometry(self):
         ax = qf.uniform_axis(-4, 4, 32)
