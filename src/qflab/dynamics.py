@@ -292,24 +292,38 @@ def spectral_hamiltonian(axis, potential: Potential) -> np.ndarray:
 
     The kinetic part is the circulant matrix whose first column is
     ifft(k^2 / 2), made exactly symmetric; the potential sits on the
-    diagonal.  Eigenvectors of this matrix are the stationary states of the
-    discrete dynamics (up to split-step Trotter error), which makes it the
-    natural source of box eigenstates.
+    diagonal.  Its eigenvectors are the stationary states of the discrete
+    dynamics up to split-step Trotter error.
     """
     a = np.asarray(axis, dtype=float)
-    k = 2 * np.pi * np.fft.fftfreq(a.size, d=a[1] - a[0])
-    column = np.fft.ifft(0.5 * k**2).real
-    h = _circulant(0.5 * (column + np.roll(column[::-1], 1)))
-    h.flat[:: a.size + 1] += potential.on_grid((a,))
+    return _hamiltonian_block(a, potential.on_grid((a,)), (np.arange(a.size), 0, 1.0))
+
+
+def _hamiltonian_block(a, v, block) -> np.ndarray:
+    column = np.fft.ifft(0.5 * (2 * np.pi * np.fft.fftfreq(a.size, d=a[1] - a[0])) ** 2).real
+    h = _block_matrix(0.5 * (column + np.roll(column[::-1], 1)), *block)
+    h.flat[:: len(h) + 1] += v[block[0]]
     return h
 
 
-def _circulant(column) -> np.ndarray:
-    """The circulant matrix C[i, j] = column[(i - j) % n], copied from a
-    sliding-window view of the column reversed and wrapped."""
-    c = np.asarray(column)
-    wrapped = np.concatenate((c[::-1], c[:0:-1]))
-    return np.lib.stride_tricks.sliding_window_view(wrapped, c.size)[::-1].copy()
+def _parity_blocks(v) -> list:
+    """Blocks (a, sign, g), basis vector k being g_k at a_k plus sign g_k at -a_k (mod n): the even
+    and odd states of a v that mirror leaves unchanged (g = 1/2 at its fixed points), else the grid."""
+    n = v.size
+    if not np.array_equal(v, np.roll(v[::-1], 1)):
+        return [(np.arange(n), 0, 1.0)]
+    even, odd = np.arange(n // 2 + 1), np.arange(1, (n + 1) // 2)
+    return [(even, 1, np.where(even == -even % n, 0.5, np.sqrt(0.5))), (odd, -1, np.sqrt(0.5))]
+
+
+def _block_matrix(column, a, sign, g) -> np.ndarray:
+    """C[i, j] = column[(i - j) % n], a circulant with an even column, in a
+    block's basis: column[i - j] + sign column[i + j], times 2 g_i g_j."""
+    m = column[(a[:, None] - a) % column.size]
+    if sign:
+        m += sign * column[(a[:, None] + a) % column.size]
+        m *= 2 * np.outer(g, g)
+    return m
 
 
 def stationary_state(axis, potential: Potential, level: int, dt: float) -> GridWaveFunction:
@@ -340,12 +354,22 @@ def stationary_state(axis, potential: Potential, level: int, dt: float) -> GridW
     or a residual that is not finite, as at a wall too high for double
     precision (1e300), raises it at once: no solve is taken on NaN.
     Time-reversal symmetry of the propagator makes the eigenvector real up
-    to a global phase, which ``fix_global_phase`` fixes.
+    to a global phase, which ``fix_global_phase`` fixes.  A potential
+    exactly unchanged by the mirror j -> -j (mod n) of the grid (a box
+    centred on it) splits H and U into an even block of n//2 + 1 points and
+    an odd one of (n - 1)//2.  The level is ranked over both blocks'
+    eigenvalues, all else runs in its block, and the certificate's residual
+    is one split step of the vector lifted back to the grid.
     """
     a = np.asarray(axis, dtype=float)
-    h = spectral_hamiltonian(a, potential)
-    vec = _inverse_iteration(h, np.linalg.eigvalsh(h)[level]).astype(complex)
-    vec = fix_global_phase(_propagator_eigenvector(a, potential, dt, vec, level))
+    v = potential.on_grid((a,))
+    blocks = _parity_blocks(v)
+    hs = [_hamiltonian_block(a, v, block) for block in blocks]
+    energies = np.concatenate([np.linalg.eigvalsh(h) for h in hs])
+    pick = np.argsort(energies, kind="stable")[level]
+    i = int(pick >= len(hs[0]))  # the block that holds the level
+    vec = _inverse_iteration(hs[i], energies[pick]).astype(complex)
+    vec = fix_global_phase(_propagator_eigenvector(a, potential, dt, vec, level, blocks[i]))
     if np.max(np.abs(vec.imag)) < 1e-9 * np.max(np.abs(vec.real)):
         vec = vec.real.astype(complex)
     return GridWaveFunction((a,), vec)
@@ -369,13 +393,13 @@ def _inverse_iteration(h, energy) -> np.ndarray:
     return x / norm if 0 < norm < np.inf else np.full_like(x, np.nan)
 
 
-def _propagator_eigenvector(a, potential, dt, v_h, level) -> np.ndarray:
-    """Certified eigenvector of the one-step split propagator nearest v_h."""
+def _propagator_eigenvector(a, potential, dt, v_h, level, block) -> np.ndarray:
+    """Certified grid eigenvector of the one-step split propagator nearest v_h in the block."""
     evolver = _SplitStepEvolver((a,), potential, dt)
     # U = diag(h) circulant(ifft(kinetic)) diag(h), h the half-step potential phase
-    u = _circulant(np.fft.ifft(evolver.kinetic))
-    u *= evolver.half_potential[:, None]
-    u *= evolver.half_potential
+    u = _block_matrix(np.fft.ifft(evolver.kinetic), *block)
+    u *= evolver.half_potential[block[0], None]
+    u *= evolver.half_potential[block[0]]
     diagonal = u.diagonal().copy()
     found = []
     for restart in range(_RQI_RESTARTS + 1):
@@ -394,21 +418,27 @@ def _propagator_eigenvector(a, potential, dt, v_h, level) -> np.ndarray:
             if not residual > _RQI_TOL or step == _RQI_MAX_STEPS:
                 break
             # U - mu I is solved in the place of U, whose diagonal is put back
-            u.flat[:: a.size + 1] = diagonal - mu
+            u.flat[:: len(u) + 1] = diagonal - mu
             try:
                 w = np.linalg.solve(u, v)
             except np.linalg.LinAlgError:
                 # U - mu I is singular in floating point: mu has converged to
                 # an eigenvalue, whose vector a shift a few ulps off it gives
-                u.flat[:: a.size + 1] = diagonal - mu * (1 + 8 * np.finfo(float).eps)
+                u.flat[:: len(u) + 1] = diagonal - mu * (1 + 8 * np.finfo(float).eps)
                 w = np.linalg.solve(u, v)
             finally:
-                u.flat[:: a.size + 1] = diagonal
+                u.flat[:: len(u) + 1] = diagonal
             v = w / np.linalg.norm(w)
         overlap = abs(np.vdot(v_h, v)) ** 2
         if not residual <= _RQI_TOL or overlap > 0.5:
             break
         found.append(v)
+    idx, sign, g = block
+    v, x = np.zeros(a.size, complex), g * v  # v lifted to the grid
+    v[idx] = x
+    v[-idx % a.size] += sign * x
+    uv = evolver.step(v)
+    residual = np.linalg.norm(uv - np.vdot(v, uv) * v)
     if not (residual <= _RQI_TOL and overlap > 0.5):
         raise ValueError(
             f"level {level} has no certified eigenvector of the dt={dt} step propagator "

@@ -204,6 +204,44 @@ def test_stationary_state_is_the_dense_eig_pick_at_every_level(points, height, d
         assert 1 - abs(np.vdot(want, got)) <= 1e-10, f"level {level}"
 
 
+def test_off_centre_box_is_the_dense_eig_pick_at_every_level():
+    # the grid's mirror j -> -j moves this box, so it is solved as one block,
+    # the whole grid, where the centred boxes split into even and odd states
+    ax = qf.uniform_axis(-2, 2, 64)
+    box = Potential.box([-0.7], [1.1], 1e2)
+    picks = dense_eig_pick(ax, box, list(range(64)), 1e-3)
+    for level in range(64):
+        got = unit(qf.stationary_state(ax, box, level, dt=1e-3).amplitudes)
+        assert 1 - abs(np.vdot(unit(picks[:, level]), got)) <= 1e-10, f"level {level}"
+
+
+def test_mirror_symmetric_box_is_solved_in_half_size_blocks(monkeypatch):
+    sizes = []
+    for name in ("eigvalsh", "solve"):
+
+        def recorded(a, *args, real=getattr(np.linalg, name), name=name):
+            sizes.append((name, len(a)))
+            return real(a, *args)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    ax = qf.uniform_axis(-2, 2, 512)
+    box = Potential.box([-1.0], [1.0], 1e4)
+
+    def largest(potential, level, names=("eigvalsh", "solve")):
+        sizes.clear()
+        qf.stationary_state(ax, potential, level, dt=2e-4)
+        return max(n for name, n in sizes if name in names)
+
+    # the ground state is even: 257 points; level 1 is odd: 255
+    assert largest(box, 0) == 257
+    assert largest(box, 1, names=("solve",)) == 255
+    # one wall point off the mirror's fixed points 0 and 256, raised by an
+    # ulp, leaves no symmetry: the whole grid
+    v = box.on_grid((ax,))
+    v[10] = np.nextafter(v[10], np.inf)
+    assert largest(Potential.table(v), 0) == 512
+
+
 def test_stationary_state_meets_its_certificate_without_eig(monkeypatch):
     def no_eig(*args, **kwargs):
         raise AssertionError("stationary_state must not call a dense eig")
