@@ -104,14 +104,11 @@ def conditional_wavefunction(
         )
 
     x_grid = split.x_grid(w)
-    mesh = np.meshgrid(*x_grid, indexing="ij")
-    pts = np.empty((mesh[0].size, w.ndim))
-    for d, ax_i in enumerate(split.x_coords):
-        pts[:, ax_i] = mesh[d].ravel()
-    for c, ax_i in zip(y_value, split.y_coords):
-        pts[:, ax_i] = c
-    grid = CubicGridInterpolator(w.axes)
-    values = grid(pts, grid.prefilter(w.amplitudes)).reshape(mesh[0].shape)
+    # at the x grid points the spline of Psi is the spline along y of Psi
+    # stacked over x, which is all that is prefiltered and read here
+    stack = np.transpose(w.amplitudes, split.x_coords + split.y_coords)
+    grid = CubicGridInterpolator(split.y_grid(w))
+    values = grid(y_value[None], grid.prefilter(stack))[..., 0]
     if grid_norm(GridWaveFunction(x_grid, values, normalize=False)) < EPS_ZERO_SLICE:
         raise ZeroConditional(f"slice norm below {EPS_ZERO_SLICE} at Y={y_value.tolist()}")
     return GridWaveFunction(x_grid, values)

@@ -11,28 +11,30 @@ Wave evolution is second-order symmetric split-step on a periodic grid:
 Particle velocities follow the probability current, v = Im(grad psi / psi),
 evaluated off-grid by separable cubic interpolation of psi and its spectral
 gradient.  Trajectories integrate that field with RK4 against wave frames
-stored on a fixed dt grid.  A step spans 2m stored frames from a frame i
-that is a multiple of 2m, its stages on frames i, i + m, i + m and i + 2m
-at their stored times: the march is fourth order in time and reads no
-field between frames.  The march picks m, a power of two.  The velocity
-at a step's new positions is the next step's first stage, so the step
-gets an error estimate at no extra call: against the embedded third-order
-formula on (v1, v2, v3, v(t1, y1)), e = (h/6) max |v4 - v(t1, y1)|
-(Hairer, Norsett & Wanner, Solving ODEs I, section II.4).  A step at
-m > 1 with e > MARCH_TOL, or with a member on a node, is taken again at
-half the stride; after a step with e < MARCH_TOL / 16, m doubles, up to a
-chunk (64 frames), as far as the step's start allows.  MARCH_TOL is 1e-6:
-some 150 steps sum to about 1.5e-4, two orders below the 3e-2 shift the
+stored on a fixed dt grid, read at frame positions: int(s) is a stored
+frame, and s - int(s) how far a stage sits toward the next one.  Every
+step's stages sit at (s, s + w/2, s + w), w a power of two.  A step spans
+w = 2m frames from a frame that is a multiple of 2m, its middle stages on
+a stored frame, so the march is fourth order in time and reads no field
+between frames.  The march picks m.  The velocity at a step's new
+positions is the next step's first stage, so the step gets an error
+estimate at no extra call: against the embedded third-order formula on
+(v1, v2, v3, v(t1, y1)), e = (h/6) max |v4 - v(t1, y1)| (Hairer, Norsett
+& Wanner, Solving ODEs I, section II.4).  A step at m > 1 with
+e > MARCH_TOL, or with a member on a node, is taken again at half the
+stride; after a step with e < MARCH_TOL / 16, m doubles, up to a chunk
+(64 frames), as far as the step's start allows.  MARCH_TOL is 1e-6: some
+150 steps sum to about 1.5e-4, two orders below the 3e-2 shift the
 equivariance verdicts resolve.
 A step at m = 1, a frame pair, is never taken again: the members whose
 step touches a node (|psi| < 1e-8 max|psi|) take it again as two half
 steps, together; those that touch one again are halved again, and a member
-that still does after 10 halvings is frozen.  Only a one-frame step (before
-a shorter last gap) and the halves of the node fallback read their middle
-stages off a linear mix of two frames.  A kept frame inside a step is read off
-that step, at no velocity call, by cubic Hermite interpolation between its
-ends.  One RK4 formula, ``_rk4_batch``, serves every step and every half
-step.
+that still does after 10 halvings is frozen.  Only a one-frame step (w = 1,
+before a shorter last gap) and the halves of the node fallback read a
+stage between two frames, their dyadic mix.  A kept frame inside a step is
+read off that step, at no velocity call, by cubic Hermite interpolation
+between its ends.  One RK4 formula, ``_rk4_batch``, serves every step and
+every half step.
 
 Frames stream: a FrameSource evolves a chunk at a time, chunk c being
 stored frames c * _CHUNK to (c + 1) * _CHUNK, whose last frame is the
@@ -74,7 +76,6 @@ take one eigenvalue from ``np.linalg.eigvalsh`` and their vectors from
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -541,15 +542,6 @@ def _kept_rows(times: np.ndarray, keep) -> list:
     return sorted({_index_at(times, t) for t in keep})
 
 
-def _bracket(times, t: float):
-    if t <= times[0]:
-        return 0, 0.0
-    if t >= times[-1]:
-        return max(len(times) - 2, 0), 1.0
-    i = bisect.bisect_right(times, t) - 1
-    return i, float((t - times[i]) / (times[i + 1] - times[i]))
-
-
 class FrameSource:
     """The stored frames of one split-step evolution, evolved _CHUNK at a time.
 
@@ -589,9 +581,6 @@ class FrameSource:
     @property
     def n_frames(self) -> int:
         return self.times.size
-
-    def index_at(self, t: float) -> int:
-        return _index_at(self.times, t)
 
     def chunk(self, c: int) -> np.ndarray:
         """Amplitudes (k, *grid_shape) of chunk c, evolving up to it; no going back."""
@@ -685,16 +674,15 @@ class VelocityField:
     of the frame the two share.  A march step lies inside one chunk, so the
     march reads each chunk once.  One grid object, and the derivative
     symbols beside it, serve every frame.
-    Any time can be asked of WaveFrames (a chunk read again is built again); a
-    FrameSource only moves forward.  At a stored time the field is that
-    frame's; between stored times its coefficients are the linear mix of
-    the bracketing frames' (the spline is linear in its coefficients).
-    Points are evaluated _BLOCK at a time.
+    It is read at frame positions s: frame s at an integer s, else the mix
+    (1 - a) c_i + a c_(i+1) of frames i = int(s) and i + 1, a = s - i (the
+    spline is linear in its coefficients).  Any position can be asked of
+    WaveFrames (a chunk read again is built again); a FrameSource only
+    moves forward.  Points are evaluated _BLOCK at a time.
     """
 
     def __init__(self, frames: WaveFrames | FrameSource):
         self.frames = frames
-        self._times = frames.times.tolist()  # bisect on a list is cheaper than searchsorted
         self._chunk = None  # (its first frame index, its amplitudes)
         self._built = {}  # frame index: (coefficients, max |psi|), for frames of the chunk
         self._interpolator = CubicGridInterpolator(frames.axes)  # the march's one grid object
@@ -715,31 +703,32 @@ class VelocityField:
             entry = self._built[i] = coefficients, np.max(np.abs(amp))
         return entry
 
-    def _coefficients_at(self, t: float):
-        """Spline coefficients of (psi, grad psi) at time t, and the node threshold there."""
-        i, a = _bracket(self._times, t)
-        if a == 0.0 or a == 1.0:
-            coefficients, max_abs = self._frame(i if a == 0.0 else i + 1)
-            return coefficients, EPS_NODE_FACTOR * max_abs
-        (c0, m0), (c1, m1) = self._frame(i), self._frame(i + 1)
+    def _coefficients_at(self, s: float):
+        """Spline coefficients of (psi, grad psi) at frame position s, and its node threshold."""
+        i = int(s)
+        a = s - i
+        c0, m0 = self._frame(i)
+        if not a:
+            return c0, EPS_NODE_FACTOR * m0
+        c1, m1 = self._frame(i + 1)
         coefficients = (1.0 - a) * c0
         coefficients += a * c1
         return coefficients, EPS_NODE_FACTOR * ((1 - a) * m0 + a * m1)
 
-    def velocity(self, points: np.ndarray, t: float):
-        """Velocities (n, ndim) and the node mask (n,) at time t.
+    def velocity(self, points: np.ndarray, s: float):
+        """Velocities (n, ndim) and the node mask (n,) at frame position s.
 
         Velocities on masked points are zeroed; the march takes a step
         that touches a node again, shorter.
         """
         pts = points if isinstance(points, np.ndarray) and points.ndim == 2 \
             else np.atleast_2d(np.asarray(points, dtype=float))  # the march's are (n, ndim)
-        coefficients, threshold = self._coefficients_at(t)
+        coefficients, threshold = self._coefficients_at(s)
         # a block's taps and terms stay in cache; the values are the same bits
         vel, mask = np.empty(pts.shape), np.empty(len(pts), dtype=bool)
-        for s in range(0, len(pts), _BLOCK):
-            vel[s : s + _BLOCK], mask[s : s + _BLOCK] = _velocity_from_values(
-                self._interpolator(pts[s : s + _BLOCK], coefficients), threshold)
+        for b in range(0, len(pts), _BLOCK):
+            vel[b : b + _BLOCK], mask[b : b + _BLOCK] = _velocity_from_values(
+                self._interpolator(pts[b : b + _BLOCK], coefficients), threshold)
         return vel, mask
 
 
@@ -772,31 +761,31 @@ def _wrap_positions(positions, lo, length, out=None):
 def _rk4_batch(field: VelocityField, pos, stages, h, first=None):
     """One RK4 step of h for the whole batch; returns (new_pos, touched_node, v1, v4).
 
-    ``stages`` are the times (t0, tm, t1) of the first stage, of the two
-    middle ones and of the last.  ``first``, if given, is the first stage's
-    (velocities, node mask), already evaluated: the march's last call of
-    the step before.  The step is pos + (h/6)(v1 + 2 v2 + 2 v3 + v4),
+    ``stages`` are the frame positions (s, s + w/2, s + w) of the first
+    stage, of the two middle ones and of the last; h is in time.  ``first``,
+    if given, is the first stage's (velocities, node mask), already
+    evaluated: the march's last call of the step before.  The step is pos + (h/6)(v1 + 2 v2 + 2 v3 + v4),
     summed in that order in one buffer, and the stage points share
     another.  The first and last stage velocities are returned too, for
     the march's error estimate and for the frames it reads off the step.
     """
-    t0, tm, t1 = stages
-    v1, touched = field.velocity(pos, t0) if first is None else first
+    s0, sm, s1 = stages
+    v1, touched = field.velocity(pos, s0) if first is None else first
     x = np.multiply(v1, 0.5 * h)
     x += pos
-    v2, mask = field.velocity(x, tm)
+    v2, mask = field.velocity(x, sm)
     touched = touched | mask  # not in place: a step taken again reuses ``first``
     total = np.multiply(v2, 2.0)
     total += v1
     np.multiply(v2, 0.5 * h, out=x)
     x += pos
-    v3, mask = field.velocity(x, tm)
+    v3, mask = field.velocity(x, sm)
     touched |= mask
     np.multiply(v3, 2.0, out=x)
     total += x
     np.multiply(v3, h, out=x)
     x += pos
-    v4, mask = field.velocity(x, t1)
+    v4, mask = field.velocity(x, s1)
     touched |= mask
     total += v4
     total *= h / 6.0
@@ -807,22 +796,23 @@ def _rk4_batch(field: VelocityField, pos, stages, h, first=None):
 def _halve(field, pos, stages, h, depth=1):
     """Two RK4 half steps of h for members (n, D) whose step touched a node.
 
-    The halves split the step at its middle stage time: a frame-pair step
-    at its stored middle frame.  Inside each half step the members that
+    The step at frame positions (s0, sm, s1) splits into the halves
+    (s0, (s0 + sm)/2, sm) and (sm, (sm + s1)/2, s1): a frame-pair step at
+    its stored middle frame.  Inside each half step the members that
     touch a node again are halved again; one that still touches a node at
     depth MAX_HALVINGS underflows and leaves the batch at once.  Overwrites
     pos and returns it with the (n,) underflow mask, and a copy of it at the
     end of the first half; the march discards an underflowed member's rows.
     """
-    t0, tm, t1 = stages
+    s0, sm, s1 = stages
     h = h / 2
     under = np.zeros(len(pos), dtype=bool)
     first = None
-    for s0, s1 in ((t0, tm), (tm, t1)):
+    for a, b in ((s0, sm), (sm, s1)):
         live = np.flatnonzero(~under)
         if not live.size:
             break
-        half = (s0, s0 + 0.5 * h, s1)
+        half = (a, (a + b) / 2, b)
         new, touched, _, _ = _rk4_batch(field, pos[live], half, h)
         if touched.any():
             j = live[touched]
@@ -837,15 +827,15 @@ def _halve(field, pos, stages, h, depth=1):
     return pos, under, first
 
 
-def _stride(times, i: int, m: int) -> int:
-    """Half the span of the march's step from frame i, asked to span 2m frames.
+def _stride(times, i: int, m: int) -> float:
+    """Half the span, in frames, of the march's step from frame i, asked to span 2m frames.
 
     That is the largest m' <= m, halving, whose step starts on a multiple
     of its span 2m', ends by the last frame and has two halves of equal
-    length, compared to a relative 1e-9 (stored times are i * dt, whose
-    differences round apart); or 0, a one-frame step, where there is none,
-    as before a shorter last gap.  m is a power of two, at most _CHUNK / 2,
-    so the step lies inside chunk i // _CHUNK.
+    length in time, compared to a relative 1e-9 (stored times are i * dt,
+    whose differences round apart); or 1/2, a one-frame step, where there
+    is none, as before a shorter last gap.  m is a power of two, at most
+    _CHUNK / 2, so the step lies inside chunk i // _CHUNK.
     """
     last = len(times) - 1
     while m:
@@ -855,7 +845,7 @@ def _stride(times, i: int, m: int) -> int:
             if abs(g1 - g0) <= 1e-9 * max(g0, g1):
                 return m
         m //= 2
-    return 0
+    return 0.5
 
 
 def _hermite(x0, x1, v0, v1, h, s):
@@ -957,27 +947,29 @@ def run_bohm_ensemble(
     ``frames`` is stored (WaveFrames) or streamed (FrameSource); the march
     reads a stream once, forward, one chunk after another, and its kept
     frames are then drained from it.  All members advance together, by RK4
-    steps over 2m stored frames i, i + m and i + 2m, at their stored times,
-    so no step mixes frames.  The march picks m, a power of two, and i is
-    a multiple of 2m, so a step never leaves its chunk.  m starts at 1, a
-    frame pair.  After each step it evaluates the velocity at the members'
-    new positions, which is the next step's first stage, and so costs no
-    extra call.  With it the step has a free error estimate, e = (h/6) max
-    |v4 - v(t1, y1)|, the difference from the embedded third-order formula
-    with weights (1/6, 1/3, 1/3, 1/6) on (v1, v2, v3, v(t1, y1)) (Hairer,
-    Norsett & Wanner, Solving ODEs I, section II.4), over the members whose
-    stages touched no node.  A step at m > 1 is taken again at half the stride when e
-    exceeds MARCH_TOL (1e-6, a budget set by what the verdicts resolve) or
-    when any member touches a node; after a step with e < MARCH_TOL / 16,
-    m doubles, up to a span of _CHUNK frames.  A step never passes the last
-    frame, starts on a multiple of its span and has halves of equal length
-    (see _stride): a stride that does not fit is halved.  Where even a
-    frame pair does not fit, as before a shorter last gap, the step spans
-    one frame and its middle stages read a linear mix of its two frames.
+    steps with stages at frame positions (i, i + w/2, i + w), of
+    h = times[i + w] - times[i]: over w = 2m stored frames, at frame i + m
+    in the middle, so no step mixes frames.  The march picks m, a power of
+    two, and i is a multiple of 2m, so a step never leaves its chunk.  m
+    starts at 1, a frame pair.  After each step it evaluates the velocity
+    at the members' new positions, which is the next step's first stage,
+    and so costs no extra call.  With it the step has a free error
+    estimate, e = (h/6) max |v4 - v(t1, y1)|, the difference from the
+    embedded third-order formula with weights (1/6, 1/3, 1/3, 1/6) on
+    (v1, v2, v3, v(t1, y1)) (Hairer, Norsett & Wanner, Solving ODEs I,
+    section II.4), over the members whose stages touched no node.  A step
+    at m > 1 is taken again at half the stride when e exceeds MARCH_TOL
+    (1e-6, a budget set by what the verdicts resolve) or when any member
+    touches a node; after a step with e < MARCH_TOL / 16, m doubles, up to
+    a span of _CHUNK frames.  A step never passes the last frame, starts on
+    a multiple of its span and has halves of equal length (see _stride): a
+    stride that does not fit is halved.  Where even a frame pair does not
+    fit, as before a shorter last gap, the step spans one frame, w = 1, and
+    its middle stages read position i + 1/2, the even mix of its frames.
 
     A step at m = 1, or of one frame, is never taken again.  Its members
-    whose stages touch a node redo it as a batch of two half steps, split
-    at the middle stage time, and halve again where a half step touches a
+    whose stages touch a node redo it as a batch of two half steps of w/2,
+    split at the middle stage, and halve again where a half step touches a
     node (see _halve).  A member that still touches one after MAX_HALVINGS
     halvings is frozen in place (keeping the shared time grid), the frame
     the step started from is recorded in ``frozen_at``, and it leaves the
@@ -1010,18 +1002,17 @@ def run_bohm_ensemble(
     frozen_at = np.full(len(start), -1)
     lo, length = _periods(frames.axes)
     pos, live = start, np.arange(len(start))
-    first = field.velocity(pos, times[0]) if live.size else None
+    first = field.velocity(pos, 0) if live.size else None
     spans, errors, retaken, fallback = [], [], 0, 0
     i, m = 0, 1
     while i < last:
         half = _stride(times, i, m)
-        k = i + 2 * half if half else i + 1
-        t0, t1 = times[i], times[k]
-        h = t1 - t0
+        k = i + int(2 * half)
+        h = times[k] - times[i]
         x = pos[live]
         new, under, err = x, np.zeros(len(x), dtype=bool), None
         if live.size:
-            stages = (t0, times[i + half] if half else t0 + 0.5 * h, t1)
+            stages = (i, i + half, k)
             new, touched, v1, v4 = _rk4_batch(field, x, stages, h, first)
             if half > 1 and touched.any():
                 m, retaken = half // 2, retaken + 1
@@ -1036,7 +1027,7 @@ def run_bohm_ensemble(
         _wrap_positions(end, lo, length, out=end)
         stay = live[~under]
         if stay.size and (k < last or half > 1):
-            nxt = field.velocity(end[stay], t1)
+            nxt = field.velocity(end[stay], k)
             ok = ~touched[~under] & ~nxt[1]
             err = h / 6.0 * float(np.max(np.abs(v4[~under][ok] - nxt[0][ok]), initial=0.0))
             if half > 1 and err > MARCH_TOL:
@@ -1095,36 +1086,25 @@ def _max_distance(pos: np.ndarray, start: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _BornSampler:
-    """Inverse-CDF sampler over the flattened grid with intra-cell jitter."""
-
-    def __init__(self, w: GridWaveFunction):
-        p = born_density(w).ravel() * w.cell_volume
-        total = p.sum()
-        if total <= 0:
-            raise ValueError("cannot sample from a zero density")
-        self.cdf = np.cumsum(p / total)
-        self.cdf[-1] = 1.0
-        self.shape = w.shape
-        self.axes = w.axes
-        self.spacings = np.array(w.spacings)
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.random(n)
-        return self.points(u, rng.random((n, len(self.axes))))
-
-    def points(self, u: np.ndarray, jitter: np.ndarray) -> np.ndarray:
-        """Points for uniforms u (n,), which pick the cells, and jitter (n, ndim) inside them."""
-        flat = np.minimum(np.searchsorted(self.cdf, u, side="right"), self.cdf.size - 1)
-        idx = np.unravel_index(flat, self.shape)
-        pts = np.stack([a[idx[d]] for d, a in enumerate(self.axes)], axis=1)
-        return _wrap_positions(pts + (jitter - 0.5) * self.spacings, *_periods(self.axes))
+def _born_points(w: GridWaveFunction, u: np.ndarray, jitter: np.ndarray) -> np.ndarray:
+    """Born draws from |psi|^2: uniforms u (n,) pick cells of the flattened grid by its
+    inverse CDF, and jitter (n, ndim) places each point inside its cell."""
+    p = born_density(w).ravel() * w.cell_volume
+    total = p.sum()
+    if total <= 0:
+        raise ValueError("cannot sample from a zero density")
+    cdf = np.cumsum(p / total)
+    cdf[-1] = 1.0
+    flat = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+    idx = np.unravel_index(flat, w.shape)
+    pts = np.stack([a[idx[d]] for d, a in enumerate(w.axes)], axis=1)
+    return _wrap_positions(pts + (jitter - 0.5) * np.array(w.spacings), *_periods(w.axes))
 
 
 def born_sample_many(w: GridWaveFunction, n: int, seed: int) -> np.ndarray:
     """(n, ndim) configurations drawn from |psi|^2."""
     rng = np.random.default_rng(seed)
-    return _BornSampler(w).draw(rng, n)
+    return _born_points(w, rng.random(n), rng.random((n, w.ndim)))
 
 
 def rdmp_ensemble(
@@ -1138,15 +1118,15 @@ def rdmp_ensemble(
     An independent Born draw per member and sample time: member j draws
     default_rng(derive_seed(seed, j)).random((T, 1 + D)).  Row i holds the
     uniform that picks its cell at sample time i, then the D jitter
-    uniforms: the order in which ``_BornSampler.draw(rng, 1)`` takes them,
-    time after time.
+    uniforms: the order in which ``born_sample_many`` takes them for one
+    point, time after time.
     """
     seeds = _member_seeds(seed, n)
     indices = [frames.index_at(t) for t in np.asarray(sample_times, dtype=float)]
     shape = (len(indices), 1 + len(frames.axes))
     draws = np.stack([np.random.default_rng(s).random(shape) for s in seeds.tolist()], axis=1)
     positions = np.stack([
-        _BornSampler(frames.wavefunction(i)).points(u[:, 0], u[:, 1:])
+        _born_points(frames.wavefunction(i), u[:, 0], u[:, 1:])
         for i, u in zip(indices, draws)
     ])
     return Ensemble(frames.times[indices], positions, np.full(n, -1))

@@ -13,6 +13,7 @@ wall-clock time, so it is the one file exempt from byte-identity.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import sys
@@ -245,84 +246,80 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 
 
+_BOX_POTENTIAL = {"kind": "box", "inner_lo": [-1.0], "inner_hi": [1.0], "height": 1e4}
+# each preset's spec fields but its name, in the order the CLI lists them
+_PRESETS = {
+    # two coherent lobes spread and interfere; screen time deep in overlap
+    "double-slit": dict(
+        kind="double-slit",
+        seed=7,
+        dynamics="bohm",
+        ensemble_size=10_000,
+        grid={"lo": [-16.0], "hi": [16.0], "points": [1024]},
+        potential={"kind": "free"},
+        initial_state={"kind": "two-lobe", "separation": 7.0, "sigma": 0.7},
+        time={"t_end": 3.0, "dt": 0.001, "sample_times": [1.5, 3.0]},
+    ),
+    "box": dict(
+        kind="box",
+        seed=5,
+        dynamics="bohm",
+        ensemble_size=200,
+        grid={"lo": [-2.0], "hi": [2.0], "points": [512]},
+        potential=_BOX_POTENTIAL,
+        initial_state={"kind": "stationary", "level": 0},
+        time={"t_end": 0.5, "dt": 0.0002, "sample_times": [0.25, 0.5]},
+    ),
+    "free-gaussian": dict(
+        kind="free-gaussian",
+        seed=11,
+        dynamics="both",
+        ensemble_size=10_000,
+        grid={"lo": [-24.0], "hi": [24.0], "points": [512]},
+        potential={"kind": "free"},
+        initial_state={"kind": "gaussian", "centers": [0.0], "sigmas": [1.0]},
+        time={
+            "t_end": 2.0,
+            "dt": 0.002,
+            "sample_times": [round(t, 3) for t in np.linspace(0.2, 2.0, 10)],
+        },
+    ),
+    "pbr": dict(
+        kind="pbr",
+        seed=3,
+        params={"overlap": 0.25, "n_shared": 4, "n_exclusive": 6},
+    ),
+    "box-nomological": dict(
+        kind="ontic-model-check",
+        seed=0,
+        params={"n_cells": 64, "levels": [1, 2]},
+    ),
+    "duel-stationary": dict(
+        kind="box",
+        seed=13,
+        dynamics="both",
+        ensemble_size=2000,
+        grid={"lo": [-2.0], "hi": [2.0], "points": [512]},
+        potential=_BOX_POTENTIAL,
+        initial_state={"kind": "stationary", "level": 0},
+        time={
+            "t_end": 0.5,
+            "dt": 0.0002,
+            "sample_times": [round(t, 3) for t in np.linspace(0.05, 0.5, 10)],
+        },
+    ),
+}
+
+
 def preset_names() -> tuple:
-    return ("double-slit", "box", "free-gaussian", "pbr", "box-nomological", "duel-stationary")
+    return tuple(_PRESETS)
 
 
 def preset(name: str) -> ExperimentSpec:
-    """Fully populated spec for a canonical experiment."""
-    if name == "double-slit":
-        # two coherent lobes spread and interfere; screen time deep in overlap
-        return ExperimentSpec(
-            name="double-slit",
-            kind="double-slit",
-            seed=7,
-            dynamics="bohm",
-            ensemble_size=10_000,
-            grid={"lo": [-16.0], "hi": [16.0], "points": [1024]},
-            potential={"kind": "free"},
-            initial_state={"kind": "two-lobe", "separation": 7.0, "sigma": 0.7},
-            time={"t_end": 3.0, "dt": 0.001, "sample_times": [1.5, 3.0]},
-        )
-    if name == "box":
-        return ExperimentSpec(
-            name="box",
-            kind="box",
-            seed=5,
-            dynamics="bohm",
-            ensemble_size=200,
-            grid={"lo": [-2.0], "hi": [2.0], "points": [512]},
-            potential={"kind": "box", "inner_lo": [-1.0], "inner_hi": [1.0], "height": 1e4},
-            initial_state={"kind": "stationary", "level": 0},
-            time={"t_end": 0.5, "dt": 0.0002, "sample_times": [0.25, 0.5]},
-        )
-    if name == "free-gaussian":
-        return ExperimentSpec(
-            name="free-gaussian",
-            kind="free-gaussian",
-            seed=11,
-            dynamics="both",
-            ensemble_size=10_000,
-            grid={"lo": [-24.0], "hi": [24.0], "points": [512]},
-            potential={"kind": "free"},
-            initial_state={"kind": "gaussian", "centers": [0.0], "sigmas": [1.0]},
-            time={
-                "t_end": 2.0,
-                "dt": 0.002,
-                "sample_times": [round(t, 3) for t in np.linspace(0.2, 2.0, 10)],
-            },
-        )
-    if name == "pbr":
-        return ExperimentSpec(
-            name="pbr",
-            kind="pbr",
-            seed=3,
-            params={"overlap": 0.25, "n_shared": 4, "n_exclusive": 6},
-        )
-    if name == "box-nomological":
-        return ExperimentSpec(
-            name="box-nomological",
-            kind="ontic-model-check",
-            seed=0,
-            params={"n_cells": 64, "levels": [1, 2]},
-        )
-    if name == "duel-stationary":
-        return ExperimentSpec(
-            name="duel-stationary",
-            kind="box",
-            seed=13,
-            dynamics="both",
-            ensemble_size=2000,
-            grid={"lo": [-2.0], "hi": [2.0], "points": [512]},
-            potential={"kind": "box", "inner_lo": [-1.0], "inner_hi": [1.0], "height": 1e4},
-            initial_state={"kind": "stationary", "level": 0},
-            time={
-                "t_end": 0.5,
-                "dt": 0.0002,
-                "sample_times": [round(t, 3) for t in np.linspace(0.05, 0.5, 10)],
-            },
-        )
-    raise ValueError(f"unknown preset {name!r}; known: {', '.join(preset_names())}")
+    """Fully populated spec for a canonical experiment, its own copy of the table's fields."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; known: {', '.join(preset_names())}")
+    return ExperimentSpec(name=name, **copy.deepcopy(_PRESETS[name]))
 
 
 # ---------------------------------------------------------------------------

@@ -461,7 +461,8 @@ def test_rk4_endpoint_matches_independent_integrator():
     field = qf.VelocityField(frames)
 
     def rhs(t, y):
-        v, _ = field.velocity(np.atleast_2d(y), t)
+        # the field is read at frame positions: frame i is stored at t = 0.002 i
+        v, _ = field.velocity(np.atleast_2d(y), min(t / 0.002, frames.n_frames - 1))
         return v[0]
 
     x0 = 0.9
@@ -510,8 +511,8 @@ class _Node(Exception):
     """A reference stage landed where |psi| is below the node threshold."""
 
 
-def _velocity_strict(field, x, t):
-    vel, mask = field.velocity(x[None], t)
+def _velocity_strict(field, x, s):
+    vel, mask = field.velocity(x[None], s)
     if mask[0]:
         raise _Node
     return vel[0]
@@ -519,21 +520,21 @@ def _velocity_strict(field, x, t):
 
 def _advance_adaptive(field, x, stages, h, depth=0):
     """The per-member node fallback the march once had: an RK4 step of one
-    member, its stages at the times (t0, tm, t1), that halves itself at tm
-    near nodes and underflows past MAX_HALVINGS."""
-    t0, tm, t1 = stages
+    member, its stages at the frame positions (s0, sm, s1), that halves
+    itself at sm near nodes and underflows past MAX_HALVINGS."""
+    s0, sm, s1 = stages
     try:
-        v1 = _velocity_strict(field, x, t0)
-        v2 = _velocity_strict(field, x + 0.5 * h * v1, tm)
-        v3 = _velocity_strict(field, x + 0.5 * h * v2, tm)
-        v4 = _velocity_strict(field, x + h * v3, t1)
+        v1 = _velocity_strict(field, x, s0)
+        v2 = _velocity_strict(field, x + 0.5 * h * v1, sm)
+        v3 = _velocity_strict(field, x + 0.5 * h * v2, sm)
+        v4 = _velocity_strict(field, x + h * v3, s1)
         return x + (h / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4)
     except _Node:
         if depth >= qf.dynamics.MAX_HALVINGS:
             raise _Underflow
         h = h / 2
-        mid = _advance_adaptive(field, x, (t0, t0 + 0.5 * h, tm), h, depth + 1)
-        return _advance_adaptive(field, mid, (tm, tm + 0.5 * h, t1), h, depth + 1)
+        mid = _advance_adaptive(field, x, (s0, (s0 + sm) / 2, sm), h, depth + 1)
+        return _advance_adaptive(field, mid, (sm, (sm + s1) / 2, s1), h, depth + 1)
 
 
 def scalar_fallback_march(frames, q0, outcomes):
@@ -542,7 +543,8 @@ def scalar_fallback_march(frames, q0, outcomes):
     member-steps that recover and that underflow, by the number of frames
     the step spans.  A step spans two
     frames where their gaps agree to a relative 1e-9, with its middle
-    stages at the middle frame, and one frame before the shorter last gap.
+    stages at the middle frame, and one frame before the shorter last gap,
+    with its middle stages at frame position i + 1/2.
     The row at the middle frame of a two-frame step is the end of a halved
     member's first half, the cubic Hermite midpoint (x0 + x1)/2 +
     (h/8)(v1 - v4) of any other member's step, and the start of a member
@@ -557,19 +559,19 @@ def scalar_fallback_march(frames, q0, outcomes):
         return qf.dynamics._wrap_positions(x, lo, length)
 
     def step(pos, stages, h, span):
-        t0, tm, t1 = stages
-        v1, m1 = field.velocity(pos, t0)
-        v2, m2 = field.velocity(pos + 0.5 * h * v1, tm)
-        v3, m3 = field.velocity(pos + 0.5 * h * v2, tm)
-        v4, m4 = field.velocity(pos + h * v3, t1)
+        s0, sm, s1 = stages
+        v1, m1 = field.velocity(pos, s0)
+        v2, m2 = field.velocity(pos + 0.5 * h * v1, sm)
+        v3, m3 = field.velocity(pos + 0.5 * h * v2, sm)
+        v4, m4 = field.velocity(pos + h * v3, s1)
         end = pos + (h / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4)
         middle = 0.5 * (pos + end) + (h / 8.0) * (v1 - v4)
         hold = frozen_at >= 0
         for j in np.flatnonzero((m1 | m2 | m3 | m4) & ~hold):
             half = h / 2
             try:
-                middle[j] = _advance_adaptive(field, pos[j], (t0, t0 + 0.5 * half, tm), half, 1)
-                end[j] = _advance_adaptive(field, middle[j], (tm, tm + 0.5 * half, t1), half, 1)
+                middle[j] = _advance_adaptive(field, pos[j], (s0, (s0 + sm) / 2, sm), half, 1)
+                end[j] = _advance_adaptive(field, middle[j], (sm, (sm + s1) / 2, s1), half, 1)
                 outcomes[span, "recovered"] += 1
             except _Underflow:
                 hold[j] = True
@@ -582,10 +584,10 @@ def scalar_fallback_march(frames, q0, outcomes):
         g0 = t[i + 1] - t[i]
         g1 = t[i + 2] - t[i + 1] if i + 2 < len(t) else 0.0
         if abs(g1 - g0) <= 1e-9 * max(g0, g1):
-            pos, rows[i + 1], under = step(pos, (t[i], t[i + 1], t[i + 2]), t[i + 2] - t[i], 2)
+            pos, rows[i + 1], under = step(pos, (i, i + 1, i + 2), t[i + 2] - t[i], 2)
             k = i + 2
         else:
-            pos, _, under = step(pos, (t[i], t[i] + 0.5 * g0, t[i + 1]), g0, 1)
+            pos, _, under = step(pos, (i, i + 0.5, i + 1), g0, 1)
             k = i + 1
         frozen_at[under] = i
         rows[k] = pos
@@ -672,6 +674,42 @@ def test_batched_node_fallback_is_the_scalar_fallback(monkeypatch, case):
         assert points[0.9] <= 10_000, points
 
 
+def test_every_step_has_the_one_stage_shape(monkeypatch):
+    """The [box] march at EPS_NODE_FACTOR = 0.05 steps frame pairs, takes
+    one-frame steps before its shorter last gap and halves touched members
+    down to depth MAX_HALVINGS.  Every step it takes, a half at any depth too, has
+    its stages at frame positions (s, s + w/2, s + w), w a power of two from
+    2^-MAX_HALVINGS to _CHUNK, and the field is read at multiples of
+    2^-(MAX_HALVINGS + 1) from frame 0 to the last: exact dyadic weights.
+    The last step reads position last - 1/2, the even mix of its frames."""
+    monkeypatch.setattr(qf.dynamics, "EPS_NODE_FACTOR", 0.05)
+    frames, q0 = node_fallback_case("box")
+    last, depth = frames.n_frames - 1, qf.dynamics.MAX_HALVINGS
+    read, triples = [], []
+    velocity, rk4 = qf.VelocityField.velocity, qf.dynamics._rk4_batch
+
+    def velocity_recorded(self, pts, s):
+        read.append(s)
+        return velocity(self, pts, s)
+
+    def rk4_recorded(field, pos, stages, h, first=None):
+        triples.append(stages)
+        return rk4(field, pos, stages, h, first)
+
+    monkeypatch.setattr(qf.VelocityField, "velocity", velocity_recorded)
+    monkeypatch.setattr(qf.dynamics, "_rk4_batch", rk4_recorded)
+    ensemble = qf.run_bohm_ensemble(frames, q0)
+    assert np.diff(frames.times)[-1] < np.diff(frames.times)[0]
+    assert ensemble.march.node_fallback_member_steps > 0
+    assert all(0 <= s <= last and (s * 2 ** (depth + 1)) % 1 == 0 for s in read)
+    widths = {2.0**e for e in range(-depth, int(np.log2(qf.dynamics._CHUNK)) + 1)}
+    for s0, sm, s1 in triples:
+        w = s1 - s0
+        assert w in widths and (sm, s1) == (s0 + w / 2, s0 + w), (s0, sm, s1)
+    assert {s1 - s0 for s0, _, s1 in triples} >= {2.0**-depth, 1.0, 2.0}
+    assert (last - 1, last - 0.5, last) in triples and last - 0.5 in read
+
+
 # ---------------------------------------------------------------------------
 # Born sampling and RDMP
 # ---------------------------------------------------------------------------
@@ -731,12 +769,12 @@ def test_rdmp_ensemble_is_the_per_draw_stream_in_2d():
     times, n = [0.1, 0.2, 0.3], 40
     ens = qf.rdmp_ensemble(frames, times, n, seed=9)
     # reference: each member's generator feeds one draw per sample time, in order
-    samplers = [qf.dynamics._BornSampler(frames.wavefunction(frames.index_at(t))) for t in times]
+    waves = [frames.wavefunction(frames.index_at(t)) for t in times]
     expect = np.empty((len(times), n, 2))
     for j in range(n):
         rng = np.random.default_rng(derive_seed(9, j))
-        for i, sampler in enumerate(samplers):
-            expect[i, j] = sampler.draw(rng, 1)[0]
+        for i, w in enumerate(waves):
+            expect[i, j] = qf.dynamics._born_points(w, rng.random(1), rng.random((1, 2)))[0]
     assert np.array_equal(ens.positions.view(np.uint64), expect.view(np.uint64))
     assert np.array_equal(ens.times, frames.times[[frames.index_at(t) for t in times]])
 
@@ -835,7 +873,7 @@ def test_gof_calibration_on_iid_draws():
 # ---------------------------------------------------------------------------
 
 
-def reference_velocity(frames, points, t):
+def reference_velocity(frames, points, s):
     """The field evaluated frame by frame: one FFT per frame, divided by the
     cubic B-spline symbol, one inverse FFT and one map_coordinates call per
     frame and component, no stacking."""
@@ -862,9 +900,10 @@ def reference_velocity(frames, points, t):
             stack.append(np.fft.ifftn(1j * k.reshape(shape) * spectrum))
         return stack, np.max(np.abs(amps))
 
-    i, a = qf.dynamics._bracket(frames.times, t)
-    if a in (0.0, 1.0):
-        stack, peak = frame(i + int(a))
+    i = int(s)
+    a = s - i
+    if a == 0.0:
+        stack, peak = frame(i)
         threshold = qf.dynamics.EPS_NODE_FACTOR * peak
     else:
         (s0, m0), (s1, m1) = frame(i), frame(i + 1)
@@ -891,8 +930,7 @@ def test_stacked_field_matches_frame_by_frame_field(ndim, initial):
         w0 = qf.GridWaveFunction((ax,), (ax * np.exp(-(ax**2) / 2)).astype(complex))
     else:
         w0 = qf.gaussian_packet((ax,) * ndim, [0.5] * ndim, [1.0] * ndim, [1.0] * ndim)
-    dt = 0.002
-    frames = qf.evolve_frames(w0, Potential.free(), dt, 140)
+    frames = qf.evolve_frames(w0, Potential.free(), 0.002, 140)
     assert frames.n_frames > qf.dynamics._CHUNK
     field = qf.VelocityField(frames)
     rng = np.random.default_rng(4)
@@ -900,16 +938,16 @@ def test_stacked_field_matches_frame_by_frame_field(ndim, initial):
     if initial == "odd":
         # on the node and within 1e-10 of it (masked), and 1e-5 and 1e-3 off it
         points = np.concatenate([points, [[0.0], [1e-10], [-1e-10], [1e-5], [-1e-3]]])
-    # frame times, blends inside and across chunk boundaries, the clamped end
-    for t in (0.0, 0.0031, 63 * dt, 63.5 * dt, 64 * dt, 100 * dt, 0.27, 140 * dt, 0.5):
-        vel, mask = field.velocity(points, t)
-        ref_vel, ref_mask = reference_velocity(frames, points, t)
+    # frames, blends inside and across chunk boundaries, the last frame
+    for s in (0, 1.55, 63, 63.5, 64, 100, 135, 140):
+        vel, mask = field.velocity(points, s)
+        ref_vel, ref_mask = reference_velocity(frames, points, s)
         assert np.array_equal(mask, ref_mask)
         if initial == "odd":
-            assert mask[-5:].tolist() == [True, True, True, False, False], t
+            assert mask[-5:].tolist() == [True, True, True, False, False], s
         assert np.array_equal(
             np.ascontiguousarray(vel).view(np.uint64), ref_vel.view(np.uint64)
-        ), t
+        ), s
 
 
 @pytest.mark.parametrize("shape", [(256,), (32, 24)], ids=["1-D", "2-D"])
@@ -1009,7 +1047,7 @@ def test_streamed_fallback_reads_back_across_chunks(monkeypatch, chunk):
     stored = qf.run_bohm_ensemble(frames, q0)
     source = qf.FrameSource(w0, Potential.free(), dt, n_steps, store_every, keep=())
     streamed = qf.run_bohm_ensemble(source, q0)
-    assert tuple(frames.times[:3]) in halved
+    assert (0, 1, 2) in halved
     assert np.array_equal(as_bits(streamed.positions), as_bits(stored.positions))
     assert np.array_equal(streamed.frozen_at, stored.frozen_at)
     assert streamed.frozen_at[0] == 0 and np.all(streamed.frozen_at[1:] == -1)
@@ -1126,7 +1164,7 @@ def test_node_at_a_long_stride_is_taken_again_down_to_the_fallback(monkeypatch):
 
     def halve_recorded(field, pos, stages, h, depth=1):
         if depth == 1:
-            halved.append(frames.index_at(stages[0]))
+            halved.append(stages[0])
         return halve(field, pos, stages, h, depth)
 
     monkeypatch.setattr(qf.dynamics, "_rk4_batch", rk4_recorded)
@@ -1304,23 +1342,21 @@ def test_kept_rows_march_holds_no_full_rows():
 
 
 def test_velocity_field_reads_chunks_backward():
-    """Over WaveFrames the field answers any time: read backward across a
-    chunk boundary it gives the velocities it gives read forward."""
+    """Over WaveFrames the field answers any frame position: read backward
+    across a chunk boundary it gives the velocities it gives read forward."""
     ax = qf.uniform_axis(-8, 8, 64)
     w0 = qf.gaussian_packet((ax,), [0.5], [1.0], [1.0])
-    dt = 0.002
-    frames = qf.evolve_frames(w0, Potential.free(), dt, 200)
+    frames = qf.evolve_frames(w0, Potential.free(), 0.002, 200)
     assert frames.n_frames > 3 * qf.dynamics._CHUNK
     points = np.random.default_rng(4).uniform(-8, 8, (40, 1))
-    times = [0.0, 62.5 * dt, 63 * dt, 63.5 * dt, 64 * dt, 64.5 * dt, 127.5 * dt, 128 * dt,
-             150 * dt]
+    positions = [0, 62.5, 63, 63.5, 64, 64.5, 127.5, 128, 150]
     field = qf.VelocityField(frames)
-    forward = [field.velocity(points, t) for t in times]
-    backward = [field.velocity(points, t) for t in reversed(times)][::-1]
-    for t, (v, m), (vb, mb) in zip(times, forward, backward):
-        v_fresh, m_fresh = qf.VelocityField(frames).velocity(points, t)
-        assert np.array_equal(as_bits(vb), as_bits(v)), t
-        assert np.array_equal(as_bits(v_fresh), as_bits(v)), t
+    forward = [field.velocity(points, s) for s in positions]
+    backward = [field.velocity(points, s) for s in reversed(positions)][::-1]
+    for s, (v, m), (vb, mb) in zip(positions, forward, backward):
+        v_fresh, m_fresh = qf.VelocityField(frames).velocity(points, s)
+        assert np.array_equal(as_bits(vb), as_bits(v)), s
+        assert np.array_equal(as_bits(v_fresh), as_bits(v)), s
         assert np.array_equal(mb, m) and np.array_equal(m_fresh, m)
 
 
@@ -1376,11 +1412,11 @@ def test_frame_source_streams_forward_only():
     source = qf.FrameSource(w0, Potential.free(), 0.01, 200, keep=())
     field = qf.VelocityField(source)
     # frame 150, in the third chunk: the first two are evolved on the way
-    vel, _ = field.velocity(np.array([[0.1]]), 1.5)
+    vel, _ = field.velocity(np.array([[0.1]]), 150)
     frames = qf.evolve_frames(w0, Potential.free(), 0.01, 200)
-    assert np.array_equal(vel, qf.VelocityField(frames).velocity(np.array([[0.1]]), 1.5)[0])
+    assert np.array_equal(vel, qf.VelocityField(frames).velocity(np.array([[0.1]]), 150)[0])
     with pytest.raises(ValueError, match="in order"):
-        field.velocity(np.array([[0.1]]), 0.1)
+        field.velocity(np.array([[0.1]]), 10)
 
 
 @pytest.mark.parametrize("store_every", [0, -2, 1.5, True])
@@ -1477,25 +1513,6 @@ def test_march_at_a_hundredth_of_its_tolerance_moves_no_kept_row(monkeypatch, in
     assert coarse.march.max_stride > 16 and coarse.march.steps < fine.march.steps
     assert np.array_equal(coarse.times, fine.times) and len(coarse.times) == len(keep)
     assert np.max(np.abs(coarse.positions - fine.positions)) <= 1e-4
-
-
-def test_bracket_on_a_list_is_the_searchsorted_bracket():
-    # the velocity field brackets t by bisect on a list of the stored times
-    times = qf.FrameSource(qf.gaussian_packet((qf.uniform_axis(-8, 8, 16),), [0.0], [1.0]),
-                           Potential.free(), 1e-3, 300, 7).times
-    rng = np.random.default_rng(9)
-    ts = np.concatenate([times, times[:-1] + 0.5e-3, rng.uniform(-0.01, 0.31, 200),
-                         np.nextafter(times, -np.inf), np.nextafter(times, np.inf)])
-    for t in ts.tolist():
-        if t <= times[0]:
-            expect = 0, 0.0
-        elif t >= times[-1]:
-            expect = times.size - 2, 1.0
-        else:
-            i = int(np.searchsorted(times, t, side="right")) - 1
-            expect = i, float((t - times[i]) / (times[i + 1] - times[i]))
-        got = qf.dynamics._bracket(times.tolist(), t)
-        assert got[0] == expect[0] and as_bits(got[1]) == as_bits(expect[1]), t
 
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
