@@ -39,10 +39,15 @@ every half step.
 Frames stream: a FrameSource evolves a chunk at a time, chunk c being
 stored frames c * _CHUNK to (c + 1) * _CHUNK, whose last frame is the
 first of chunk c + 1.  Each frame is evolved in place in its slot of the
-chunk (the step's multiplies and FFTs write there).  With no potential on
-the grid the split step is psi^ <- K psi^, so the chunk is evolved as
-spectra, one multiply a split step, and then inverted by one batched
-inverse FFT.  A step, its retries at shorter strides and the halves of its
+chunk (the step's multiplies and FFTs write there).  Two cases are
+evolved in a basis where the step is diagonal.  With no
+potential on the grid the split step is psi^ <- K psi^, so the chunk is
+evolved as spectra, one multiply a split step, and then inverted by one
+batched inverse FFT.  A start state w0 that is an eigenvector of the grid
+Hamiltonian k^2/2 + V to _EIGEN_TOL (a stationary state), E its Rayleigh
+quotient, takes no step at all: frame n is w0 e^(-iE t_n), the exact
+evolution under that Hamiltonian.  Any other state takes the split step.
+A step, its retries at shorter strides and the halves of its
 node fallback all lie inside one chunk, since _CHUNK is a multiple of
 every span.  The velocity field takes the spline coefficients of psi and
 its gradient for a frame the first time the march reads it, from one FFT,
@@ -71,7 +76,7 @@ evaluation.  The KS p-value comes from ``_kstwo.kstwo_sf``, a trimmed copy
 of scipy's exact KS survival function that returns scipy's bits in every
 branch but the one-sided tail, which is within 1e-11.  Stationary states
 take one eigenvalue from ``np.linalg.eigvalsh`` and their vectors from
-``np.linalg.solve``.
+one real ``np.linalg.solve``.
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ import numpy.random  # noqa: F401
 
 from ._kstwo import _stirling_remainder, kstwo_sf
 from .interpolation import CubicGridInterpolator, _grid_fft
-from .states import GridWaveFunction, born_density, fix_global_phase
+from .states import GridWaveFunction, born_density
 
 EPS_NODE_FACTOR = 1e-8
 MAX_HALVINGS = 10
@@ -107,12 +112,14 @@ _CHUNK = 64
 # members whose velocities are evaluated together: a block's spline taps and
 # terms fit in cache, where one pass over 10^5 members does not
 _BLOCK = 4096
-# Rayleigh-quotient iteration of stationary_state: the residual that certifies
-# a propagator eigenvector, the most linear solves one run of it may take, and
-# how often it restarts after converging to an eigenvector far from v_H
-_RQI_TOL = 1e-13
-_RQI_MAX_STEPS = 12
-_RQI_RESTARTS = 2
+# a start state w is taken for an eigenvector of the grid Hamiltonian H when
+# |Hw - Ew| <= _EIGEN_TOL (max k^2/2 + max |V|) |w|, E its Rayleigh quotient.
+# On boxes of 64, 128 and 512 points (walls 1e2, 1e4, 1e4) a stationary_state
+# reads at most 3e-12 at every level, an eigenvector of the split step at least
+# 3.5e-5, a Gaussian at least 9e-5, and a stationary_state plus 1e-6 of a
+# Gaussian at least 2e-9: the bound sits 30 times above the roundoff of a
+# solved eigenvector and 20 times below a one-in-a-million admixture
+_EIGEN_TOL = 1e-10
 
 __all__ = [
     "Potential",
@@ -189,20 +196,6 @@ class Potential:
     @classmethod
     def table(cls, values):
         return cls("table", {"values": np.asarray(values, dtype=float).tolist()})
-
-    @classmethod
-    def slit_barrier(cls, wall_lo, wall_hi, slit_centers, slit_width, height=WALL_HEIGHT):
-        """2-D barrier along the second axis with openings in the first."""
-        return cls(
-            "slit-barrier",
-            {
-                "wall_lo": float(wall_lo),
-                "wall_hi": float(wall_hi),
-                "slit_centers": [float(c) for c in slit_centers],
-                "slit_width": float(slit_width),
-                "height": float(height),
-            },
-        )
 
     def on_grid(self, axes) -> np.ndarray:
         axes = tuple(np.asarray(a, dtype=float) for a in axes)
@@ -293,8 +286,8 @@ def spectral_hamiltonian(axis, potential: Potential) -> np.ndarray:
 
     The kinetic part is the circulant matrix whose first column is
     ifft(k^2 / 2), made exactly symmetric; the potential sits on the
-    diagonal.  Its eigenvectors are the stationary states of the discrete
-    dynamics up to split-step Trotter error.
+    diagonal.  Its eigenvectors are the stationary states
+    (``stationary_state``), which a run evolves as phases alone.
     """
     a = np.asarray(axis, dtype=float)
     return _hamiltonian_block(a, potential.on_grid((a,)), (np.arange(a.size), 0, 1.0))
@@ -327,127 +320,58 @@ def _block_matrix(column, a, sign, g) -> np.ndarray:
     return m
 
 
-def stationary_state(axis, potential: Potential, level: int, dt: float) -> GridWaveFunction:
-    """level-th stationary state of the dt split step on a 1-D grid, phase-fixed real.
+def stationary_state(axis, potential: Potential, level: int) -> GridWaveFunction:
+    """level-th eigenstate of the discrete Hamiltonian on a 1-D grid, real.
 
-    The level's energy comes from ``np.linalg.eigvalsh`` of the discrete
-    Hamiltonian, and its eigenvector v_H from one solve of inverse
-    iteration at that energy: no other eigenvector is computed.  v_H is
-    then replaced by the eigenvector of the one-step split propagator U
-    for dt that it overlaps most.  That state is
-    stationary under the time-stepped dynamics itself, not just up to
-    Trotter error, so densities and Bohmian trajectories built on it hold
-    still to roundoff.  It is found by Rayleigh-quotient iteration on U
-    started from v_H, and accepted only with a certificate: the residual
-    |U v - mu v| is at most 1e-13 and |<v_H|v>|^2 exceeds 1/2.  U is
-    unitary, so at most one of its orthonormal eigenvectors can overlap
-    v_H that much, and an accepted v is that one.  If the iteration
-    converges to another eigenvector, it restarts from v_H with the
-    eigenvectors found so far projected out, at most twice.  A shift that
-    makes U - mu I singular in floating point has converged to an
-    eigenvalue of U: the step solves at a shift a few ulps off it instead,
-    which gives the eigenvalue's vector, and the certificate judges that as
-    any other.  A level without a certified vector raises ValueError, and
-    a spec asking for it exits as invalid.  That happens where v_H is a
-    mixture with no propagator eigenvector that close: at high levels,
-    whose phases alias around the unit circle, or at energies above a box
-    wall (34 levels of the 512-point duel grid, the first being 84).  A v_H
-    or a residual that is not finite, as at a wall too high for double
-    precision (1e300), raises it at once: no solve is taken on NaN.
-    Time-reversal symmetry of the propagator makes the eigenvector real up
-    to a global phase, which ``fix_global_phase`` fixes.  A potential
-    exactly unchanged by the mirror j -> -j (mod n) of the grid (a box
-    centred on it) splits H and U into an even block of n//2 + 1 points and
-    an odd one of (n - 1)//2.  The level is ranked over both blocks'
-    eigenvalues, all else runs in its block, and the certificate's residual
-    is one split step of the vector lifted back to the grid.
+    The level's energy comes from ``np.linalg.eigvalsh`` of the Hamiltonian
+    that ``spectral_hamiltonian`` builds, and its eigenvector from one solve
+    of inverse iteration at that energy: no other eigenvector is computed.
+    H is real symmetric, so the vector is real; its largest entry is made
+    positive.  A potential exactly unchanged by the mirror j -> -j (mod n)
+    of the grid (a box centred on it) splits H into an even block of
+    n//2 + 1 points and an odd one of (n - 1)//2.  The level is ranked over
+    both blocks' eigenvalues, the solve runs in its block, and the vector is
+    lifted back to the grid.  A level outside [0, n), or a vector that is
+    not finite, as at a wall too high for double precision (1e300), raises
+    ValueError naming the level.
+    A run evolves this state as its phase e^(-iEt) alone (``FrameSource``),
+    so its density holds still to roundoff at any dt.
     """
     a = np.asarray(axis, dtype=float)
+    if not 0 <= level < a.size:
+        raise ValueError(f"level must be an integer in [0, {a.size}), got {level!r}")
     v = potential.on_grid((a,))
     blocks = _parity_blocks(v)
     hs = [_hamiltonian_block(a, v, block) for block in blocks]
     energies = np.concatenate([np.linalg.eigvalsh(h) for h in hs])
     pick = np.argsort(energies, kind="stable")[level]
     i = int(pick >= len(hs[0]))  # the block that holds the level
-    vec = _inverse_iteration(hs[i], energies[pick]).astype(complex)
-    vec = fix_global_phase(_propagator_eigenvector(a, potential, dt, vec, level, blocks[i]))
-    if np.max(np.abs(vec.imag)) < 1e-9 * np.max(np.abs(vec.real)):
-        vec = vec.real.astype(complex)
-    return GridWaveFunction((a,), vec)
+    x = _inverse_iteration(hs[i], energies[pick])
+    norm = np.linalg.norm(x)
+    if not 0 < norm < np.inf:  # NaN as well
+        raise ValueError(f"level {level} has no finite eigenvector: the potential is "
+                         "too large for double precision")
+    idx, sign, g = blocks[i]
+    x *= g / norm
+    vec = np.zeros(a.size)  # x lifted to the grid
+    vec[idx] = x
+    vec[-idx % a.size] += sign * x
+    return GridWaveFunction((a,), vec * np.sign(vec[np.argmax(np.abs(vec))]))
 
 
 def _inverse_iteration(h, energy) -> np.ndarray:
-    """Unit eigenvector of the real symmetric h (overwritten) for its
-    eigenvalue energy, by one solve of (h - energy) x = b from a fixed
-    random b.  The eigenvalue is exact to roundoff, so x is the eigenvector
-    to roundoff over the level's distance to the next one."""
+    """Eigenvector of the real symmetric h (overwritten) for its eigenvalue
+    energy, by one solve of (h - energy) x = b from a fixed random b.  The
+    eigenvalue is exact to roundoff, so x is the eigenvector to roundoff over
+    the level's distance to the next one."""
     b = np.random.default_rng(0).standard_normal(len(h))
     h.flat[:: len(h) + 1] -= energy
     try:
-        x = np.linalg.solve(h, b)
+        return np.linalg.solve(h, b)
     except np.linalg.LinAlgError:
         # energy is an eigenvalue in floating point: move it off by a few ulps of h
         h.flat[:: len(h) + 1] -= 8 * np.finfo(float).eps * np.abs(h).max()
-        x = np.linalg.solve(h, b)
-    norm = np.linalg.norm(x)
-    # a norm that under- or overflows leaves no unit vector: NaN, which no certificate passes
-    return x / norm if 0 < norm < np.inf else np.full_like(x, np.nan)
-
-
-def _propagator_eigenvector(a, potential, dt, v_h, level, block) -> np.ndarray:
-    """Certified grid eigenvector of the one-step split propagator nearest v_h in the block."""
-    evolver = _SplitStepEvolver((a,), potential, dt)
-    # U = diag(h) circulant(ifft(kinetic)) diag(h), h the half-step potential phase
-    u = _block_matrix(np.fft.ifft(evolver.kinetic), *block)
-    u *= evolver.half_potential[block[0], None]
-    u *= evolver.half_potential[block[0]]
-    diagonal = u.diagonal().copy()
-    found = []
-    for restart in range(_RQI_RESTARTS + 1):
-        # start from v_h, with the eigenvectors already converged to projected
-        # out and renormalised (the first run starts from v_h as it is)
-        v = v_h
-        for f in found:
-            v = v - np.vdot(f, v) * f
-        if found:
-            v = v / np.linalg.norm(v)
-        for step in range(_RQI_MAX_STEPS + 1):
-            uv = u @ v
-            mu = np.vdot(v, uv)
-            residual = np.linalg.norm(uv - mu * v)
-            # a residual that is not finite ends the iteration: no solve mends it
-            if not residual > _RQI_TOL or step == _RQI_MAX_STEPS:
-                break
-            # U - mu I is solved in the place of U, whose diagonal is put back
-            u.flat[:: len(u) + 1] = diagonal - mu
-            try:
-                w = np.linalg.solve(u, v)
-            except np.linalg.LinAlgError:
-                # U - mu I is singular in floating point: mu has converged to
-                # an eigenvalue, whose vector a shift a few ulps off it gives
-                u.flat[:: len(u) + 1] = diagonal - mu * (1 + 8 * np.finfo(float).eps)
-                w = np.linalg.solve(u, v)
-            finally:
-                u.flat[:: len(u) + 1] = diagonal
-            v = w / np.linalg.norm(w)
-        overlap = abs(np.vdot(v_h, v)) ** 2
-        if not residual <= _RQI_TOL or overlap > 0.5:
-            break
-        found.append(v)
-    idx, sign, g = block
-    v, x = np.zeros(a.size, complex), g * v  # v lifted to the grid
-    v[idx] = x
-    v[-idx % a.size] += sign * x
-    uv = evolver.step(v)
-    residual = np.linalg.norm(uv - np.vdot(v, uv) * v)
-    if not (residual <= _RQI_TOL and overlap > 0.5):
-        raise ValueError(
-            f"level {level} has no certified eigenvector of the dt={dt} step propagator "
-            f"(residual {residual:.1e} after {step} Rayleigh-quotient steps and {restart} "
-            f"restarts, overlap^2 {overlap:.3f} with its Hamiltonian eigenstate); "
-            "choose another level"
-        )
-    return v
+        return np.linalg.solve(h, b)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +388,7 @@ class _SplitStepEvolver:
         v = potential.on_grid(axes)
         if not np.all(np.isfinite(v)):
             raise ValueError("potential must be finite at all grid points")
+        self.potential = v
         self.half_potential = np.exp(-0.5j * dt * v)
         ksq = np.zeros(tuple(a.size for a in axes))
         for d, a in enumerate(axes):
@@ -471,10 +396,22 @@ class _SplitStepEvolver:
             shape = [1] * len(axes)
             shape[d] = a.size
             ksq = ksq + (k**2).reshape(shape)
+        self.ksq = ksq
         self.kinetic = np.exp(-0.5j * dt * ksq)
         # with no potential on the grid a step is psi^ <- kinetic psi^ in k-space
         self.free = not np.any(v)
         self.ndim = len(axes)
+
+    def energy(self, amps: np.ndarray) -> float | None:
+        """E, the Rayleigh quotient of amps, if amps is an eigenvector of the
+        grid Hamiltonian k^2/2 + V to _EIGEN_TOL; else None."""
+        h_amps = _grid_fft(0.5 * self.ksq * _grid_fft(amps, self.ndim), self.ndim, inverse=True)
+        h_amps += self.potential * amps
+        norm2 = np.vdot(amps, amps).real
+        energy = np.vdot(amps, h_amps).real / norm2
+        residual = np.linalg.norm(h_amps - energy * amps)
+        scale = 0.5 * self.ksq.max() + np.abs(self.potential).max()
+        return energy if residual <= _EIGEN_TOL * scale * math.sqrt(norm2) else None
 
     def step(self, amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.multiply(self.half_potential, amps, out=out)  # out may be amps
@@ -557,7 +494,10 @@ class FrameSource:
     whatever the run's length.  Where the potential is zero at every grid
     point, a chunk is evolved in k-space, psi^ <- K psi^ for each split
     step in the chunk's own slots, then inverted by one batched ``ifft``
-    (``ifftn`` over the grid axes on more than one axis).
+    (``ifftn`` over the grid axes on more than one axis).  Else, where w0
+    is an eigenvector of the grid Hamiltonian to _EIGEN_TOL (one FFT pair
+    tells), frame n is w0 e^(-iE t_n), E its Rayleigh quotient, and no
+    split step is taken.  Frame 0 is w0 bit for bit on every path.
     """
 
     def __init__(self, w0: GridWaveFunction, p: Potential, dt: float, n_steps: int,
@@ -575,8 +515,10 @@ class FrameSource:
         self._evolver = _SplitStepEvolver(w0.axes, p, dt)
         self._gaps = np.diff(steps, prepend=0).tolist()  # split steps up to each stored frame
         self._last = w0.amplitudes  # the last frame evolved
-        # what the next split step starts from: that frame, its spectrum on a free grid
+        # what the next split step starts from: that frame, its spectrum on a
+        # free grid; w0 itself for a Hamiltonian eigenstate, whose E is kept
         self._state = _grid_fft(w0.amplitudes, w0.ndim) if self._evolver.free else w0.amplitudes
+        self._energy = None if self._evolver.free else self._evolver.energy(w0.amplitudes)
 
     @property
     def n_frames(self) -> int:
@@ -595,17 +537,22 @@ class FrameSource:
         amps = np.empty((min(_CHUNK + 1, self.n_frames - start),) + self._shape, dtype=complex)
         amps[0] = self._last  # the chunk before's last frame; psi0 as given for chunk 0
         ev, frame = self._evolver, self._state
-        # each frame is evolved in its own slot, from the one before; on a
-        # free grid as spectra, one multiply a split step, inverted together
-        step = functools.partial(np.multiply, ev.kinetic) if ev.free else ev.step
-        for out, n_steps in zip(amps[1:], self._gaps[start + 1:]):
-            for _ in range(n_steps):
-                frame = step(frame, out=out)
-        self._state = frame.copy()  # the next chunk's start, without holding this chunk
-        if ev.free:
-            spectra = amps[1:]
-            _grid_fft(spectra, ev.ndim, out=spectra, inverse=True)
-        self._last = amps[-1].copy() if ev.free else self._state
+        if self._energy is not None:  # frame n is w0 e^(-iE t_n)
+            phases = np.exp(-1j * self._energy * self.times[start + 1 : start + len(amps)])
+            np.multiply(phases.reshape((-1,) + (1,) * ev.ndim), frame, out=amps[1:])
+            self._last = amps[-1].copy()
+        else:
+            # each frame is evolved in its own slot, from the one before; on a
+            # free grid as spectra, one multiply a split step, inverted together
+            step = functools.partial(np.multiply, ev.kinetic) if ev.free else ev.step
+            for out, n_steps in zip(amps[1:], self._gaps[start + 1:]):
+                for _ in range(n_steps):
+                    frame = step(frame, out=out)
+            self._state = frame.copy()  # the next chunk's start, without holding this chunk
+            if ev.free:
+                spectra = amps[1:]
+                _grid_fft(spectra, ev.ndim, out=spectra, inverse=True)
+            self._last = amps[-1].copy() if ev.free else self._state
         self._next += 1
         lo, hi = np.searchsorted(self._rows, [start, start + len(amps)])
         # the rows are in range; "clip" writes straight into out, "raise" buffers
@@ -719,8 +666,10 @@ class VelocityField:
         """Velocities (n, ndim) and the node mask (n,) at frame position s.
 
         Velocities on masked points are zeroed; the march takes a step
-        that touches a node again, shorter.
+        that touches a node again, shorter.  s must lie in [0, n_frames - 1].
         """
+        if not 0 <= s <= self.frames.n_frames - 1:
+            raise ValueError(f"frame position {s} is outside [0, {self.frames.n_frames - 1}]")
         pts = points if isinstance(points, np.ndarray) and points.ndim == 2 \
             else np.atleast_2d(np.asarray(points, dtype=float))  # the march's are (n, ndim)
         coefficients, threshold = self._coefficients_at(s)

@@ -343,11 +343,7 @@ def _build_initial(spec: ExperimentSpec, axes, potential) -> GridWaveFunction:
         momenta = tuple(_read(spec, "initial_state", "momenta"))
         return dyn.two_lobe_packet(axes[0], st["separation"], st["sigma"], momenta)
     if kind == "stationary":
-        level = _read(spec, "initial_state", "level")
-        if level >= axes[0].size:
-            raise ValueError(f"level must be an integer in [0, {axes[0].size}), got {level!r}")
-        # eigenstate of the run's own step map, so the run holds it still
-        return dyn.stationary_state(axes[0], potential, level, spec.time["dt"])
+        return dyn.stationary_state(axes[0], potential, _read(spec, "initial_state", "level"))
     return dyn.plane_wave(axes[0], st["mode"])
 
 

@@ -262,11 +262,11 @@ def test_criterion_8_numerics():
     width_expect = np.sqrt(1 + (2.0 / 2.0) ** 2)
     width_err = abs(width - width_expect) / width_expect
 
-    # real eigenstate velocity, and box trajectories at rest under the run's own step map
+    # real eigenstate velocity, and box trajectories at rest over its frames
     axb = qf.uniform_axis(-2, 2, 512)
     box = Potential.box([-1.0], [1.0], 1e4)
     dt = 2e-4
-    w_run = qf.stationary_state(axb, box, 0, dt)
+    w_run = qf.stationary_state(axb, box, 0)
     frames_box = qf.evolve_frames(w_run, box, dt, 2500, store_every=25)
     probes = np.array([[-0.7], [-0.3], [0.0], [0.25], [0.6]])
     v, _ = qf.VelocityField(frames_box).velocity(probes, 0.0)

@@ -392,19 +392,31 @@ def test_tolerance_scale_flag_is_validated(tolerances, scale, field, tmp_path, c
     assert not (tmp_path / "runs").exists()
 
 
-def test_ambiguous_stationary_level_exits_invalid(tmp_path, capsys):
-    # on the duel grid no propagator eigenvector overlaps level 84's
-    # Hamiltonian eigenvector by more than 1/2, so no state is certified
-    path = wave_spec(
-        tmp_path, "level-84", kind="box", dynamics="none", ensemble_size=0,
+def stationary_box_spec(tmp_path, name, level, height):
+    """A stationary state of the duel grid (512 points, box wall at height)."""
+    return wave_spec(
+        tmp_path, name, kind="box", dynamics="none", ensemble_size=0,
         grid={"lo": [-2.0], "hi": [2.0], "points": [512]},
-        potential={"kind": "box", "inner_lo": [-1.0], "inner_hi": [1.0], "height": 1e4},
-        initial_state={"kind": "stationary", "level": 84},
+        potential={"kind": "box", "inner_lo": [-1.0], "inner_hi": [1.0], "height": height},
+        initial_state={"kind": "stationary", "level": level},
         time={"dt": 0.0002, "t_end": 0.001},
     )
+
+
+def test_stationary_level_above_the_wall_runs(tmp_path, capsys):
+    # level 84 lies above the box wall; its state holds still as any other
+    path = stationary_box_spec(tmp_path, "level-84", 84, 1e4)
+    assert main(["validate", str(path)]) == EXIT_PASS
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == EXIT_PASS
+    assert "PASS stationary-density" in capsys.readouterr().out
+
+
+def test_wall_beyond_double_precision_exits_invalid(tmp_path, capsys):
+    # a 1e300 wall leaves no finite eigenvector: a finding, not a traceback
+    path = stationary_box_spec(tmp_path, "wall-1e300", 0, 1e300)
     assert main(["validate", str(path)]) == EXIT_INVALID
     assert main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == EXIT_INVALID
-    assert capsys.readouterr().out.count("ERROR   initial_state: level 84 ") == 2
+    assert capsys.readouterr().out.count("ERROR   initial_state: level 0 ") == 2
     assert not (tmp_path / "runs").exists()
 
 

@@ -137,18 +137,26 @@ def test_free_gaussian_width_matches_closed_form():
     assert abs(got - expect) / expect < 1e-3
 
 
+def split_step_drift(w, potential, dt, n_steps, every):
+    """Largest density change from w over n_steps split steps, looked at every
+    every-th step: the split step driven directly, since a run evolves a
+    Hamiltonian eigenstate as its phase alone."""
+    step = _SplitStepEvolver(w.axes, potential, dt).step
+    amps, dens0, drift = w.amplitudes.copy(), qf.born_density(w), 0.0
+    for i in range(1, n_steps + 1):
+        step(amps, out=amps)
+        if i % every == 0 or i == n_steps:
+            drift = max(drift, np.max(np.abs(np.abs(amps) ** 2 - dens0)))
+    return drift
+
+
 def test_box_ground_state_density_constant():
     # discrete-Hamiltonian eigenstate oracle; leftover drift is pure
     # second-order splitting error, measured 3.5e-7 at this dt
     ax = qf.uniform_axis(-2, 2, 512)
     box = Potential.box([-1.0], [1.0], 1e4)
     w = hamiltonian_state(ax, box, 0)
-    frames = qf.evolve_frames(w, box, 2e-6, 25000, store_every=5000)
-    drift = max(
-        np.max(np.abs(frames.density(i) - frames.density(0)))
-        for i in range(frames.n_frames)
-    )
-    assert drift < 1e-6
+    assert split_step_drift(w, box, 2e-6, 25000, 5000) < 1e-6
 
 
 def test_box_wall_splitting_error_scales_quadratically():
@@ -158,61 +166,29 @@ def test_box_wall_splitting_error_scales_quadratically():
 
     def drift(dt):
         steps = int(round(0.1 / dt))
-        fr = qf.evolve_frames(w, box, dt, steps, store_every=steps)
-        return np.max(np.abs(fr.density(-1) - fr.density(0)))
+        return split_step_drift(w, box, dt, steps, steps)
 
     ratio = drift(2e-4) / drift(2e-5)
     assert 50 < ratio < 200
-
-
-def test_split_propagator_eigenstate_is_stationary_at_run_dt():
-    ax = qf.uniform_axis(-2, 2, 512)
-    box = Potential.box([-1.0], [1.0], 1e4)
-    dt = 2e-4
-    w = qf.stationary_state(ax, box, 0, dt=dt)
-    assert np.all(w.amplitudes.imag == 0)
-    frames = qf.evolve_frames(w, box, dt, 1000, store_every=200)
-    drift = np.max(np.abs(frames.density(-1) - frames.density(0)))
-    assert drift < 1e-10
-
-
-def dense_eig_pick(ax, potential, level, dt):
-    """The propagator eigenvector a dense eig finds nearest the level-th Hamiltonian one.
-
-    With a list of levels, one column per level.
-    """
-    v_h = np.linalg.eigh(qf.spectral_hamiltonian(ax, potential))[1][:, level]
-    ev = _SplitStepEvolver((ax,), potential, dt)
-    half, kin = ev.half_potential[:, None], ev.kinetic[:, None]
-    u = half * np.fft.ifft(kin * np.fft.fft(half * np.eye(ax.size), axis=0), axis=0)
-    uvecs = np.linalg.eig(u)[1]
-    return uvecs[:, np.argmax(np.abs(uvecs.T @ v_h), axis=0)]
 
 
 def unit(v):
     return v / np.linalg.norm(v)
 
 
-@pytest.mark.parametrize("points, height, dt", [(64, 1e2, 1e-3), (128, 1e4, 2e-4)])
-def test_stationary_state_is_the_dense_eig_pick_at_every_level(points, height, dt):
-    ax = qf.uniform_axis(-2, 2, points)
-    box = Potential.box([-1.0], [1.0], height)
-    picks = dense_eig_pick(ax, box, list(range(points)), dt)
-    for level in range(points):
-        got = unit(qf.stationary_state(ax, box, level, dt=dt).amplitudes)
-        want = unit(picks[:, level])
-        assert 1 - abs(np.vdot(want, got)) <= 1e-10, f"level {level}"
-
-
-def test_off_centre_box_is_the_dense_eig_pick_at_every_level():
+@pytest.mark.parametrize("points, lo, hi, height", [
+    (64, -1.0, 1.0, 1e2), (128, -1.0, 1.0, 1e4),
     # the grid's mirror j -> -j moves this box, so it is solved as one block,
     # the whole grid, where the centred boxes split into even and odd states
-    ax = qf.uniform_axis(-2, 2, 64)
-    box = Potential.box([-0.7], [1.1], 1e2)
-    picks = dense_eig_pick(ax, box, list(range(64)), 1e-3)
-    for level in range(64):
-        got = unit(qf.stationary_state(ax, box, level, dt=1e-3).amplitudes)
-        assert 1 - abs(np.vdot(unit(picks[:, level]), got)) <= 1e-10, f"level {level}"
+    (64, -0.7, 1.1, 1e2),
+], ids=["centred-64", "centred-128", "off-centre-64"])
+def test_stationary_state_is_the_dense_eigh_column_at_every_level(points, lo, hi, height):
+    ax = qf.uniform_axis(-2, 2, points)
+    box = Potential.box([lo], [hi], height)
+    columns = np.linalg.eigh(qf.spectral_hamiltonian(ax, box))[1]
+    for level in range(points):
+        got = unit(qf.stationary_state(ax, box, level).amplitudes)
+        assert 1 - abs(np.vdot(columns[:, level], got)) <= 1e-10, f"level {level}"
 
 
 def test_mirror_symmetric_box_is_solved_in_half_size_blocks(monkeypatch):
@@ -229,7 +205,7 @@ def test_mirror_symmetric_box_is_solved_in_half_size_blocks(monkeypatch):
 
     def largest(potential, level, names=("eigvalsh", "solve")):
         sizes.clear()
-        qf.stationary_state(ax, potential, level, dt=2e-4)
+        qf.stationary_state(ax, potential, level)
         return max(n for name, n in sizes if name in names)
 
     # the ground state is even: 257 points; level 1 is odd: 255
@@ -242,44 +218,19 @@ def test_mirror_symmetric_box_is_solved_in_half_size_blocks(monkeypatch):
     assert largest(Potential.table(v), 0) == 512
 
 
-def test_stationary_state_meets_its_certificate_without_eig(monkeypatch):
-    def no_eig(*args, **kwargs):
-        raise AssertionError("stationary_state must not call a dense eig")
-
-    monkeypatch.setattr(np.linalg, "eig", no_eig)
-    ax = qf.uniform_axis(-2, 2, 512)
-    box = Potential.box([-1.0], [1.0], 1e4)
-    dt = 2e-4
-    step = _SplitStepEvolver((ax,), box, dt).step
-    vecs_h = np.linalg.eigh(qf.spectral_hamiltonian(ax, box))[1]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for level in range(8):
-            v = unit(qf.stationary_state(ax, box, level, dt=dt).amplitudes)
-            v_h = vecs_h[:, level]
-            uv = step(v)
-            assert np.linalg.norm(uv - np.vdot(v, uv) * v) <= 1e-13, f"level {level}"
-            assert abs(np.vdot(v_h, v)) ** 2 > 0.5, f"level {level}"
-        with pytest.raises(ValueError, match="level 84 "):
-            qf.stationary_state(ax, box, 84, dt=dt)
-    assert caught == []
-
-
 def test_singular_shifts_count_as_converged(monkeypatch):
-    # np.linalg.solve raises on an exactly singular H - E or U - mu I, whose
-    # shift is then an eigenvalue in floating point; the solve is taken
-    # again at a shift a few ulps off it.  Forced on the first Hamiltonian
-    # (real) and the first propagator (complex) solve of each level, the
+    # np.linalg.solve raises on an exactly singular H - E, whose shift is
+    # then an eigenvalue in floating point; the solve is taken again at a
+    # shift a few ulps off it.  Forced on the first solve of each level, the
     # state is the same
     ax = qf.uniform_axis(-2, 2, 64)
     box = Potential.box([-1.0], [1.0], 1e2)
-    levels, dt = (0, 1, 5), 1e-3
-    want = [unit(qf.stationary_state(ax, box, level, dt).amplitudes) for level in levels]
+    levels = (0, 1, 5)
+    want = [unit(qf.stationary_state(ax, box, level).amplitudes) for level in levels]
     real_solve = np.linalg.solve
-    shifts = {}
+    tried = []
 
     def solve(a, b):
-        tried = shifts.setdefault(a.dtype.kind, [])
         tried.append(a[0, 0])
         if len(tried) == 1:
             raise np.linalg.LinAlgError("Singular matrix")
@@ -287,36 +238,18 @@ def test_singular_shifts_count_as_converged(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", solve)
     for level, w in zip(levels, want):
-        shifts.clear()
-        got = unit(qf.stationary_state(ax, box, level, dt).amplitudes)
+        tried.clear()
+        got = unit(qf.stationary_state(ax, box, level).amplitudes)
         assert 1 - abs(np.vdot(w, got)) <= 1e-12, f"level {level}"
-        assert sorted(shifts) == ["c", "f"], f"level {level}"
         # the retry moved the same diagonal entry by a few ulps
-        for tried in shifts.values():
-            assert 0 < abs(tried[1] - tried[0]) <= 1e-12 * max(1, abs(tried[0]))
-
-
-def test_stationary_state_restarts_away_from_a_far_eigenvector():
-    # on the duel grid, Rayleigh-quotient iteration from v_H first converges to
-    # a neighbouring propagator eigenvector at these levels (overlap^2 < 1/2);
-    # level 139 is certified after one restart, level 440 after two
-    ax = qf.uniform_axis(-2, 2, 512)
-    box = Potential.box([-1.0], [1.0], 1e4)
-    dt = 2e-4
-    picks = dense_eig_pick(ax, box, [139, 440], dt)
-    for level, want in zip((139, 440), picks.T):
-        got = unit(qf.stationary_state(ax, box, level, dt=dt).amplitudes)
-        assert 1 - abs(np.vdot(unit(want), got)) <= 1e-10, f"level {level}"
-    # level 84 has no propagator eigenvector close to v_H at all
-    with pytest.raises(ValueError, match="level 84 .* 2 restarts"):
-        qf.stationary_state(ax, box, 84, dt=dt)
+        assert len(tried) == 2, f"level {level}"
+        assert 0 < abs(tried[1] - tried[0]) <= 1e-12 * max(1, abs(tried[0]))
 
 
 def test_wall_beyond_double_precision_fails_at_once(monkeypatch):
-    """A 1e300 box wall leaves no finite v_H: the certificate's ValueError
-    comes after the inverse-iteration solve (and its retry at most), not
-    after a Rayleigh-quotient budget of solves on NaN, and no floating-point
-    warning is raised on the way."""
+    """A 1e300 box wall leaves no finite eigenvector: the ValueError naming
+    the level comes after the inverse-iteration solve (and its retry at
+    most), and no floating-point warning is raised on the way."""
     solves = []
     solve = np.linalg.solve
 
@@ -328,10 +261,59 @@ def test_wall_beyond_double_precision_fails_at_once(monkeypatch):
     ax = qf.uniform_axis(-2, 2, 512)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ValueError, match="level 0 has no certified eigenvector"):
-            qf.stationary_state(ax, Potential.box([-1.0], [1.0], 1e300), 0, dt=2e-4)
+        with pytest.raises(ValueError, match="level 0 has no finite eigenvector"):
+            qf.stationary_state(ax, Potential.box([-1.0], [1.0], 1e300), 0)
     assert len(solves) <= 2
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("level", [-1, 64])
+def test_level_outside_the_grid_raises(level):
+    # -1 would rank from the top and return the highest level
+    ax = qf.uniform_axis(-2, 2, 64)
+    with pytest.raises(ValueError, match=r"level must be an integer in \[0, 64\), got " + str(level)):
+        qf.stationary_state(ax, Potential.box([-1.0], [1.0], 1e2), level)
+
+
+@pytest.mark.parametrize("level", [0, 84, 413])
+def test_hamiltonian_eigenstate_frames_are_its_phases(level):
+    """On the duel grid a stationary state's frames are w0 e^(-iE t_n), E the
+    level's eigenvalue, and its density holds still to roundoff.  Level 84
+    lies above the box wall, and level 413's residual reads the highest of
+    the grid's 512, 2.9e-12 of the bound's scale."""
+    ax = qf.uniform_axis(-2, 2, 512)
+    box = Potential.box([-1.0], [1.0], 1e4)
+    dt = 2e-4
+    w0 = qf.stationary_state(ax, box, level)
+    energy = _SplitStepEvolver((ax,), box, dt).energy(w0.amplitudes)
+    eigenvalue = np.linalg.eigvalsh(qf.spectral_hamiltonian(ax, box))[level]
+    assert abs(energy - eigenvalue) <= 1e-9  # roundoff of an H whose norm is about 1e5
+    frames = qf.FrameSource(w0, box, dt, 2500, store_every=25).drain()
+    want = np.exp(-1j * energy * frames.times)[:, None] * w0.amplitudes
+    assert np.array_equal(frames.amplitudes[1:], want[1:])
+    assert np.array_equal(frames.amplitudes[0].view(np.uint64), w0.amplitudes.view(np.uint64))
+    drift = max(np.max(np.abs(frames.density(i) - frames.density(0)))
+                for i in range(frames.n_frames))
+    assert drift <= 1e-14
+
+
+def test_state_off_an_eigenvector_keeps_the_split_step():
+    """A stationary state plus 1e-6 of a Gaussian is no eigenvector to the
+    bound: its frames are the split step's, bit for bit, across chunks."""
+    ax = qf.uniform_axis(-2, 2, 512)
+    box = Potential.box([-1.0], [1.0], 1e4)
+    dt = 2e-4
+    w0 = qf.stationary_state(ax, box, 0).amplitudes
+    g = qf.gaussian_packet((ax,), [0.3], [0.2]).amplitudes
+    w = qf.GridWaveFunction((ax,), w0 + 1e-6 * g)
+    evolver = _SplitStepEvolver((ax,), box, dt)
+    assert evolver.energy(w.amplitudes) is None
+    frames = qf.FrameSource(w, box, dt, 150).drain()
+    amps = w.amplitudes.copy()
+    want = [amps.copy()]
+    for _ in range(150):
+        want.append(evolver.step(amps, out=amps).copy())
+    assert np.array_equal(frames.amplitudes.view(np.uint64), np.array(want).view(np.uint64))
 
 
 def test_frames_index_lookup():
@@ -752,7 +734,7 @@ def test_rdmp_samples_iid_from_stationary_density():
     ax = qf.uniform_axis(-2, 2, 512)
     box = Potential.box([-1.0], [1.0], 1e4)
     dt = 2e-4
-    w = qf.stationary_state(ax, box, 0, dt=dt)
+    w = qf.stationary_state(ax, box, 0)
     times = np.round(np.linspace(0.05, 0.5, 10), 4)
     frames = qf.evolve_frames(w, box, dt, 2500, store_every=25)
     ens = qf.rdmp_ensemble(frames, times, 300, seed=5)
@@ -794,7 +776,7 @@ def test_rdmp_mean_step_matches_iid_draw_statistic():
     ax = qf.uniform_axis(-2, 2, 512)
     box = Potential.box([-1.0], [1.0], 1e4)
     dt = 2e-4
-    w = qf.stationary_state(ax, box, 0, dt=dt)
+    w = qf.stationary_state(ax, box, 0)
     times = np.round(np.linspace(0.05, 0.5, 10), 4)
     frames = qf.evolve_frames(w, box, dt, 2500, store_every=25)
     ens = qf.rdmp_ensemble(frames, times, 300, seed=7)
@@ -1063,7 +1045,7 @@ def test_real_eigenstate_march_reaches_the_stride_cap(monkeypatch):
     only."""
     ax = qf.uniform_axis(-2, 2, 128)
     potential = Potential.box([-1.0], [1.0], 1e4)
-    w0 = qf.stationary_state(ax, potential, 0, dt=0.0002)
+    w0 = qf.stationary_state(ax, potential, 0)
     q0 = np.linspace(-0.8, 0.8, 50)[:, None]
     converted = _count_converted(monkeypatch)
     source = qf.FrameSource(w0, potential, 0.0002, 400, keep=())
@@ -1417,6 +1399,23 @@ def test_frame_source_streams_forward_only():
     assert np.array_equal(vel, qf.VelocityField(frames).velocity(np.array([[0.1]]), 150)[0])
     with pytest.raises(ValueError, match="in order"):
         field.velocity(np.array([[0.1]]), 10)
+
+
+@pytest.mark.parametrize("stored", [True, False], ids=["WaveFrames", "FrameSource"])
+@pytest.mark.parametrize("side", ["before", "after"])
+def test_velocity_at_a_frame_position_out_of_range_raises(stored, side):
+    """Before frame 0 the field would extrapolate, and past the last frame it
+    would read a frame that is not there: either raises, naming the range,
+    and a FrameSource has evolved nothing."""
+    ax = qf.uniform_axis(-8, 8, 64)
+    w0 = qf.gaussian_packet((ax,), [0.0], [1.0])
+    source = qf.FrameSource(w0, Potential.free(), 0.01, 100, keep=None if stored else ())
+    field = qf.VelocityField(source.drain() if stored else source)
+    s = -0.5 if side == "before" else source.n_frames - 0.5
+    with pytest.raises(ValueError, match=r"frame position .* outside \[0, 100\]"):
+        field.velocity(np.array([[0.1]]), s)
+    assert stored or source._next == 0
+    field.velocity(np.array([[0.1]]), 0 if side == "before" else 100)  # the ends are in range
 
 
 @pytest.mark.parametrize("store_every", [0, -2, 1.5, True])

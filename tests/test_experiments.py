@@ -179,6 +179,19 @@ class TestRun:
         rows = (tmp_path / "box" / "bohm_positions.csv").read_text().splitlines()
         assert rows[0].startswith("trajectory_id,t,x1")
 
+    def test_box_run_starts_from_the_same_state_at_any_dt(self, tmp_path):
+        # the state is the Hamiltonian's, not one dt step's: frame 0 (t = 0)
+        # of wave_frames.bin has the same bytes at dt and at dt/2
+        starts = []
+        for dt in (0.0002, 0.0001):
+            body = dict(qf.preset("box").to_json(), name=f"box-{dt}", out_dir=str(tmp_path),
+                        time={"t_end": 0.5, "dt": dt, "sample_times": [0.0, 0.5]})
+            assert qf.run(qf.ExperimentSpec.from_json(body)).passed
+            data = (tmp_path / body["name"] / "wave_frames.bin").read_bytes()
+            header = 4 + int.from_bytes(data[:4], "little")
+            starts.append(data[header : header + 512 * 16])
+        assert starts[0] == starts[1]
+
     def test_byte_identical_reruns(self, tmp_path):
         # identical spec twice; artifacts captured between the runs
         spec = tiny_wave_spec(out_dir=str(tmp_path))

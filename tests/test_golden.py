@@ -73,8 +73,14 @@ and 1.4e-15 in the head paths, a statistic or p-value of
 ``equivariance.json`` or ``rdmp_marginals.json`` by at most 3.3e-13
 relative, the Bohm mean step went from 7.4e-16 to 5.9e-16 and the
 march's largest error estimate in ``diagnostics.json`` from 6.0e-19 to
-4.9e-19; every verdict stayed the same.  Every artifact
-except ``manifest.json`` (it holds the wall-clock time) must keep them.
+4.9e-19; every verdict stayed the same.  They were recorded again when
+a stationary state came to be the Hamiltonian's eigenvector, its frames
+its phases e^(-iEt), where it had been the eigenvector of the run's dt
+split step: the state moved by 2.5e-4 of max |psi|, the split step's own
+time error, a Bohm position by at most 2.2e-15, a statistic or p-value
+by at most 3.2e-3 relative, and every verdict stayed the same.  Every
+artifact except ``manifest.json`` (it holds the wall-clock time) must
+keep them.
 
 FFTs (which also give the spline coefficients) and libm may round
 differently in other numpy releases, so the test runs only with the numpy
@@ -138,15 +144,15 @@ NOMOLOGICAL = {
 
 DIGESTS = {
     "golden-box": {
-        "bohm_positions.csv": "93420f22a191210f7e4a6a7dbd10642ac9935754f1d3a72a3427a11ca62d407e",
-        "bohm_trajectories_head.csv": "4409083a83a5db03799cf8fcc29ae5581469bd827925ad6779f46b9608a95079",
-        "bohm_vs_rdmp.json": "d9d8bae93c37cc4c674d911cc5a9010ef42980264b98e9d2dd12147befea9c3c",
-        "diagnostics.json": "b88c9053f2643121150e199459d225a03c8c7e768bea00a972ca21de5fdb46c5",
-        "equivariance.json": "2cb082fe839ac3d5586bec2ab51bed4c4052124ad3c9d034c03470af66bea950",
-        "rdmp_marginals.json": "21b87c510001e43275179fbfe95ce9f0ffca38b8f65155b421d45095fcc8ef11",
+        "bohm_positions.csv": "1885410c8a64c69e2bbbfb082f9cfe02fad979ee9ae39d2314b7907bd6cb5d9f",
+        "bohm_trajectories_head.csv": "eca75daebcd2077cd23890453b2a3681dd6c94cd9c1fc2a01f557edbbaa143b2",
+        "bohm_vs_rdmp.json": "5df5f1d8156fa7b7a831e5c982901cecd3da8a29bee977aa500c29d5770df0c6",
+        "diagnostics.json": "d43a2795f3c06d4b6afce880753ce9e334873fa3db1e1d1c0edc7bcf1ef40a4a",
+        "equivariance.json": "3c59a1d5a4f5369298956938773830ec90064837be7a48f94fc74548de5dccb5",
+        "rdmp_marginals.json": "2bcdf3d2915eb11b6588a457f333025148deed099ff142f17615a97e06389dd3",
         "rdmp_positions.csv": "9d2925beb95a788b4b05e533eb76a4a74c24f44c77b8a717151a9b9f07cf0cbe",
         "spec.json": "71e9fd2dd7431ed4ad5e75f9667b7a9533290728402c9d04d2e9c913cd473d9c",
-        "wave_frames.bin": "23b483364b0b268dd053d9ec8958c778fcb99c4fc73ce3241c0e7e02ba230531",
+        "wave_frames.bin": "191f3ca6a25a3c71f84129a0fcdd568d23f41ee89ad5b9f086dd6e06d2769a5a",
     },
     "golden-slit": {
         "bohm_positions.csv": "22c5005370546fae373e21f8287ad188dbacd061230e31ffa07adea3a4727856",
